@@ -11,6 +11,12 @@ A spot-beam incident at x goes undetected by an operator with sensor density
 lambda exactly when its footprint circle around x is empty, which has
 probability exp(-lambda * pi * r^2); detection by every honest operator is
 the product of the complements.
+
+Both kernels filter, then test exactly: a k-d tree (scipy's cKDTree) picks
+candidate points within a slightly widened chord radius (`_WIDEN`), and the
+exact predicate runs on the candidates only, so the results equal those of
+the all-pairs test. Tree queries that accept `workers` use every core
+(`workers=-1`).
 """
 
 from __future__ import annotations
@@ -24,6 +30,9 @@ from scipy.spatial import cKDTree
 
 R_EARTH_KM = 6371.0
 EARTH_AREA_KM2 = 4.0 * math.pi * R_EARTH_KM**2
+# Relative slack on tree search radii: covers the rounding in the tree's
+# distances, so the filter keeps every point the exact test keeps.
+_WIDEN = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -79,31 +88,35 @@ def build_constellation(operator_ids: Sequence[int], density_per_km2: float,
     return Constellation(beam, satellites, subbands, n_subbands)
 
 
-def count_interference(constellation: Constellation, chunk: int = 2048) -> int:
+def count_interference(constellation: Constellation) -> int:
     """Unordered cross-operator pairs with overlapping same-band footprints.
 
     Footprints of radius r overlap exactly when the great-circle distance of
-    their centres is below 2r.
+    their centres is below 2r, that is when the dot product of the unit
+    vectors exceeds cos(2r/R). Candidate pairs come from one k-d tree per
+    operator; the dot-product and sub-band tests run on the candidates only.
     """
-    two_r = 2.0 * constellation.beam.footprint_radius_km
-    cos_threshold = math.cos(two_r / R_EARTH_KM)
-    ops = sorted(constellation.satellites)
+    angle = 2.0 * constellation.beam.footprint_radius_km / R_EARTH_KM
+    cos_threshold = math.cos(angle)
+    # chord of the angle (2 at most, for caps of half a sphere or more), widened
+    radius = 2.0 * math.sin(min(angle, math.pi) / 2.0) * _WIDEN
+    # operators without satellites add no pairs (their arrays may be 1-D)
+    ops = [op for op in sorted(constellation.satellites)
+           if len(constellation.satellites[op])]
+    trees = {op: cKDTree(constellation.satellites[op]) for op in ops}
     total = 0
     for i, a in enumerate(ops):
         pts_a = constellation.satellites[a]
         sb_a = constellation.subbands[a]
-        if len(pts_a) == 0:
-            continue
         for b in ops[i + 1:]:
             pts_b = constellation.satellites[b]
             sb_b = constellation.subbands[b]
-            if len(pts_b) == 0:
-                continue
-            for lo in range(0, len(pts_a), chunk):
-                dots = pts_a[lo:lo + chunk] @ pts_b.T
-                mask = dots > cos_threshold
-                mask &= sb_a[lo:lo + chunk, None] == sb_b[None, :]
-                total += int(np.count_nonzero(mask))
+            pairs = trees[a].sparse_distance_matrix(trees[b], radius, output_type="ndarray")
+            ia, ib = pairs["i"], pairs["j"]
+            dots = np.einsum("ij,ij->i", pts_a[ia], pts_b[ib])
+            mask = dots > cos_threshold
+            mask &= sb_a[ia] == sb_b[ib]
+            total += int(np.count_nonzero(mask))
     return total
 
 
@@ -182,13 +195,18 @@ def simulate_detection(sensor_fields: Dict[int, np.ndarray], incidents: np.ndarr
     grid = grid or CellGrid()
     angle = beam.footprint_radius_km / R_EARTH_KM
     chord = 2.0 * math.sin(angle / 2.0)
+    incident_tree = cKDTree(incidents)
     detected = np.ones(len(incidents), dtype=bool)
     for op in sorted(sensor_fields):
         field = sensor_fields[op]
         if len(field) == 0:
             detected[:] = False
             break
-        tree = cKDTree(field)
+        # A sensor within `chord` of any incident is within it of its nearest
+        # one, so dropping the others leaves every per-incident count intact.
+        nearest, _ = incident_tree.query(field, k=1, distance_upper_bound=chord * _WIDEN,
+                                         workers=-1)
+        tree = cKDTree(field[np.isfinite(nearest)])
         counts = tree.query_ball_point(incidents, chord, return_length=True, workers=-1)
         detected &= counts > 0
     rate = float(np.count_nonzero(detected)) / len(incidents) if len(incidents) else 0.0

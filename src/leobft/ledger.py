@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import auth
 from .approx import averaging_function
-from .model import NetworkParams, UsageTensor, max_deviation
+from .model import NetworkParams, UsageTensor, check_fault_bound, max_deviation
 
 GENESIS_DIGEST = hashlib.sha256(b"usage-ledger-genesis").digest()
 
@@ -463,6 +463,10 @@ def audit_chain(data: bytes) -> AuditReport:
         master_seed = int(fields["master_seed"])
     except (KeyError, ValueError):
         return AuditReport(False, "malformed export header", [], 0, 0)
+    try:
+        check_fault_bound(n, f)
+    except ValueError as exc:
+        return AuditReport(False, "export header: %s" % exc, [], 0, 0)
 
     registry = auth.KeyRegistry(range(1, n + 1), master_seed)
     quorum = 2 * f + 1

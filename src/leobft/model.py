@@ -15,6 +15,19 @@ from typing import Dict, Iterator, Tuple
 Key = Tuple[int, int, int]  # (region, subband, operator)
 
 
+def check_fault_bound(n_operators: int, max_faulty: int) -> None:
+    """Raise ValueError unless N >= 1, f >= 0 and N >= 3f + 1."""
+    if n_operators < 1:
+        raise ValueError("need at least one operator")
+    if max_faulty < 0:
+        raise ValueError("max_faulty must be >= 0")
+    if n_operators < 3 * max_faulty + 1:
+        raise ValueError(
+            "n_operators=%d cannot tolerate f=%d (need N >= 3f+1)"
+            % (n_operators, max_faulty)
+        )
+
+
 @dataclass(frozen=True)
 class NetworkParams:
     """Shared configuration of one consensus network.
@@ -35,15 +48,7 @@ class NetworkParams:
     rssi_threshold: float
 
     def __post_init__(self) -> None:
-        if self.n_operators < 1:
-            raise ValueError("need at least one operator")
-        if self.max_faulty < 0:
-            raise ValueError("max_faulty must be >= 0")
-        if self.n_operators < 3 * self.max_faulty + 1:
-            raise ValueError(
-                "n_operators=%d cannot tolerate f=%d (need N >= 3f+1)"
-                % (self.n_operators, self.max_faulty)
-            )
+        check_fault_bound(self.n_operators, self.max_faulty)
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
         if self.zeta <= 0:

@@ -305,12 +305,3 @@ class RoundBus:
         if self.transcript is None:
             raise ValueError("bus was created without transcript recording")
         return list(self.transcript)
-
-    def write_transcript_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["round", "sender", "recipient", "kind", "bytes"])
-            for row in self.transcript_rows():
-                writer.writerow(row)

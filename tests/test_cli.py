@@ -186,6 +186,12 @@ class TestLedgerAuditCommand:
         assert main(["ledger-audit", str(tampered)]) == 3
         assert "audit failed" in capsys.readouterr().out
 
+    def test_header_outside_fault_bound_is_exit_3(self, config_file, tmp_path, capsys):
+        path = self._export(config_file, tmp_path)
+        path.write_bytes(path.read_bytes().replace(b" f=1 ", b" f=-1 ", 1))
+        assert main(["ledger-audit", str(path)]) == 3
+        assert "audit failed: export header" in capsys.readouterr().out
+
     def test_missing_file_is_exit_1(self, tmp_path, capsys):
         assert main(["ledger-audit", str(tmp_path / "gone.txt")]) == 1
         capsys.readouterr()

@@ -128,6 +128,13 @@ class TestInterferenceCounting:
         c = self._make({1: [base], 2: [at_limit]}, {1: [0], 2: [0]}, beam)
         assert count_interference(c) == 0
 
+    def test_just_inside_boundary_counts(self):
+        beam = BeamGeometry()
+        base = unit([1.0, 0.0, 0.0])
+        inside = rotate_about_y(base, 0.999 * 2.0 * beam.footprint_radius_km / R_EARTH_KM)
+        c = self._make({1: [base], 2: [inside]}, {1: [0], 2: [0]}, beam)
+        assert count_interference(c) == 1
+
     def test_same_operator_overlaps_ignored(self):
         beam = BeamGeometry()
         base = unit([1.0, 0.0, 0.0])
@@ -163,8 +170,10 @@ class TestInterferenceCounting:
         bands_b = rng.integers(0, 2, 150)
         c = self._make({1: pts_a, 2: pts_b}, {1: bands_a, 2: bands_b}, beam)
         manual = self._manual(pts_a, pts_b, bands_a, bands_b, beam)
-        assert count_interference(c, chunk=32) == manual
-        assert count_interference(c, chunk=4096) == manual
+        assert count_interference(c) == manual
+        # a third operator with no satellites adds no pairs and no errors
+        c = self._make({1: pts_a, 2: [], 3: pts_b}, {1: bands_a, 2: [], 3: bands_b}, beam)
+        assert count_interference(c) == manual
 
     def test_interference_grows_with_density(self):
         rows = geo.interference_sweep([5.0, 15.0], n_operators=4, n_subbands=1,
@@ -278,3 +287,34 @@ class TestDetection:
         sample = simulate_detection(fields, incidents)
         assert len(sample.incident_cells) == 100
         assert sample.incident_cells.max() < CellGrid().n_cells
+
+    def test_sensor_shared_by_close_incidents_detects_both(self):
+        # The sensor sits between two incidents less than 2r apart, inside both
+        # footprints but nearer to the first: it must count for both.
+        beam = BeamGeometry()
+        step = beam.footprint_radius_km / R_EARTH_KM
+        first = unit([1.0, 0.0, 0.0])
+        incidents = np.array([first, rotate_about_y(first, 1.5 * step)])
+        sensor = rotate_about_y(first, 0.7 * step)
+        sample = simulate_detection({1: np.array([sensor])}, incidents, beam)
+        assert sample.detected.tolist() == [True, True]
+
+    def test_detection_matches_brute_force(self):
+        rng = np.random.default_rng(14)
+        beam = BeamGeometry(altitude_km=550.0, half_angle_deg=20.0)  # big caps
+        fields = {op: sphere_points(2000, rng) for op in (1, 2)}
+        incidents = sphere_points(3000, rng)
+        cos_radius = math.cos(beam.footprint_radius_km / R_EARTH_KM)
+        expected = np.ones(len(incidents), dtype=bool)
+        for field in fields.values():
+            expected &= (incidents @ field.T >= cos_radius).any(axis=1)
+        sample = simulate_detection(fields, incidents, beam)
+        assert 0 < np.count_nonzero(expected) < len(incidents)
+        assert np.array_equal(sample.detected, expected)
+
+    def test_no_incidents_gives_zero_rate(self):
+        fields = {1: sphere_points(100, np.random.default_rng(15))}
+        sample = simulate_detection(fields, np.empty((0, 3)))
+        assert sample.rate == 0.0
+        assert len(sample.detected) == 0
+        assert len(sample.incident_cells) == 0

@@ -370,6 +370,18 @@ class TestExportAudit:
         report = audit_chain(export_chain(chain))
         assert report.ok and report.blocks == []
 
+    @pytest.mark.parametrize("n, f", [(4, -1), (0, 0), (3, 1)])
+    def test_header_outside_fault_bound_rejected(self, n, f):
+        # f=-1 would make the quorum -1, so a block with no votes would pass
+        payload = make_tensor().canonical_bytes()
+        cert = auth.QuorumCertificate(hashlib.sha256(payload).digest(), ())
+        digest = ledger.block_digest(ledger.GENESIS_DIGEST, payload, 1, cert)
+        data = ("ledger v1 n=%d f=%d master_seed=0\n0|0|1|%s|%s|%s|\n" % (
+            n, f, payload.hex(), ledger.GENESIS_DIGEST.hex(), digest.hex())).encode()
+        report = audit_chain(data)
+        assert not report.ok
+        assert "export header" in report.error
+
     def test_garbage_rejected(self):
         assert not audit_chain(b"\xff\xfe").ok
         assert not audit_chain(b"ledger v2 n=4 f=1 master_seed=0\n").ok
