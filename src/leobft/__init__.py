@@ -16,7 +16,7 @@ from .ledger import TensorLedger, audit_chain, commit_period, export_chain
 from .pipeline import PropertyViolation, run_scenario
 from .scenario import ConfigError, Scenario, load_scenario, parse_scenario
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "AgreementError",

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from . import auth, netsim
+from . import netsim
 from .model import NetworkParams
 
 
@@ -184,8 +184,7 @@ def run_approx(params: NetworkParams, initial_values: Dict[int, float], *,
     values_by_round = [snapshot()]
     controlled_by_round: List[frozenset] = []
 
-    static_controlled = adversary.controlled if adversary and not adversary.rotate else frozenset()
-    honest = [op for op in ids if op not in static_controlled]
+    honest = netsim.honest_ids(ids, adversary)
 
     while not all(bus.participants[op].halted for op in honest):
         if bus.round >= max_rounds:

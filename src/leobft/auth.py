@@ -144,11 +144,8 @@ def vote_payload(digest: bytes, context: bytes) -> bytes:
     return encode("vote", context, digest)
 
 
-def make_certificate(
-    digest: bytes, context: bytes, votes: Mapping[int, bytes]
-) -> QuorumCertificate:
-    ordered = tuple(sorted(votes.items()))
-    return QuorumCertificate(digest, ordered)
+def make_certificate(digest: bytes, votes: Mapping[int, bytes]) -> QuorumCertificate:
+    return QuorumCertificate(digest, tuple(sorted(votes.items())))
 
 
 def verify_certificate(

@@ -164,12 +164,7 @@ def run_binary(params: NetworkParams, initial_bits: Dict[int, int], *,
         bus.register(BinaryOperator(op, params, initial_bits[op], instance, coin, registry))
     bus.bind_adversary(adversary)
 
-    # A rotating adversary substitutes different operators each round, so every
-    # state machine still updates honestly and all of them must halt.
-    if adversary and not adversary.rotate:
-        honest = [op for op in ids if op not in adversary.controlled]
-    else:
-        honest = list(ids)
+    honest = netsim.honest_ids(ids, adversary)
 
     if exact_rounds is not None:
         for _ in range(exact_rounds):

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import os
 import sys
 from typing import List, Optional

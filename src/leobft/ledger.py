@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from . import auth
+from . import auth, netsim
 from .approx import averaging_function
 from .model import NetworkParams, UsageTensor, check_fault_bound, max_deviation
 
@@ -99,7 +99,7 @@ def approx_vote(local: UsageTensor, proposal: Proposal, alpha: float) -> bool:
     """Approve iff every element of the proposal is within alpha of the local one."""
     try:
         proposed = UsageTensor.from_canonical(proposal.payload)
-    except (ValueError, KeyError):
+    except ValueError:
         return False
     if proposed.period != local.period or proposed.dims != local.dims:
         return False
@@ -178,6 +178,33 @@ def verify_verdict(registry: auth.KeyRegistry, verdict: Verdict, quorum: int) ->
     return False
 
 
+def check_block(registry: auth.KeyRegistry, quorum: int, block: Block,
+                prev: bytes, last_period: int) -> Optional[str]:
+    """None if the block may follow (prev, last_period), else what is wrong.
+
+    The one block rule shared by the ledger, its self-check and the auditor:
+    the period increases, the block links to and hashes over prev, its
+    certificate covers the payload under its (period, attempt) with a quorum
+    of valid signers, and the payload is a tensor in canonical form.
+    """
+    if block.period <= last_period:
+        return "period %d out of order" % block.period
+    if block.prev_digest != prev:
+        return "broken chain link"
+    if block.digest != block_digest(prev, block.payload, block.proposer, block.certificate):
+        return "digest mismatch"
+    if block.certificate.digest != hashlib.sha256(block.payload).digest():
+        return "certificate is for a different payload"
+    if not auth.verify_certificate(registry, block.certificate,
+                                   vote_context(block.period, block.attempt), quorum):
+        return "certificate fails verification"
+    try:
+        canonical = UsageTensor.from_canonical(block.payload).canonical_bytes() == block.payload
+    except ValueError:
+        canonical = False
+    return None if canonical else "payload is not a canonical tensor"
+
+
 class TensorLedger:
     """Hash-chained sequence of committed tensors plus recorded verdicts."""
 
@@ -192,40 +219,25 @@ class TensorLedger:
 
     def append_block(self, period: int, attempt: int, proposer: int, payload: bytes,
                      cert: auth.QuorumCertificate) -> Block:
-        if self.blocks and period <= self.blocks[-1].period:
-            raise ValueError("periods must be strictly increasing")
-        if not auth.verify_certificate(self.registry, cert, vote_context(period, attempt),
-                                       self.params.quorum):
-            raise ValueError("certificate does not meet the quorum")
-        if cert.digest != hashlib.sha256(payload).digest():
-            raise ValueError("certificate digest does not match payload")
+        """Append a block, or raise ValueError naming the rule it breaks."""
         prev = self.head_digest()
         block = Block(period, attempt, proposer, payload, cert, prev,
                       block_digest(prev, payload, proposer, cert))
+        last_period = self.blocks[-1].period if self.blocks else -1
+        problem = check_block(self.registry, self.params.quorum, block, prev, last_period)
+        if problem is not None:
+            raise ValueError(problem)
         self.blocks.append(block)
         return block
 
     def verify_chain(self) -> Optional[str]:
         """None if the chain checks out, else a description of the first break."""
-        prev = GENESIS_DIGEST
-        last_period = -1
+        prev, last_period = GENESIS_DIGEST, -1
         for i, block in enumerate(self.blocks):
-            if block.period <= last_period:
-                return "block %d: period %d out of order" % (i, block.period)
-            if block.prev_digest != prev:
-                return "block %d: broken chain link" % i
-            if block.digest != block_digest(prev, block.payload, block.proposer,
-                                            block.certificate):
-                return "block %d: digest mismatch" % i
-            if block.certificate.digest != hashlib.sha256(block.payload).digest():
-                return "block %d: certificate is for a different payload" % i
-            if not auth.verify_certificate(
-                self.registry, block.certificate,
-                vote_context(block.period, block.attempt), self.params.quorum,
-            ):
-                return "block %d: certificate fails verification" % i
-            prev = block.digest
-            last_period = block.period
+            problem = check_block(self.registry, self.params.quorum, block, prev, last_period)
+            if problem is not None:
+                return "block %d: %s" % (i, problem)
+            prev, last_period = block.digest, block.period
         return None
 
     def committed_tensor(self, period: int) -> Optional[UsageTensor]:
@@ -300,7 +312,7 @@ class LedgerAdversary:
     controlled: frozenset
     proposal: str = "honest"
     vote_policy: str = "honest"
-    offset: float = 10.0
+    offset: float = netsim.DEFAULT_OFFSET
     inject_key: Optional[Tuple[int, int, int]] = None
     inject_value: float = 0.0
 
@@ -335,27 +347,17 @@ def commit_period(params: NetworkParams, registry: auth.KeyRegistry,
         outcome.attempts_used = attempt + 1
         proposer = rotation_proposer(period, attempt, params.n_operators)
 
-        proposals: List[Proposal] = []
-        if proposer in controlled:
-            style = adversary.proposal
-            if style == "crash":
-                proposals = []
-            elif style == "corrupt":
-                bad = adversary.corrupt_tensor(locals_by_op[proposer])
-                proposals = [make_proposal(registry, proposer, period, attempt, bad)]
-            elif style == "equivocate":
-                good = locals_by_op[proposer]
-                bad = adversary.corrupt_tensor(good)
-                proposals = [
-                    make_proposal(registry, proposer, period, attempt, good),
-                    make_proposal(registry, proposer, period, attempt, bad),
-                ]
-            else:
-                proposals = [make_proposal(registry, proposer, period, attempt,
-                                           locals_by_op[proposer])]
+        local = locals_by_op[proposer]
+        style = adversary.proposal if proposer in controlled else "honest"
+        if style == "crash":
+            tensors = []
+        elif style == "corrupt":
+            tensors = [adversary.corrupt_tensor(local)]
+        elif style == "equivocate":
+            tensors = [local, adversary.corrupt_tensor(local)]
         else:
-            proposals = [make_proposal(registry, proposer, period, attempt,
-                                       locals_by_op[proposer])]
+            tensors = [local]
+        proposals = [make_proposal(registry, proposer, period, attempt, t) for t in tensors]
 
         if len({p.payload for p in proposals}) > 1:
             verdict = Verdict(period, attempt, proposer, EQUIVOCATION,
@@ -373,22 +375,15 @@ def commit_period(params: NetworkParams, registry: auth.KeyRegistry,
         approvals: Dict[int, bytes] = {}
         rejections: List[Rejection] = []
         for op in params.operator_ids():
-            if op in controlled:
-                policy = adversary.vote_policy
-                if policy == "crash":
-                    continue
-                if policy == "approve-all":
-                    approve = True
-                elif policy == "reject-all":
-                    approve = False
-                else:
-                    policy_local = locals_by_op[op]
-                    approve = (exact_vote(policy_local, proposal) if mode == "exact"
-                               else approx_vote(policy_local, proposal, params.alpha))
+            policy = adversary.vote_policy if op in controlled else "honest"
+            if policy == "crash":
+                continue
+            if policy in ("approve-all", "reject-all"):
+                approve = policy == "approve-all"
+            elif mode == "exact":
+                approve = exact_vote(locals_by_op[op], proposal)
             else:
-                local = locals_by_op[op]
-                approve = (exact_vote(local, proposal) if mode == "exact"
-                           else approx_vote(local, proposal, params.alpha))
+                approve = approx_vote(locals_by_op[op], proposal, params.alpha)
             if approve:
                 tag = registry.sign(op, auth.vote_payload(digest, vote_context(period, attempt)))
                 approvals[op] = tag
@@ -397,7 +392,7 @@ def commit_period(params: NetworkParams, registry: auth.KeyRegistry,
                 rejections.append(make_rejection(registry, op, proposal))
 
         if len(approvals) >= params.quorum:
-            cert = auth.make_certificate(digest, vote_context(period, attempt), approvals)
+            cert = auth.make_certificate(digest, approvals)
             outcome.block = ledger.append_block(period, attempt, proposer,
                                                 proposal.payload, cert)
             return outcome
@@ -471,8 +466,7 @@ def audit_chain(data: bytes) -> AuditReport:
     registry = auth.KeyRegistry(range(1, n + 1), master_seed)
     quorum = 2 * f + 1
     blocks: List[Block] = []
-    prev = GENESIS_DIGEST
-    last_period = -1
+    prev, last_period = GENESIS_DIGEST, -1
     for i, line in enumerate(lines[1:]):
         parts = line.split("|")
         if len(parts) != 7:
@@ -482,31 +476,16 @@ def audit_chain(data: bytes) -> AuditReport:
             payload = bytes.fromhex(parts[3])
             prev_digest = bytes.fromhex(parts[4])
             digest = bytes.fromhex(parts[5])
-            votes = tuple(
-                (int(v.split(":")[0]), bytes.fromhex(v.split(":")[1]))
-                for v in parts[6].split(",") if v
-            )
+            votes = tuple((int(op), bytes.fromhex(tag)) for op, tag in
+                          (v.split(":") for v in parts[6].split(",") if v))
         except ValueError:
             return AuditReport(False, "block %d: malformed record" % i, blocks, n, f)
         cert = auth.QuorumCertificate(hashlib.sha256(payload).digest(), votes)
         block = Block(period, attempt, proposer, payload, cert, prev_digest, digest)
 
-        if period <= last_period:
-            return AuditReport(False, "block %d: period %d out of order" % (i, period),
-                               blocks, n, f)
-        if prev_digest != prev:
-            return AuditReport(False, "block %d: broken chain link" % i, blocks, n, f)
-        if digest != block_digest(prev, payload, proposer, cert):
-            return AuditReport(False, "block %d: digest mismatch" % i, blocks, n, f)
-        if not auth.verify_certificate(registry, cert, vote_context(period, attempt), quorum):
-            return AuditReport(False, "block %d: certificate fails verification" % i,
-                               blocks, n, f)
-        try:
-            UsageTensor.from_canonical(payload)
-        except (ValueError, KeyError):
-            return AuditReport(False, "block %d: payload is not a canonical tensor" % i,
-                               blocks, n, f)
+        problem = check_block(registry, quorum, block, prev, last_period)
+        if problem is not None:
+            return AuditReport(False, "block %d: %s" % (i, problem), blocks, n, f)
         blocks.append(block)
-        prev = digest
-        last_period = period
+        prev, last_period = digest, period
     return AuditReport(True, None, blocks, n, f)

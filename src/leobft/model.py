@@ -154,21 +154,23 @@ class UsageTensor:
 
     @classmethod
     def from_canonical(cls, data: bytes) -> "UsageTensor":
-        text = data.decode("ascii")
-        lines = [ln for ln in text.split("\n") if ln]
-        head = lines[0]
-        if not head.startswith("period="):
-            raise ValueError("bad tensor header: %r" % head)
-        period_part, dims_part = head.split(" dims=")
+        """Parse canonical bytes; any malformed input raises ValueError."""
+        lines = [ln for ln in data.decode("ascii").split("\n") if ln]
+        if not lines or not lines[0].startswith("period="):
+            raise ValueError("bad tensor header: %r" % (lines[:1],))
+        period_part, dims_part = lines[0].split(" dims=")
         period = int(period_part[len("period="):])
         dims = tuple(int(x) for x in dims_part.split(","))
         if len(dims) != 3:
-            raise ValueError("bad tensor dims: %r" % head)
+            raise ValueError("bad tensor dims: %r" % lines[0])
         entries: Dict[Key, float] = {}
         for line in lines[1:]:
             r, s, o, v = line.split(",")
             entries[(int(r), int(s), int(o))] = float(v)
-        return cls(period, dims, entries)  # type: ignore[arg-type]
+        try:
+            return cls(period, dims, entries)  # type: ignore[arg-type]
+        except KeyError as err:
+            raise ValueError(str(err)) from err
 
 
 def observe(truth: GroundTruth, epsilon: float, seed: int) -> Measurement:

@@ -13,6 +13,7 @@ may only sign through keys their operators own.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -36,6 +37,35 @@ BOUNDARY_ATTACKER = "boundary-attacker"
 BAD_PROPOSER = "bad-proposer"
 
 BEHAVIORS = (CRASH, EQUIVOCATE, RANDOM_VALUES, VALUE_LIAR, BOUNDARY_ATTACKER, BAD_PROPOSER)
+
+# how far a value liar, a corrupt proposer and a lying responder shift a value
+DEFAULT_OFFSET = 10.0
+
+
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _bit(x) -> bool:
+    return type(x) is int and x in (0, 1)
+
+
+def _pair(item: Callable[[object], bool]) -> Callable[[object], bool]:
+    return lambda x: isinstance(x, (list, tuple)) and len(x) == 2 and all(map(item, x))
+
+
+_NUMBER = ("a finite number", _number)
+_NUMBERS = ("a pair of finite numbers", _pair(_number))
+
+# every strategy param a behaviour reads: key -> (what it must be, check)
+PARAM_TYPES: Dict[str, Tuple[str, Callable[[object], bool]]] = {
+    "offset": _NUMBER, "value": _NUMBER, "delta": _NUMBER,
+    "threshold": _NUMBER, "epsilon": _NUMBER,
+    "values": _NUMBERS, "range": _NUMBERS,
+    "bits": ("a pair of bits (0 or 1)", _pair(_bit)),
+    "bit": ("a bit (0 or 1)", _bit),
+    "fake_halt": ("a bool", lambda x: isinstance(x, bool)),
+}
 
 
 class HarnessError(AssertionError):
@@ -90,6 +120,18 @@ class AdversaryStrategy:
         return frozenset(ids[(start + i) % len(ids)] for i in range(k))
 
 
+def honest_ids(operator_ids: Sequence[int],
+               adversary: Optional[AdversaryStrategy]) -> List[int]:
+    """Operators whose outputs the agreement guarantees cover, in the given order.
+
+    A rotating adversary substitutes different operators each round, so every
+    state machine still updates honestly and all of them count.
+    """
+    if adversary is None or adversary.rotate:
+        return list(operator_ids)
+    return [op for op in operator_ids if op not in adversary.controlled]
+
+
 class _AdversaryContext:
     def __init__(self, all_ids: Sequence[int], rng: random.Random, participant):
         self.all_ids = sorted(all_ids)
@@ -100,6 +142,31 @@ class _AdversaryContext:
         ordered = sorted(recipients)
         half = len(ordered) // 2
         return ordered[:half], ordered[half:]
+
+
+def _lie_values(strategy: AdversaryStrategy, base: float, recipients: Sequence[int],
+                ctx: _AdversaryContext) -> List[Tuple[int, float]]:
+    """(recipient, value) pairs sent instead of base by one of the four value lies.
+
+    Shared by approximate-agreement values and own-origin broadcasts; crash
+    and bad-proposer never reach it.
+    """
+    behavior, params = strategy.behavior, strategy.params
+    if behavior == EQUIVOCATE:
+        delta = float(params.get("delta", 1.0))
+        lo, hi = params.get("values", (base - delta, base + delta))
+        lows, highs = ctx.split_recipients(recipients)
+        return [(r, float(lo)) for r in lows] + [(r, float(hi)) for r in highs]
+    if behavior == RANDOM_VALUES:
+        lo, hi = params.get("range", (-100.0, 100.0))
+        return [(r, ctx.rng.uniform(lo, hi)) for r in recipients]
+    if behavior == BOUNDARY_ATTACKER:
+        mid = float(params.get("threshold", 0.0))
+        eps = float(params.get("epsilon", 1.0))
+        return [(r, mid + eps * (2 * ctx.rng.random() - 1)) for r in recipients]
+    # VALUE_LIAR
+    value = float(params.get("value", base + params.get("offset", DEFAULT_OFFSET)))
+    return [(r, value) for r in recipients]
 
 
 def _substitute(strategy: AdversaryStrategy, op: int, round_no: int,
@@ -140,55 +207,16 @@ def _substitute(strategy: AdversaryStrategy, op: int, round_no: int,
                     value = float(params.get("value", original_value))
                     out.extend((r, Message(op, KIND_HALTED, (value,))) for r in recipients)
                 continue
-            if behavior == EQUIVOCATE:
-                delta = float(params.get("delta", 1.0))
-                lo, hi = params.get("values", (original_value - delta, original_value + delta))
-                lows, highs = ctx.split_recipients(recipients)
-                out.extend((r, Message(op, KIND_VAL, (float(lo),))) for r in lows)
-                out.extend((r, Message(op, KIND_VAL, (float(hi),))) for r in highs)
-            elif behavior == RANDOM_VALUES:
-                lo, hi = params.get("range", (-100.0, 100.0))
-                out.extend(
-                    (r, Message(op, KIND_VAL, (ctx.rng.uniform(lo, hi),)))
-                    for r in recipients
-                )
-            elif behavior == BOUNDARY_ATTACKER:
-                mid = float(params.get("threshold", 0.0))
-                eps = float(params.get("epsilon", 1.0))
-                out.extend(
-                    (r, Message(op, KIND_VAL, (mid + eps * (2 * ctx.rng.random() - 1),)))
-                    for r in recipients
-                )
-            elif behavior == VALUE_LIAR:
-                value = float(params.get("value", original_value + params.get("offset", 10.0)))
-                out.extend((r, Message(op, KIND_VAL, (value,))) for r in recipients)
+            out.extend((r, Message(op, KIND_VAL, (value,)))
+                       for r, value in _lie_values(strategy, original_value, recipients, ctx))
 
         elif msg.kind == KIND_BCAST:
             signed: auth.SignedMessage = msg.body[0]
             own_origin = signed.signers == (op,)
             if own_origin and hasattr(ctx.participant, "make_own_broadcast"):
-                make = ctx.participant.make_own_broadcast
-                if behavior == EQUIVOCATE:
-                    base = float(ctx.participant.initial_value)
-                    delta = float(params.get("delta", 1.0))
-                    lo, hi = params.get("values", (base - delta, base + delta))
-                    lows, highs = ctx.split_recipients(recipients)
-                    out.extend((r, make(float(lo))) for r in lows)
-                    out.extend((r, make(float(hi))) for r in highs)
-                elif behavior == RANDOM_VALUES:
-                    lo, hi = params.get("range", (-100.0, 100.0))
-                    out.extend((r, make(ctx.rng.uniform(lo, hi))) for r in recipients)
-                elif behavior == BOUNDARY_ATTACKER:
-                    mid = float(params.get("threshold", 0.0))
-                    eps = float(params.get("epsilon", 1.0))
-                    out.extend(
-                        (r, make(mid + eps * (2 * ctx.rng.random() - 1)))
-                        for r in recipients
-                    )
-                elif behavior == VALUE_LIAR:
-                    base = float(ctx.participant.initial_value)
-                    value = float(params.get("value", base + params.get("offset", 10.0)))
-                    out.extend((r, make(value)) for r in recipients)
+                base = float(ctx.participant.initial_value)
+                out.extend((r, ctx.participant.make_own_broadcast(value))
+                           for r, value in _lie_values(strategy, base, recipients, ctx))
             else:
                 # relayed chains cannot be forged, only withheld or split
                 if behavior == EQUIVOCATE:

@@ -13,10 +13,10 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import approx, auth, binary, exact, ledger, netsim
-from .model import GroundTruth, Measurement, ResourceBlock, UsageTensor, binarize, observe
+from .model import GroundTruth, ResourceBlock, UsageTensor, binarize, observe
 from .scenario import Scenario
 
 
@@ -51,11 +51,81 @@ class ScenarioResult:
     transcript: Optional[List[Tuple[int, int, int, str, int]]]
 
 
-def _honest_ids(sc: Scenario) -> List[int]:
-    controlled = set(sc.adversary.operators) if sc.adversary else set()
-    if sc.adversary and sc.adversary.rotate:
-        controlled = set()  # with rotating faults every state machine updates honestly
-    return [op for op in sc.network.operator_ids() if op not in controlled]
+def _check_binary(initials: Dict[int, int], result: binary.BinaryResult,
+                  honest: List[int], zeta: float, instance: str) -> None:
+    outs = {result.outputs[op] for op in honest}
+    if len(outs) != 1 or None in outs:
+        raise PropertyViolation("binary agreement violated in %s: %r" % (instance, outs))
+    honest_bits = {initials[op] for op in honest}
+    if len(honest_bits) == 1 and outs != honest_bits:
+        raise PropertyViolation("binary validity violated in %s" % instance)
+
+
+def _check_exact(initials: Dict[int, float], result: exact.ExactResult,
+                 honest: List[int], zeta: float, instance: str) -> None:
+    views = [tuple(sorted(result.views[op].items())) for op in honest]
+    if len(set(views)) != 1:
+        raise PropertyViolation("view consistency violated in %s" % instance)
+    outs = {result.outputs[op] for op in honest}
+    if len(outs) != 1:
+        raise PropertyViolation("exact agreement violated in %s" % instance)
+
+
+def _check_approx(initials: Dict[int, float], result: approx.ApproxResult,
+                  honest: List[int], zeta: float, instance: str) -> None:
+    outs = [result.outputs[op] for op in honest]
+    if any(v is None for v in outs):
+        raise PropertyViolation("approximate agreement did not halt in %s" % instance)
+    if max(outs) - min(outs) > zeta:
+        raise PropertyViolation("final spread %.6g above zeta in %s"
+                                % (max(outs) - min(outs), instance))
+    lo = min(initials[op] for op in honest)
+    hi = max(initials[op] for op in honest)
+    slack = 1e-9 * max(1.0, abs(lo), abs(hi))  # allow for rounding in the mean
+    if any(not (lo - slack <= v <= hi + slack) for v in outs):
+        raise PropertyViolation("output outside honest initial range in %s" % instance)
+
+
+class _Profile(NamedTuple):
+    """How one profile turns an event's measurements into agreed values."""
+
+    protocol_input: Callable  # (measurement, params) -> an operator's input
+    run: Callable  # (scenario, initials, instance, coin, registry, bus kwargs) -> result
+    output: Callable  # (result, op) -> the value the operator ends with
+    extras: Callable  # result -> per-operator EventOutcome fields
+    check: Callable  # (initials, result, honest, zeta, instance) -> raises on a violation
+
+
+# Lambdas look functions up per call, so wrappers set on a module (span tracing) apply.
+_PROFILES = {
+    "binary": _Profile(
+        lambda m, params: binarize(m, params.rssi_threshold),
+        lambda sc, initials, instance, coin, registry, bus: binary.run_binary(
+            sc.network, initials, instance=instance, coin=coin, registry=registry, **bus),
+        lambda result, op: float(result.outputs[op] if result.outputs[op] is not None
+                                 else result.bus.participants[op].b),
+        lambda result: {"halt_iterations": result.halt_iterations},
+        _check_binary,
+    ),
+    "exact": _Profile(
+        lambda m, params: m.value,
+        lambda sc, initials, instance, coin, registry, bus: exact.run_exact(
+            sc.network, initials, instance=instance, registry=registry,
+            aggregation=sc.aggregation, **bus),
+        lambda result, op: result.outputs[op],
+        lambda result: {},
+        _check_exact,
+    ),
+    "approx": _Profile(
+        lambda m, params: m.value,
+        lambda sc, initials, instance, coin, registry, bus: approx.run_approx(
+            sc.network, initials, **bus),
+        lambda result, op: (result.outputs[op] if result.outputs[op] is not None
+                            else result.bus.participants[op].v),
+        lambda result: {"horizons": result.horizons},
+        _check_approx,
+    ),
+}
 
 
 def run_scenario(sc: Scenario) -> ScenarioResult:
@@ -64,7 +134,8 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     registry = auth.KeyRegistry(ids, auth.derive_seed(sc.seed, "keys"))
     coin = auth.CommonCoin(auth.derive_seed(sc.seed, "coin"))
     strategy = sc.adversary.message_strategy() if sc.adversary else None
-    honest = _honest_ids(sc)
+    honest = netsim.honest_ids(ids, strategy)
+    profile = _PROFILES[sc.profile]
 
     locals_by_op = {op: UsageTensor(sc.period, sc.dims) for op in ids}
     bytes_acc = {op: [0, 0, 0] for op in ids}
@@ -74,64 +145,27 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     for index, event in enumerate(sc.events):
         block = ResourceBlock(event.region, event.subband, sc.period)
         truth = GroundTruth(block, event.operator, event.truth)
-        measurements: Dict[int, Measurement] = {
-            op: observe(truth, params.epsilon,
-                        auth.derive_seed(sc.seed, "observe", index, op))
+        initials = {
+            op: profile.protocol_input(
+                observe(truth, params.epsilon, auth.derive_seed(sc.seed, "observe", index, op)),
+                params)
             for op in ids
         }
         instance = "p%d.e%d" % (sc.period, index)
-        bus_seed = auth.derive_seed(sc.seed, "bus", index)
         record = sc.record_transcript and index == 0
-
-        if sc.profile == "binary":
-            initials = {op: binarize(measurements[op], params.rssi_threshold) for op in ids}
-            result = binary.run_binary(
-                params, initials, instance=instance, seed=bus_seed,
-                adversary=strategy, coin=coin, registry=registry,
-                frame_bytes=sc.frame_bytes, record_transcript=record,
-            )
-            outputs = {
-                op: float(result.outputs[op]) if result.outputs[op] is not None
-                else float(result.bus.participants[op].b)
-                for op in ids
-            }
-            outcome = EventOutcome(index, event.region, event.subband, event.operator,
-                                   event.truth, {op: float(b) for op, b in initials.items()},
-                                   outputs, result.rounds,
-                                   halt_iterations=result.halt_iterations)
-            _check_binary(initials, result, honest, instance)
-        elif sc.profile == "exact":
-            initials = {op: measurements[op].value for op in ids}
-            result = exact.run_exact(
-                params, initials, instance=instance, seed=bus_seed,
-                adversary=strategy, registry=registry, aggregation=sc.aggregation,
-                frame_bytes=sc.frame_bytes, record_transcript=record,
-            )
-            outputs = dict(result.outputs)
-            outcome = EventOutcome(index, event.region, event.subband, event.operator,
-                                   event.truth, initials, outputs, result.rounds)
-            _check_exact(result, honest, instance)
-        else:
-            initials = {op: measurements[op].value for op in ids}
-            result = approx.run_approx(
-                params, initials, seed=bus_seed, adversary=strategy,
-                frame_bytes=sc.frame_bytes, record_transcript=record,
-            )
-            outputs = {
-                op: (result.outputs[op] if result.outputs[op] is not None
-                     else result.bus.participants[op].v)
-                for op in ids
-            }
-            outcome = EventOutcome(index, event.region, event.subband, event.operator,
-                                   event.truth, initials, outputs, result.rounds,
-                                   horizons=result.horizons)
-            _check_approx(initials, result, honest, params.zeta, instance)
+        bus = {"seed": auth.derive_seed(sc.seed, "bus", index), "adversary": strategy,
+               "frame_bytes": sc.frame_bytes, "record_transcript": record}
+        result = profile.run(sc, initials, instance, coin, registry, bus)
+        outputs = {op: profile.output(result, op) for op in ids}
+        outcome = EventOutcome(index, event.region, event.subband, event.operator,
+                               event.truth, {op: float(v) for op, v in initials.items()},
+                               outputs, result.rounds, **profile.extras(result))
+        profile.check(initials, result, honest, params.zeta, instance)
 
         for op in ids:
-            bus = result.bus
-            bytes_acc[op][0] += bus.originated[op]
-            bytes_acc[op][1] += bus.delivered[op]
-            bytes_acc[op][2] += bus.received[op]
+            bytes_acc[op][0] += result.bus.originated[op]
+            bytes_acc[op][1] += result.bus.delivered[op]
+            bytes_acc[op][2] += result.bus.received[op]
         if record:
             transcript = result.bus.transcript_rows()
 
@@ -143,14 +177,7 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     # ledger commit for the period
     chain = ledger.TensorLedger(params, registry)
     mode = "exact" if sc.profile in ("binary", "exact") else "approx"
-    ledger_adv = None
-    if sc.adversary:
-        ledger_adv = ledger.LedgerAdversary(
-            controlled=frozenset(sc.adversary.operators),
-            proposal=sc.adversary.proposal_style(),
-            vote_policy=sc.adversary.effective_vote_policy(),
-            offset=float(sc.adversary.params.get("offset", 10.0)),
-        )
+    ledger_adv = sc.adversary.ledger_adversary() if sc.adversary else None
     commit = ledger.commit_period(params, registry, chain, sc.period,
                                   locals_by_op, mode, ledger_adv)
 
@@ -180,55 +207,13 @@ def _retrieval_responses(sc: Scenario, locals_by_op: Dict[int, UsageTensor]
     responses = {op: tensor.copy() for op, tensor in locals_by_op.items()}
     if not sc.adversary:
         return responses
-    controlled = set(sc.adversary.operators)
-    behavior = sc.adversary.behavior
-    for op in controlled:
-        if behavior == netsim.CRASH:
+    liar = sc.adversary.ledger_adversary()
+    for op in sc.adversary.operators:
+        if sc.adversary.behavior == netsim.CRASH:
             del responses[op]
-        elif behavior in (netsim.VALUE_LIAR, netsim.BAD_PROPOSER, netsim.EQUIVOCATE,
-                          netsim.RANDOM_VALUES):
-            bad = responses[op]
-            offset = float(sc.adversary.params.get("offset", 10.0))
-            if bad.entries:
-                for key in list(bad.entries):
-                    bad.set(key, bad.get(key) + offset)
-            else:
-                bad.set((0, 0, 0), offset)
+        elif sc.adversary.behavior != netsim.BOUNDARY_ATTACKER:  # it answers honestly
+            responses[op] = liar.corrupt_tensor(locals_by_op[op])
     return responses
-
-
-def _check_binary(initials: Dict[int, int], result: binary.BinaryResult,
-                  honest: List[int], instance: str) -> None:
-    outs = {result.outputs[op] for op in honest}
-    if len(outs) != 1 or None in outs:
-        raise PropertyViolation("binary agreement violated in %s: %r" % (instance, outs))
-    honest_bits = {initials[op] for op in honest}
-    if len(honest_bits) == 1 and outs != honest_bits:
-        raise PropertyViolation("binary validity violated in %s" % instance)
-
-
-def _check_exact(result: exact.ExactResult, honest: List[int], instance: str) -> None:
-    views = [tuple(sorted(result.views[op].items())) for op in honest]
-    if len(set(views)) != 1:
-        raise PropertyViolation("view consistency violated in %s" % instance)
-    outs = {result.outputs[op] for op in honest}
-    if len(outs) != 1:
-        raise PropertyViolation("exact agreement violated in %s" % instance)
-
-
-def _check_approx(initials: Dict[int, float], result: approx.ApproxResult,
-                  honest: List[int], zeta: float, instance: str) -> None:
-    outs = [result.outputs[op] for op in honest]
-    if any(v is None for v in outs):
-        raise PropertyViolation("approximate agreement did not halt in %s" % instance)
-    if max(outs) - min(outs) > zeta:
-        raise PropertyViolation("final spread %.6g above zeta in %s"
-                                % (max(outs) - min(outs), instance))
-    lo = min(initials[op] for op in honest)
-    hi = max(initials[op] for op in honest)
-    slack = 1e-9 * max(1.0, abs(lo), abs(hi))  # allow for rounding in the mean
-    if any(not (lo - slack <= v <= hi + slack) for v in outs):
-        raise PropertyViolation("output outside honest initial range in %s" % instance)
 
 
 def _check_retrieval(sc: Scenario, honest: List[int],

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from . import netsim
+from . import ledger, netsim
 from .model import NetworkParams
 
 PROFILES = ("binary", "exact", "approx")
@@ -92,6 +92,15 @@ class AdversaryConfig:
         if self.vote_policy is not None:
             return self.vote_policy
         return "crash" if self.behavior == netsim.CRASH else "honest"
+
+    def ledger_adversary(self) -> ledger.LedgerAdversary:
+        """How the controlled operators propose, vote and answer retrieval."""
+        return ledger.LedgerAdversary(
+            controlled=frozenset(self.operators),
+            proposal=self.proposal_style(),
+            vote_policy=self.effective_vote_policy(),
+            offset=float(self.params.get("offset", netsim.DEFAULT_OFFSET)),
+        )
 
 
 @dataclass(frozen=True)
@@ -193,10 +202,16 @@ def parse_scenario(obj) -> Scenario:
         proposal = adv.get("proposal")
         if proposal is not None and proposal not in PROPOSAL_STYLES:
             raise ConfigError("proposal must be one of %s" % (PROPOSAL_STYLES,))
+        params = _get(adv, "params", dict, "adversary", default={})
+        _check_keys(params, set(netsim.PARAM_TYPES), "adversary params")
+        for key, value in params.items():
+            kind, ok = netsim.PARAM_TYPES[key]
+            if not ok(value):
+                raise ConfigError("adversary param %r must be %s" % (key, kind))
         adversary = AdversaryConfig(
             behavior=behavior,
             operators=tuple(sorted(ops)),
-            params=_get(adv, "params", dict, "adversary", default={}),
+            params=params,
             rotate=_get(adv, "rotate", bool, "adversary", default=False),
             vote_policy=vote_policy,
             proposal=proposal,

@@ -128,7 +128,7 @@ class TestQuorumCertificate:
             op: registry.sign(op, auth.vote_payload(digest, context))
             for op in (1, 2, 3)
         }
-        cert = auth.make_certificate(digest, context, votes)
+        cert = auth.make_certificate(digest, votes)
         assert auth.verify_certificate(registry, cert, context, quorum=3)
         assert cert.signer_set() == (1, 2, 3)
 
@@ -139,7 +139,7 @@ class TestQuorumCertificate:
             op: registry.sign(op, auth.vote_payload(digest, context))
             for op in (1, 2)
         }
-        cert = auth.make_certificate(digest, context, votes)
+        cert = auth.make_certificate(digest, votes)
         assert not auth.verify_certificate(registry, cert, context, quorum=3)
 
     def test_duplicate_votes_do_not_count_twice(self, registry):
@@ -155,7 +155,7 @@ class TestQuorumCertificate:
             op: registry.sign(op, auth.vote_payload(digest, b"ctx-a"))
             for op in (1, 2, 3)
         }
-        cert = auth.make_certificate(digest, b"ctx-a", votes)
+        cert = auth.make_certificate(digest, votes)
         assert not auth.verify_certificate(registry, cert, b"ctx-b", quorum=3)
 
 

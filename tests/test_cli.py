@@ -1,11 +1,13 @@
 """Command-line interface tests: exit codes, artifacts, option parsing."""
 
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 
+from leobft import auth, ledger
 from leobft.cli import _parse_densities, main
 from leobft.scenario import ConfigError
 
@@ -100,6 +102,15 @@ class TestConsensusCommand:
         path.write_text(json.dumps({"profile": "nope"}))
         assert main(["consensus", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("params", [{"offest": 5}, {"offset": "ten"}])
+    def test_bad_adversary_param_is_exit_1(self, config_file, tmp_path, params, capsys):
+        cfg = json.loads(config_file.read_text())
+        cfg["adversary"] = {"behavior": "value-liar", "operators": [4], "params": params}
+        config_file.write_text(json.dumps(cfg))
+        assert main(["consensus", "--config", str(config_file),
+                     "--out-dir", str(tmp_path / "o")]) == 1
+        assert "configuration error" in capsys.readouterr().err
+
     def test_bad_flag_is_exit_1(self, config_file, capsys):
         assert main(["consensus", "--config", str(config_file),
                      "--frobnicate"]) == 1
@@ -191,6 +202,20 @@ class TestLedgerAuditCommand:
         path.write_bytes(path.read_bytes().replace(b" f=1 ", b" f=-1 ", 1))
         assert main(["ledger-audit", str(path)]) == 3
         assert "audit failed: export header" in capsys.readouterr().out
+
+    def test_empty_payload_is_exit_3(self, tmp_path, capsys):
+        registry = auth.KeyRegistry(range(1, 5), master_seed=0)
+        digest = hashlib.sha256(b"").digest()
+        context = ledger.vote_context(0, 0)
+        cert = auth.make_certificate(digest, {
+            op: registry.sign(op, auth.vote_payload(digest, context)) for op in (1, 2, 3)})
+        votes = ",".join("%d:%s" % (op, tag.hex()) for op, tag in cert.votes)
+        block = ledger.block_digest(ledger.GENESIS_DIGEST, b"", 1, cert)
+        path = tmp_path / "empty.txt"
+        path.write_text("ledger v1 n=4 f=1 master_seed=0\n0|0|1||%s|%s|%s\n"
+                        % (ledger.GENESIS_DIGEST.hex(), block.hex(), votes))
+        assert main(["ledger-audit", str(path)]) == 3
+        assert "payload is not a canonical tensor" in capsys.readouterr().out
 
     def test_missing_file_is_exit_1(self, tmp_path, capsys):
         assert main(["ledger-audit", str(tmp_path / "gone.txt")]) == 1

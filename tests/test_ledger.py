@@ -35,6 +35,14 @@ def make_tensor(period=0, value=0.7, key=(0, 0, 0), dims=(2, 2, 4)):
     return t
 
 
+def quorum_certificate(registry, payload):
+    """Votes of operators 1-3 (a quorum at f=1) for payload at period 0, attempt 0."""
+    digest = hashlib.sha256(payload).digest()
+    context = ledger.vote_context(0, 0)
+    return auth.make_certificate(digest, {
+        op: registry.sign(op, auth.vote_payload(digest, context)) for op in (1, 2, 3)})
+
+
 @pytest.fixture
 def registry():
     return auth.KeyRegistry(range(1, 5), master_seed=31)
@@ -154,7 +162,7 @@ class TestChain:
         context = ledger.vote_context(0, 0)
         votes = {op: registry.sign(op, auth.vote_payload(digest, context))
                  for op in (1, 2)}
-        cert = auth.make_certificate(digest, context, votes)
+        cert = auth.make_certificate(digest, votes)
         with pytest.raises(ValueError):
             chain.append_block(0, 0, 1, payload, cert)
 
@@ -381,6 +389,40 @@ class TestExportAudit:
         report = audit_chain(data)
         assert not report.ok
         assert "export header" in report.error
+
+    @staticmethod
+    def _signed_export(registry, payload, votes=None):
+        """One-block export (n=4, f=1) whose certificate is valid for payload."""
+        cert = quorum_certificate(registry, payload)
+        if votes is None:
+            votes = ",".join("%d:%s" % (op, tag.hex()) for op, tag in cert.votes)
+        block = ledger.block_digest(ledger.GENESIS_DIGEST, payload, 1, cert)
+        return ("ledger v1 n=4 f=1 master_seed=%d\n0|0|1|%s|%s|%s|%s\n" % (
+            registry.master_seed, payload.hex(), ledger.GENESIS_DIGEST.hex(),
+            block.hex(), votes)).encode()
+
+    @pytest.mark.parametrize("payload", [
+        b"",
+        b"period=0 dims=2,2,4\n0,0,0,0.0\n",  # explicit zero entry
+        b"period=0 dims=2,2,4\n1,0,0,0.5\n0,0,0,0.25\n",  # unsorted entries
+    ], ids=["empty", "explicit-zero", "unsorted"])
+    def test_non_canonical_payload_fails_audit(self, registry, payload):
+        report = audit_chain(self._signed_export(registry, payload))
+        assert not report.ok
+        assert report.error == "block 0: payload is not a canonical tensor"
+
+    def test_non_canonical_payload_cannot_be_appended(self, registry):
+        payload = b"period=0 dims=2,2,4\n0,0,0,0.0\n"
+        chain = TensorLedger(make_params(), registry)
+        with pytest.raises(ValueError, match="payload is not a canonical tensor"):
+            chain.append_block(0, 0, 1, payload, quorum_certificate(registry, payload))
+        assert chain.blocks == []
+
+    def test_vote_without_separator_is_malformed(self, registry):
+        export = self._signed_export(registry, make_tensor().canonical_bytes(), votes="1")
+        report = audit_chain(export)
+        assert not report.ok
+        assert report.error == "block 0: malformed record"
 
     def test_garbage_rejected(self):
         assert not audit_chain(b"\xff\xfe").ok

@@ -97,6 +97,30 @@ class TestUsageTensor:
         assert back.entries == t.entries
         assert back.canonical_bytes() == t.canonical_bytes()
 
+    @pytest.mark.parametrize("data", [
+        b"",
+        b"\n\n",
+        b"\xff",
+        b"dims=1,1,4\n",
+        b"period=x dims=1,1,4\n",
+        b"period=0\n",
+        b"period=0 dims=1,4\n",
+        b"period=0 dims=1,1,4\n0,0,0\n",
+        b"period=0 dims=1,1,4\n0,0,a,1.0\n",
+        b"period=0 dims=1,1,4\n0,0,9,1.0\n",  # key outside dims
+    ])
+    def test_malformed_canonical_raises_value_error(self, data):
+        with pytest.raises(ValueError):
+            UsageTensor.from_canonical(data)
+
+    @given(st.text(alphabet="period=dims 0123456789,.-e\n", max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_from_canonical_raises_only_value_error(self, text):
+        try:
+            UsageTensor.from_canonical(text.encode("ascii"))
+        except ValueError:
+            pass
+
     def test_copy_is_independent(self):
         t = UsageTensor(0, (1, 1, 4))
         t.set((0, 0, 1), 2.0)

@@ -158,18 +158,18 @@ class TestPropertyChecks:
     def test_binary_disagreement_detected(self):
         fake = SimpleNamespace(outputs={1: 0, 2: 1, 3: 0, 4: 0})
         with pytest.raises(PropertyViolation, match="agreement"):
-            pipeline._check_binary({1: 0, 2: 0, 3: 0, 4: 0}, fake, [1, 2, 3, 4], "t")
+            pipeline._check_binary({1: 0, 2: 0, 3: 0, 4: 0}, fake, [1, 2, 3, 4], 0.1, "t")
 
     def test_binary_validity_detected(self):
         fake = SimpleNamespace(outputs={1: 0, 2: 0, 3: 0, 4: 0})
         with pytest.raises(PropertyViolation, match="validity"):
-            pipeline._check_binary({1: 1, 2: 1, 3: 1, 4: 1}, fake, [1, 2, 3, 4], "t")
+            pipeline._check_binary({1: 1, 2: 1, 3: 1, 4: 1}, fake, [1, 2, 3, 4], 0.1, "t")
 
     def test_exact_view_divergence_detected(self):
         fake = SimpleNamespace(views={1: {1: 1.0}, 2: {1: 2.0}},
                                outputs={1: 1.0, 2: 1.0})
         with pytest.raises(PropertyViolation, match="view"):
-            pipeline._check_exact(fake, [1, 2], "t")
+            pipeline._check_exact({}, fake, [1, 2], 0.1, "t")
 
     def test_approx_unhalted_detected(self):
         fake = SimpleNamespace(outputs={1: None, 2: 0.5})

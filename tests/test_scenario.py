@@ -173,6 +173,43 @@ class TestAdversaryConfig:
         with pytest.raises(ConfigError):
             parse_scenario(cfg)
 
+    def test_every_known_param_accepted(self):
+        params = {"offset": 3, "value": 1.5, "delta": 0.5, "threshold": 0.0,
+                  "epsilon": 1.0, "values": [1, 2.5], "range": [-1.0, 1.0],
+                  "bits": [1, 0], "bit": 0, "fake_halt": True}
+        assert set(params) == set(netsim.PARAM_TYPES)
+        sc = parse_scenario(self._with_adv(params=params))
+        assert sc.adversary.params == params
+
+    def test_misspelt_param_rejected(self):
+        with pytest.raises(ConfigError, match="offest"):
+            parse_scenario(self._with_adv(params={"offest": 5}))
+
+    @pytest.mark.parametrize("params", [
+        {"offset": "ten"},
+        {"offset": True},
+        {"value": float("nan")},
+        {"delta": float("inf")},
+        {"values": [1.0]},
+        {"range": [0.0, "1"]},
+        {"range": 5},
+        {"bits": [0, 2]},
+        {"bits": [True, False]},
+        {"bit": 1.0},
+        {"fake_halt": 1},
+    ])
+    def test_mistyped_param_rejected(self, params):
+        with pytest.raises(ConfigError, match="adversary param"):
+            parse_scenario(self._with_adv(params=params))
+
+    def test_ledger_adversary_reads_offset(self):
+        sc = parse_scenario(self._with_adv(behavior="value-liar", params={"offset": 3}))
+        liar = sc.adversary.ledger_adversary()
+        assert (liar.controlled, liar.proposal, liar.vote_policy, liar.offset) == (
+            frozenset({2}), "corrupt", "honest", 3.0)
+        default = parse_scenario(self._with_adv()).adversary.ledger_adversary()
+        assert default.offset == netsim.DEFAULT_OFFSET
+
     def test_message_strategy_mirrors_config(self):
         sc = parse_scenario(self._with_adv(rotate=True, params={"offset": 3.0}))
         strategy = sc.adversary.message_strategy()
