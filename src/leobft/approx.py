@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from . import netsim
@@ -68,7 +69,8 @@ def round_count(delta: float, zeta: float, c: int) -> int:
     """Rounds needed to shrink a spread of delta below zeta: ceil(log_c(delta/zeta)).
 
     Computed as the smallest h >= 0 with delta <= zeta * c**h, which avoids
-    floating-point log edge cases and returns 0 whenever delta <= zeta.
+    floating-point log edge cases and returns 0 whenever delta <= zeta. Once
+    c**h is past the float range the comparison is made exactly.
     """
     if zeta <= 0:
         raise ValueError("zeta must be > 0")
@@ -77,9 +79,16 @@ def round_count(delta: float, zeta: float, c: int) -> int:
     if not math.isfinite(delta) or delta < 0:
         raise ValueError("spread must be finite and >= 0")
     h = 0
-    while delta > zeta * c**h:
+    while not _covers(delta, zeta, c**h):
         h += 1
     return h
+
+
+def _covers(delta: float, zeta: float, power: int) -> bool:
+    try:
+        return delta <= zeta * power
+    except OverflowError:  # power does not fit in a float
+        return Fraction(delta) <= Fraction(zeta) * power
 
 
 class ApproxOperator:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Set, Tuple, Union
 
 Field = Union[int, float, str, bytes]
 
@@ -56,27 +56,32 @@ def derive_seed(root: int, *labels: Field) -> int:
 
 
 class KeyRegistry:
-    """Holds every operator's signing key; shared by all simulated parties."""
+    """Holds every operator's signing key; shared by all simulated parties.
+
+    A key is derived the first time its operator signs or verifies, so
+    building a registry over range(1, n + 1) costs the same for any n.
+    """
 
     def __init__(self, operator_ids: Sequence[int], master_seed: int):
         self.master_seed = master_seed
-        self._keys = {
-            op: hashlib.sha256(encode(master_seed, "key", op)).digest()
-            for op in operator_ids
-        }
+        self._members = operator_ids if isinstance(operator_ids, range) else frozenset(operator_ids)
+        self._keys: Dict[int, bytes] = {}
+        # (payload, signers[:k], tags[:k]) of every chain prefix that verified
+        self._verified_prefixes: Set[tuple] = set()
 
-    @property
-    def operator_ids(self) -> List[int]:
-        return sorted(self._keys)
+    def _derive_key(self, operator: int) -> bytes:
+        if operator not in self._members:
+            raise KeyError("unknown operator %d" % operator)
+        key = self._keys[operator] = hashlib.sha256(
+            encode(self.master_seed, "key", int(operator))).digest()
+        return key
 
     def sign(self, operator: int, payload: bytes) -> bytes:
-        key = self._keys.get(operator)
-        if key is None:
-            raise KeyError("unknown operator %d" % operator)
+        key = self._keys.get(operator) or self._derive_key(operator)
         return hashlib.blake2b(payload, key=key, digest_size=TAG_BYTES).digest()
 
     def verify(self, operator: int, payload: bytes, tag: bytes) -> bool:
-        if operator not in self._keys:
+        if operator not in self._members:
             return False
         return self.sign(operator, payload) == tag
 
@@ -118,14 +123,26 @@ def extend_signed(registry: KeyRegistry, msg: SignedMessage, signer: int) -> Sig
 
 
 def verify_signed(registry: KeyRegistry, msg: SignedMessage) -> bool:
-    """Check a full signer chain: non-empty, distinct signers, all tags valid."""
-    if not msg.signers or len(msg.signers) != len(msg.tags):
+    """Check a full signer chain: non-empty, distinct signers, all tags valid.
+
+    Only the tags after the longest prefix this registry has already verified
+    are checked. A cached prefix matches on its payload, signers and every one
+    of its tags, so an altered tag never hits the cache and is checked anew.
+    """
+    signers, tags, payload = msg.signers, msg.tags, msg.payload
+    if not signers or len(signers) != len(tags):
         return False
-    if len(set(msg.signers)) != len(msg.signers):
+    if len(set(signers)) != len(signers):
         return False
-    for k, (op, tag) in enumerate(zip(msg.signers, msg.tags)):
-        if not registry.verify(op, _chain_payload(msg.payload, msg.signers[: k + 1]), tag):
+    verified = registry._verified_prefixes
+    cached = len(signers)
+    while cached and (payload, signers[:cached], tags[:cached]) not in verified:
+        cached -= 1
+    for k in range(cached + 1, len(signers) + 1):
+        prefix = signers[:k]
+        if not registry.verify(prefix[-1], _chain_payload(payload, prefix), tags[k - 1]):
             return False
+        verified.add((payload, prefix, tags[:k]))
     return True
 
 

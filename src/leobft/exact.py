@@ -127,9 +127,10 @@ class ExactOperator:
                 origin, value = parsed
                 if origin not in self.recorded or signed.signers[0] != origin:
                     continue
-                if not auth.verify_signed(self.registry, signed):
-                    continue
+                # a known value is dropped whatever its chain, so check it first
                 if value in self.recorded[origin]:
+                    continue
+                if not auth.verify_signed(self.registry, signed):
                     continue
                 self.recorded[origin].add(value)
                 self.accepted_chain_lengths.append((k, len(signed.signers)))

@@ -8,6 +8,7 @@ byte form.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Tuple
@@ -49,8 +50,13 @@ class NetworkParams:
 
     def __post_init__(self) -> None:
         check_fault_bound(self.n_operators, self.max_faulty)
+        for name in ("epsilon", "zeta", "alpha", "rssi_threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite" % name)
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
+        if not math.isfinite(2 * self.epsilon):  # the honest spread bound
+            raise ValueError("epsilon must be at most half the largest float")
         if self.zeta <= 0:
             raise ValueError("zeta must be > 0")
         if self.alpha <= 0:
@@ -179,8 +185,8 @@ def observe(truth: GroundTruth, epsilon: float, seed: int) -> Measurement:
     Noise is uniform on the open interval (-epsilon, epsilon) and is fully
     determined by the seed. epsilon == 0 yields the exact value.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
+    if not 0 <= epsilon < math.inf:  # an infinite epsilon would never draw
+        raise ValueError("epsilon must be finite and >= 0")
     if epsilon == 0:
         noise = 0.0
     else:

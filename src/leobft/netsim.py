@@ -43,7 +43,12 @@ DEFAULT_OFFSET = 10.0
 
 
 def _number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int past the float range
+        return False
 
 
 def _bit(x) -> bool:
@@ -292,11 +297,13 @@ class RoundBus:
                                 "operator %d sent %r after halting" % (op, msg.kind)
                             )
 
+            last = None  # a relay unicast to several peers is one object, sized once
             for dest, msg in outbound:
                 if msg.sender != op:
                     raise HarnessError("operator %d forged sender %d" % (op, msg.sender))
                 recipients = self.operator_ids if dest == BROADCAST else [dest]
-                size = self._message_size(msg)
+                if msg is not last:
+                    last, size = msg, self._message_size(msg)
                 self.originated[op] += size
                 for rcv in recipients:
                     inboxes[rcv][op].append(msg)

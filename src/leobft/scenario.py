@@ -45,7 +45,10 @@ def _get(obj: dict, key: str, kind, where: str, default=_REQUIRED):
         return default
     value = obj[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError("key %r in %s is too large for a float" % (key, where)) from None
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise ConfigError("key %r in %s must be %s" % (key, where, kind.__name__))
     return value

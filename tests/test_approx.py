@@ -1,5 +1,7 @@
 """Approximate agreement tests: averaging function, horizons, convergence."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,6 +117,14 @@ class TestRoundCount:
             round_count(1.0, 0.1, 1)
         with pytest.raises(ValueError):
             round_count(float("inf"), 0.1, 2)
+
+    @given(st.floats(1e300, 1.7e308), st.floats(5e-324, 1e-20), st.integers(2, 10))
+    @settings(max_examples=100, deadline=None)
+    def test_huge_spread_gets_least_sufficient_horizon(self, delta, zeta, c):
+        # c**h leaves the float range here, so check with exact rationals
+        h = round_count(delta, zeta, c)
+        assert Fraction(delta) <= Fraction(zeta) * c**h
+        assert h == 0 or Fraction(delta) > Fraction(zeta) * c ** (h - 1)
 
     @given(st.floats(0.0, 1e9), st.floats(1e-6, 1e3), st.integers(2, 10))
     @settings(max_examples=300, deadline=None)

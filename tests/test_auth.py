@@ -71,6 +71,20 @@ class TestKeyRegistry:
         assert r2.verify(3, b"x", tag)
 
 
+    def test_keys_do_not_depend_on_the_id_container(self):
+        tag = auth.KeyRegistry([3, 1, 2], 7).sign(3, b"x")
+        assert auth.KeyRegistry(range(1, 4), 7).verify(3, b"x", tag)
+
+    def test_huge_operator_range_derives_keys_on_use(self):
+        n = 10**12
+        registry = auth.KeyRegistry(range(1, n + 1), 7)
+        tag = registry.sign(n, b"x")
+        assert registry.verify(n, b"x", tag)
+        assert not registry.verify(n + 1, b"x", tag)
+        with pytest.raises(KeyError):
+            registry.sign(0, b"x")
+
+
 class TestSignerChains:
     def test_single_signer_verifies(self, registry):
         msg = auth.make_signed(registry, 2, b"value=9.0")
@@ -118,6 +132,62 @@ class TestSignerChains:
         for op in signers[1:]:
             msg = auth.extend_signed(registry, msg, op)
         assert auth.verify_signed(registry, msg)
+
+
+def _genuine_chain(registry, signers=(2, 4, 1, 3)):
+    msg = auth.make_signed(registry, signers[0], b"usage|inst|2|5.0")
+    for op in signers[1:]:
+        msg = auth.extend_signed(registry, msg, op)
+    return msg
+
+
+def _variant(msg, length, altered=None):
+    """The first `length` links of msg, with the tag at `altered` bit-flipped."""
+    tags = list(msg.tags[:length])
+    if altered is not None:
+        tags[altered] = bytes([tags[altered][0] ^ 1]) + tags[altered][1:]
+    return auth.SignedMessage(msg.payload, msg.signers[:length], tuple(tags))
+
+
+class TestVerifiedPrefixCache:
+    def test_altered_tag_rejected_after_genuine_chain_verified(self, registry):
+        msg = _genuine_chain(registry)
+        assert auth.verify_signed(registry, msg)
+        for length in range(1, len(msg.signers) + 1):
+            for altered in range(length):
+                assert not auth.verify_signed(registry, _variant(msg, length, altered))
+        assert auth.verify_signed(registry, msg)
+
+    def test_cached_chain_rejected_under_another_master_seed(self, registry):
+        msg = _genuine_chain(registry)
+        assert auth.verify_signed(registry, msg)
+        other = auth.KeyRegistry(range(1, 5), registry.master_seed + 1)
+        for length in range(1, len(msg.signers) + 1):
+            assert not auth.verify_signed(other, _variant(msg, length))
+
+    def test_only_tags_past_the_cached_prefix_are_checked(self, registry, monkeypatch):
+        checked = []
+        verify = registry.verify
+        monkeypatch.setattr(registry, "verify", lambda op, payload, tag: (
+            checked.append(op) or verify(op, payload, tag)))
+        msg = _genuine_chain(registry, (2, 4, 1))
+        assert auth.verify_signed(registry, msg)
+        assert checked == [2, 4, 1]
+        checked.clear()
+        assert auth.verify_signed(registry, msg)
+        assert checked == []
+        assert auth.verify_signed(registry, auth.extend_signed(registry, msg, 3))
+        assert checked == [3]
+
+    @given(st.lists(st.tuples(st.integers(1, 4), st.integers(-1, 3)), max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_warm_registry_agrees_with_a_fresh_one(self, variants):
+        warm = auth.KeyRegistry(range(1, 5), 2024)
+        msg = _genuine_chain(warm)
+        for length, altered in variants:
+            variant = _variant(msg, length, altered if 0 <= altered < length else None)
+            fresh = auth.KeyRegistry(range(1, 5), 2024)
+            assert auth.verify_signed(warm, variant) == auth.verify_signed(fresh, variant)
 
 
 class TestQuorumCertificate:

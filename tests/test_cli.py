@@ -111,6 +111,22 @@ class TestConsensusCommand:
                      "--out-dir", str(tmp_path / "o")]) == 1
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("profile, key, value", [
+        ("approx", "epsilon", float("nan")), ("approx", "epsilon", 1e308),
+        ("binary", "zeta", float("nan")), ("exact", "rssi_threshold", float("inf")),
+    ])
+    def test_non_finite_network_value_is_exit_1(self, config_file, tmp_path, capsys,
+                                                 profile, key, value):
+        cfg = json.loads(config_file.read_text())
+        cfg["profile"] = profile
+        cfg["network"][key] = value
+        config_file.write_text(json.dumps(cfg))
+        assert main(["consensus", "--config", str(config_file),
+                     "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: %s" % key)
+        assert err.count("\n") == 1
+
     def test_bad_flag_is_exit_1(self, config_file, capsys):
         assert main(["consensus", "--config", str(config_file),
                      "--frobnicate"]) == 1

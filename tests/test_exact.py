@@ -191,6 +191,60 @@ class TestSignatureDiscipline:
         assert machine.recorded[2] == {5.0}
         assert len(machine.accepted_chain_lengths) == 1
 
+    def test_duplicate_and_forged_relays_in_one_inbox(self, monkeypatch):
+        params = make_params()
+        registry = auth.KeyRegistry([1, 2, 3, 4], 11)
+        machine = exact.ExactOperator(1, params, registry, 1.0, "inst")
+        origin = exact.ExactOperator(2, params, registry, 5.0, "inst")
+
+        def forged(value):
+            signed = origin.make_own_broadcast(value).body[0]
+            tag = bytes([signed.tags[0][0] ^ 1]) + signed.tags[0][1:]
+            return netsim.Message(2, netsim.KIND_BCAST,
+                                  (auth.SignedMessage(signed.payload, signed.signers, (tag,)),))
+
+        verified = []
+        verify_signed = auth.verify_signed
+        monkeypatch.setattr(auth, "verify_signed", lambda reg, signed: (
+            verified.append(signed) or verify_signed(reg, signed)))
+        genuine = origin.make_own_broadcast(5.0)
+        inbox = [forged(5.0), genuine, genuine, forged(5.0), forged(7.0),
+                 origin.make_own_broadcast(6.0)]
+        machine.deliver(0, {2: inbox})
+        assert machine.recorded[2] == {5.0, 6.0}
+        assert machine.accepted_chain_lengths == [(1, 1), (1, 1)]
+        # the duplicate and the forged copy of 5.0 after it are never verified
+        assert len(verified) == 4
+
+
+class TestWorkCounts:
+    def test_exact_run_verifies_and_encodes_each_thing_once(self, monkeypatch):
+        """Pins the work of one N=10, f=3 run under a static equivocator.
+
+        Verifying before the duplicate check, re-checking cached chain
+        prefixes or re-encoding a relay per destination raises these counts.
+        """
+        calls = {"verify": 0, "encode": 0}
+        verify = auth.KeyRegistry.verify
+        encode = netsim.Message.canonical_bytes
+
+        def counted_verify(self, *args):
+            calls["verify"] += 1
+            return verify(self, *args)
+
+        def counted_encode(self):
+            calls["encode"] += 1
+            return encode(self)
+
+        monkeypatch.setattr(auth.KeyRegistry, "verify", counted_verify)
+        monkeypatch.setattr(netsim.Message, "canonical_bytes", counted_encode)
+        params = make_params(10, 3)
+        values = {op: 1.0 + 0.001 * op for op in params.operator_ids()}
+        adversary = AdversaryStrategy(netsim.EQUIVOCATE, frozenset({1, 2, 3}))
+        result = exact.run_exact(params, values, adversary=adversary)
+        assert sum(map(len, result.accepted_chain_lengths.values())) == 127
+        assert calls == {"verify": 19, "encode": 121}
+
 
 class TestAggregationProperties:
     def test_median_lands_in_honest_band_under_one_fault(self):

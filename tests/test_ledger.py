@@ -3,6 +3,8 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leobft import auth, ledger
 from leobft.ledger import (
@@ -428,3 +430,59 @@ class TestExportAudit:
         assert not audit_chain(b"\xff\xfe").ok
         assert not audit_chain(b"ledger v2 n=4 f=1 master_seed=0\n").ok
         assert not audit_chain(b"").ok
+
+    def test_header_cost_does_not_grow_with_n(self):
+        # keys are derived on use, so a huge n builds nothing up front
+        report = audit_chain(b"ledger v1 n=%d f=%d master_seed=0\n" % (10**12, 3 * 10**11))
+        assert report.ok and report.n_operators == 10**12
+
+    def test_huge_header_n_still_checks_every_block(self, registry):
+        data = export_chain(self._chain(registry))
+        data = data.replace(b"n=4 ", b"n=%d " % 10**12, 1)
+        report = audit_chain(data)
+        assert report.ok and len(report.blocks) == 3
+        assert not audit_chain(data.replace(b"f=1 ", b"f=2 ", 1)).ok  # quorum 5 > 4 voters
+
+
+def _valid_export():
+    registry = auth.KeyRegistry(range(1, 5), master_seed=31)
+    return export_chain(TestExportAudit()._chain(registry, periods=2))
+
+
+VALID_EXPORT = _valid_export()
+
+
+@st.composite
+def mutated_exports(draw):
+    """A valid export, maybe with a new header, then a few byte edits."""
+    data = bytearray(VALID_EXPORT)
+    if draw(st.booleans()):
+        n = draw(st.one_of(st.integers(-2, 10), st.integers(10**6, 10**30)))
+        f = draw(st.one_of(st.integers(-1, 3), st.integers(0, 10**29)))
+        body = data[data.index(b"\n"):]
+        data = bytearray(b"ledger v1 n=%d f=%d master_seed=31" % (n, f)) + body
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(data)))
+        edit = draw(st.sampled_from(["flip", "delete", "insert"]))
+        byte = draw(st.sampled_from(b"0123456789abcdef|:,=\n -x\xff"))
+        if edit == "insert" or at == len(data):
+            data.insert(at, byte)
+        elif edit == "delete":
+            del data[at]
+        else:
+            data[at] = byte
+    return bytes(data)
+
+
+class TestAuditFuzz:
+    @given(st.binary(max_size=300))
+    @settings(max_examples=300, deadline=None)
+    def test_never_raises_on_arbitrary_bytes(self, data):
+        assert audit_chain(data).ok in (True, False)
+
+    @given(mutated_exports())
+    @settings(max_examples=300, deadline=None)
+    def test_never_raises_on_mutated_exports(self, data):
+        report = audit_chain(data)
+        if report.ok:
+            assert len(report.blocks) <= 2

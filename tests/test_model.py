@@ -54,6 +54,20 @@ class TestNetworkParams:
             NetworkParams(4, 1, 0.05, zeta=0.1, alpha=0.0, rssi_threshold=0.5)
 
 
+    @pytest.mark.parametrize("field", ["epsilon", "zeta", "alpha", "rssi_threshold"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, field, value):
+        kwargs = dict(epsilon=0.05, zeta=0.1, alpha=0.5, rssi_threshold=0.5)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            NetworkParams(4, 1, **kwargs)
+
+    def test_epsilon_keeps_the_honest_spread_finite(self):
+        assert make_params(eps=8e307).epsilon == 8e307
+        with pytest.raises(ValueError, match="epsilon"):
+            make_params(eps=1e308)
+
+
 class TestUsageTensor:
     def test_absent_key_reads_zero(self):
         t = UsageTensor(0, (2, 2, 4))
@@ -209,6 +223,12 @@ class TestObserve:
     def test_rejects_negative_epsilon(self):
         with pytest.raises(ValueError):
             observe(self._truth(), -0.01, seed=0)
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_rejects_non_finite_epsilon(self, eps):
+        # an infinite epsilon used to loop forever redrawing its noise
+        with pytest.raises(ValueError, match="finite"):
+            observe(self._truth(), eps, seed=0)
 
 
 class TestBinarize:

@@ -161,6 +161,31 @@ class TestByteAccounting:
         assert bus.received[2] == 100
         assert bus.received[3] == 0
 
+    def test_shared_message_encoded_once_per_round(self, monkeypatch):
+        class Fanout(Echo):
+            msg = Message(1, netsim.KIND_VAL, (2.5,))
+
+            def outgoing(self, round_no):
+                return [(dest, self.msg) for dest in (2, 3, 4)]
+
+        encodes = []
+        encode = Message.canonical_bytes
+        monkeypatch.setattr(Message, "canonical_bytes",
+                            lambda msg: encodes.append(msg) or encode(msg))
+        bus = RoundBus([1, 2, 3, 4], record_transcript=True)
+        bus.register(Fanout(1))
+        for op in (2, 3, 4):
+            bus.register(Silent(op))
+        bus.run_round()
+        bus.run_round()
+        size = len(encode(Fanout.msg))
+        assert len(encodes) == 2  # once in each round
+        assert bus.originated == {1: 6 * size, 2: 0, 3: 0, 4: 0}
+        assert bus.delivered == {1: 6 * size, 2: 0, 3: 0, 4: 0}
+        assert bus.received == {1: 0, 2: 2 * size, 3: 2 * size, 4: 2 * size}
+        assert [row[2:] for row in bus.transcript_rows()] == [
+            (dest, netsim.KIND_VAL, size) for dest in (2, 3, 4)] * 2
+
     def test_transcript_records_every_delivery(self):
         bus = make_bus(3, record_transcript=True)
         bus.run_round()

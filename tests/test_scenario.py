@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leobft import netsim
 from leobft.scenario import (
@@ -134,6 +136,83 @@ class TestParsing:
     def test_not_an_object_rejected(self):
         with pytest.raises(ConfigError):
             parse_scenario([1, 2, 3])
+
+    @pytest.mark.parametrize("key, value", [
+        ("epsilon", float("nan")), ("epsilon", float("inf")), ("epsilon", 1e308),
+        ("epsilon", 10**400), ("zeta", float("nan")), ("alpha", float("inf")),
+        ("rssi_threshold", float("nan")), ("rssi_threshold", -float("inf")),
+    ])
+    def test_non_finite_network_values_rejected(self, key, value):
+        cfg = base_config()
+        cfg["network"][key] = value
+        with pytest.raises(ConfigError, match=key):
+            parse_scenario(cfg)
+
+    def test_huge_int_truth_rejected(self):
+        cfg = base_config()
+        cfg["events"][0]["truth"] = 10**400
+        with pytest.raises(ConfigError, match="truth"):
+            parse_scenario(cfg)
+
+
+# integers past the float range are valid JSON and must not reach float()
+SCALAR = (st.none() | st.booleans() | st.integers() | st.integers(2**1023, 2**1100)
+          | st.floats() | st.text(max_size=8))
+JSON = st.recursive(
+    SCALAR,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=4),
+    max_leaves=12)
+
+
+def _full_config():
+    cfg = base_config()
+    cfg["adversary"] = {"behavior": "equivocate", "operators": [1],
+                        "params": {"delta": 1.0, "bits": [0, 1]}, "rotate": False,
+                        "vote_policy": "honest", "proposal": "honest"}
+    cfg["frame_bytes"] = 64
+    cfg["aggregation"] = "median"
+    cfg["record_transcript"] = False
+    return cfg
+
+
+def _paths(node, prefix=()):
+    """Every key path inside a nested dict/list config."""
+    for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid config with one to three values, anywhere in it, replaced."""
+    cfg = _full_config()
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(cfg))))
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = draw(SCALAR | JSON)
+    return cfg
+
+
+class TestParseFuzz:
+    @given(JSON)
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_json_raises_only_config_error(self, obj):
+        try:
+            parse_scenario(obj)
+        except ConfigError:
+            pass
+
+    @given(mutated_configs())
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_config_raises_only_config_error(self, cfg):
+        try:
+            parse_scenario(cfg)
+        except ConfigError:
+            pass
 
 
 class TestAdversaryConfig:
