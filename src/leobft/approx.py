@@ -50,12 +50,19 @@ def averaging_function(values: Sequence[float], f: int) -> float:
     if f == 0:
         if not values:
             raise ValueError("cannot average an empty multiset")
-        return sum(values) / len(values)
-    return _mean(stride_select(reduce_extremes(values, f), f))
+        return _mean(values, min(values), max(values))
+    kept = stride_select(reduce_extremes(values, f), f)
+    return _mean(kept, kept[0], kept[-1])
 
 
-def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values)
+def _mean(values: Sequence[float], lo: float, hi: float) -> float:
+    """sum / len kept within [lo, hi], the range of `values`.
+
+    The rounded quotient can fall just outside that range (for some x,
+    (x + x + x) / 3 < x); the mean of a multiset cannot.
+    """
+    mean = sum(values) / len(values)
+    return lo if mean < lo else hi if mean > hi else mean
 
 
 def shrink_factor(n: int, f: int) -> int:

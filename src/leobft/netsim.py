@@ -13,7 +13,6 @@ may only sign through keys their operators own.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -41,14 +40,17 @@ BEHAVIORS = (CRASH, EQUIVOCATE, RANDOM_VALUES, VALUE_LIAR, BOUNDARY_ATTACKER, BA
 # how far a value liar, a corrupt proposer and a lying responder shift a value
 DEFAULT_OFFSET = 10.0
 
+# Largest magnitude of a configured value: an event truth or an adversary
+# number. With epsilon at most half the largest float, every spread of honest
+# and adversarial values, and every value + offset, then stays finite.
+MAX_MAGNITUDE = 1e100
+
 
 def _number(x) -> bool:
-    if not isinstance(x, (int, float)) or isinstance(x, bool):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an int past the float range
-        return False
+    # abs(x) <= bound compares exactly: NaN, infinities and ints past the float
+    # range all fail it
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= MAX_MAGNITUDE)
 
 
 def _bit(x) -> bool:
@@ -59,8 +61,8 @@ def _pair(item: Callable[[object], bool]) -> Callable[[object], bool]:
     return lambda x: isinstance(x, (list, tuple)) and len(x) == 2 and all(map(item, x))
 
 
-_NUMBER = ("a finite number", _number)
-_NUMBERS = ("a pair of finite numbers", _pair(_number))
+_NUMBER = ("a number of magnitude at most %g" % MAX_MAGNITUDE, _number)
+_NUMBERS = ("a pair of numbers of magnitude at most %g" % MAX_MAGNITUDE, _pair(_number))
 
 # every strategy param a behaviour reads: key -> (what it must be, check)
 PARAM_TYPES: Dict[str, Tuple[str, Callable[[object], bool]]] = {

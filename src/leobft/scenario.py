@@ -176,8 +176,9 @@ def parse_scenario(obj) -> Scenario:
             raise ConfigError("%s: subband out of range" % where)
         if not (1 <= event.operator <= network.n_operators):
             raise ConfigError("%s: operator out of range" % where)
-        if not (event.truth == event.truth and abs(event.truth) != float("inf")):
-            raise ConfigError("%s: truth must be finite" % where)
+        if not abs(event.truth) <= netsim.MAX_MAGNITUDE:
+            raise ConfigError("%s: truth must be a number of magnitude at most %g"
+                              % (where, netsim.MAX_MAGNITUDE))
         events.append(event)
 
     adversary = None

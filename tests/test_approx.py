@@ -63,6 +63,13 @@ class TestAveragingFunction:
         spiked = averaging_function([1.0, 2.0, 3.0, 1000.0], 1)
         assert spiked == 2.5 == clean
 
+    def test_equal_values_average_to_that_value(self):
+        # (x + x + x) / 3 rounds below x for this x; the result is clamped
+        x = 2.1253784903447415e-165
+        assert (x + x + x) / 3 < x
+        assert averaging_function([1.0, x, x, x, x], 1) == x
+        assert averaging_function([x, x, x], 0) == x
+
     @given(st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=12), st.integers(1, 3))
     @settings(max_examples=300, deadline=None)
     def test_result_within_input_range(self, values, f):

@@ -127,6 +127,31 @@ class TestConsensusCommand:
         assert err.startswith("configuration error: %s" % key)
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("truth, value, message", [
+        (1.7e308, -1.7e308, "events[0]: truth must be a number of magnitude"),
+        (0.8, -1.7e308, "adversary param 'value' must be a number of magnitude"),
+        (1e100, -1e100, None),
+    ])
+    def test_values_at_opposite_float_extremes(self, config_file, tmp_path, capsys,
+                                               truth, value, message):
+        # finite values whose spread overflows are config errors; at the
+        # magnitude bound the run completes
+        cfg = json.loads(config_file.read_text())
+        cfg["profile"] = "approx"
+        cfg["events"][0]["truth"] = truth
+        cfg["adversary"] = {"behavior": "value-liar", "operators": [4],
+                            "params": {"value": value}}
+        config_file.write_text(json.dumps(cfg))
+        code = main(["consensus", "--config", str(config_file),
+                     "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        if message is None:
+            assert (code, err) == (0, "")
+        else:
+            assert code == 1
+            assert err.startswith("configuration error: " + message)
+            assert err.count("\n") == 1
+
     def test_bad_flag_is_exit_1(self, config_file, capsys):
         assert main(["consensus", "--config", str(config_file),
                      "--frobnicate"]) == 1

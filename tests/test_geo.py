@@ -1,9 +1,13 @@
 """Geometry tests: sphere sampling, footprints, interference, detection."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from leobft import geo
 from leobft.geo import (
@@ -78,6 +82,21 @@ class TestSphereSampling:
         mean = sum(counts) / len(counts)
         sigma = math.sqrt(expected / len(counts))
         assert abs(mean - expected) < 4 * sigma
+
+    # sha256 of sphere_points(count, default_rng(seed)).tobytes(), recorded
+    # before the draw was rewritten to work in place
+    @pytest.mark.parametrize("seed, count, digest", [
+        (0, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (1, 1, "413dff32f831e15ee9cebdc9b0ea81cb12aedf49d2cf7e53cdb89d8112bff1f3"),
+        (2, 7, "d852eea075e836db244ad581db91d0050fd00baa2e86e8b6fd73857e213d9b8e"),
+        (3, 1000, "8f93b33f09a2ab6eef18378921932f27b9a3dcc02a46ae95d53c7a864e22b639"),
+        (4, 100003, "a26334cc800feba7e731f26d0816b9de4f598b0ac64dc2d9da148a168c2f2d8c"),
+    ])
+    def test_output_bits_pinned(self, seed, count, digest):
+        pts = sphere_points(count, np.random.default_rng(seed))
+        assert pts.shape == (count, 3) and pts.dtype == np.float64
+        assert pts.flags["C_CONTIGUOUS"]
+        assert hashlib.sha256(pts.tobytes()).hexdigest() == digest
 
     def test_zero_density_gives_empty_field(self):
         assert len(deploy_poisson(0.0, np.random.default_rng(4))) == 0
@@ -318,3 +337,159 @@ class TestDetection:
         assert sample.rate == 0.0
         assert len(sample.detected) == 0
         assert len(sample.incident_cells) == 0
+
+
+def search_radius(beam):
+    """The widened chord radius that simulate_detection searches with."""
+    return 2.0 * math.sin(beam.footprint_radius_km / R_EARTH_KM / 2.0) * geo._WIDEN
+
+
+def detection_without_cell_pass(fields, incidents, beam):
+    """simulate_detection's `detected` without the cell pass: the
+    nearest-incident query over every sensor, then the same exact ball count."""
+    chord = 2.0 * math.sin(beam.footprint_radius_km / R_EARTH_KM / 2.0)
+    incident_tree = cKDTree(incidents)
+    detected = np.ones(len(incidents), dtype=bool)
+    for op in sorted(fields):
+        field = fields[op]
+        if len(field) == 0:
+            detected[:] = False
+            break
+        nearest, _ = incident_tree.query(field, k=1, distance_upper_bound=chord * geo._WIDEN)
+        tree = cKDTree(field[np.isfinite(nearest)])
+        detected &= tree.query_ball_point(incidents, chord, return_length=True) > 0
+    return detected
+
+
+def cell_pass(field, incidents, radius):
+    edge = geo._cell_edge(incidents, radius)
+    return geo._in_marked_cells(field, geo._mark_cells(incidents, edge), edge)
+
+
+def query_keeps(field, incidents, radius):
+    nearest, _ = cKDTree(incidents).query(field, k=1, distance_upper_bound=radius)
+    return np.isfinite(nearest)
+
+
+@st.composite
+def detection_inputs(draw):
+    """Small sensor fields and incident sets in 3-D (not necessarily unit vectors).
+
+    Coordinates are arbitrary floats in [-1, 1], exactly -1, 0 or 1 (poles and
+    axes), or exact multiples of the cell edge used for incidents with a unit
+    coordinate. Sensors may repeat a point or sit within about the search
+    radius of one; fields and the incident set may be empty.
+    """
+    beam = BeamGeometry(altitude_km=550.0,
+                        half_angle_deg=draw(st.floats(0.1, 50.0)))
+    radius = search_radius(beam)
+    edge = geo._cell_edge(np.array([[0.0, 0.0, 1.0]]), radius)
+    steps = int(1.0 / edge) + 1
+    coord = (st.floats(-1.0, 1.0) | st.sampled_from([-1.0, 0.0, 1.0])
+             | st.integers(-steps, steps).map(lambda k: k * edge))
+    point = st.tuples(coord, coord, coord).map(np.array)
+    pool = draw(st.lists(point, max_size=8))
+
+    def one_point():
+        if pool and draw(st.booleans()):
+            base = draw(st.sampled_from(pool))
+            if draw(st.booleans()):  # a near neighbour of a pool point
+                shift = st.floats(-1.2 * radius, 1.2 * radius)
+                return base + np.array([draw(shift) for _ in range(3)])
+            return base.copy()  # a duplicate
+        return draw(point)
+
+    def cloud(max_size):
+        rows = [one_point() for _ in range(draw(st.integers(0, max_size)))]
+        return np.array(rows, dtype=float).reshape(-1, 3)
+
+    incidents = cloud(12)
+    fields = {op: cloud(16) for op in range(1, draw(st.integers(1, 3)) + 1)}
+    return beam, fields, incidents
+
+
+def unit_rows(points):
+    """Rows scaled to unit length; a zero row becomes the north pole."""
+    norms = np.linalg.norm(points, axis=1)
+    out = points / np.where(norms > 0, norms, 1.0)[:, None]
+    out[norms == 0] = [0.0, 0.0, 1.0]
+    return out
+
+
+class TestDetectionProperties:
+    @given(detection_inputs())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_filters_without_the_cell_pass(self, inputs):
+        beam, fields, incidents = inputs
+        sample = simulate_detection(fields, incidents, beam)
+        assert np.array_equal(sample.detected,
+                              detection_without_cell_pass(fields, incidents, beam))
+        radius = search_radius(beam)
+        for field in fields.values():
+            if len(field) and len(incidents):
+                kept = query_keeps(field, incidents, radius)
+                assert not (kept & ~cell_pass(field, incidents, radius)).any()
+
+    @given(detection_inputs())
+    @settings(max_examples=100, deadline=None)
+    def test_unit_vectors_match_brute_force(self, inputs):
+        beam, fields, incidents = inputs
+        fields = {op: unit_rows(field) for op, field in fields.items()}
+        incidents = unit_rows(incidents)
+        cos_radius = math.cos(beam.footprint_radius_km / R_EARTH_KM)
+        expected = np.ones(len(incidents), dtype=bool)
+        # the dot-product and chord tests differ only by rounding at the
+        # footprint edge; incidents with a sensor that close are not compared
+        on_edge = np.zeros(len(incidents), dtype=bool)
+        for field in fields.values():
+            dots = incidents @ field.T
+            expected &= (dots >= cos_radius).any(axis=1)
+            on_edge |= (np.abs(dots - cos_radius) < 1e-12).any(axis=1)
+        sample = simulate_detection(fields, incidents, beam)
+        assert np.array_equal(sample.detected[~on_edge], expected[~on_edge])
+
+
+class TestCellPass:
+    def test_never_drops_a_sensor_the_query_keeps(self):
+        # incidents at random, on the poles and axes, and on cell corners;
+        # sensors at (just inside) the search radius from each incident along
+        # the 26 grid directions and 20 random ones, near the origin and
+        # a million units away from it
+        beam = BeamGeometry()
+        radius = search_radius(beam)
+        rng = np.random.default_rng(16)
+        grid_dirs = np.array([d for d in geo._NEIGHBOURS if d.any()], dtype=float)
+        dirs = np.vstack([grid_dirs, sphere_points(20, rng)])
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        for offset in (0.0, 1e6):
+            incidents = np.vstack([sphere_points(200, rng), np.eye(3), -np.eye(3)]) + offset
+            edge = geo._cell_edge(incidents, radius)
+            incidents = np.vstack([incidents, np.floor(incidents / edge) * edge])
+            for shrink in (1.0, 1.0 - 1e-12):
+                field = (incidents[:, None, :]
+                         + shrink * radius * dirs[None, :, :]).reshape(-1, 3)
+                kept = query_keeps(field, incidents, radius)
+                assert kept.sum() > len(field) // 4
+                assert not (kept & ~cell_pass(field, incidents, radius)).any()
+
+    def test_keeps_a_bounded_share(self):
+        # Work guard. Density 90 per 1e4 km2 against 10,000 incidents at the
+        # default beam: the nearest-incident query keeps about 1.7% of the
+        # sensors and the cell pass about 7%; the share does not depend on
+        # the sensor count, so 500,000 sensors stand in for the 4.6M. Above
+        # 12% the cell pass has stopped doing its job (outputs would still be
+        # right, only slower).
+        rng = np.random.default_rng(17)
+        field = sphere_points(500_000, rng)
+        incidents = sphere_points(10_000, rng)
+        radius = search_radius(BeamGeometry())
+        cells = cell_pass(field, incidents, radius)
+        kept = query_keeps(field, incidents, radius)
+        assert not (kept & ~cells).any()
+        assert 0.01 < kept.mean() <= cells.mean() <= 0.12
+
+    def test_non_finite_sensor_raises(self):
+        incidents = np.array([[1.0, 0.0, 0.0]])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                simulate_detection({1: np.array([[bad, 0.0, 0.0]])}, incidents)

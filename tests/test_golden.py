@@ -1,4 +1,5 @@
-"""Golden-output regression: one digest over a grid of end-to-end runs.
+"""Golden-output regression: one digest over a grid of end-to-end runs, and
+one over a dense detection point.
 
 Every profile runs with no adversary and with each behaviour bound to
 operators [6, 7] (static and rotating) and to no operators at all. The
@@ -9,15 +10,22 @@ the adversary library, the ledger or an artifact writer shows up here.
 Exact agreement under a rotating adversary raises PropertyViolation by
 design (it corrupts more than f operators over the f+1 rounds); its
 message is hashed in place of the outputs.
+
+The detection digest covers `detected` and `rate` of three density-30 sensor
+fields (about 1.5M sensors each) against 2,000 incidents, so the sensor draw
+and every step of the detection filter are pinned bit for bit.
 """
 
 import hashlib
 
-from leobft import ledger, netsim, pipeline
+import numpy as np
+
+from leobft import geo, ledger, netsim, pipeline
 from leobft.pipeline import PropertyViolation
 from leobft.scenario import PROFILES, parse_scenario
 
 GOLDEN_DIGEST = "67eab9c48af92bc62c33269cf1dfc80ad452b0b55579bc3dd0a16c73b7101b3c"
+DETECTION_DIGEST = "c19db8c8e161d1585176a6168728f95ac6ac51633abdf5c86952232081b29caf"
 
 ADVERSARIES = [None] + [
     {"behavior": behavior, "operators": ops, "rotate": rotate}
@@ -70,3 +78,12 @@ def test_golden_grid_digest():
         for adversary in ADVERSARIES:
             h.update(hashlib.sha256(run_digest(profile, adversary)).digest())
     assert h.hexdigest() == GOLDEN_DIGEST
+
+
+def test_dense_detection_digest():
+    fields = {op: geo.deploy_poisson(30.0 / 1e4, np.random.default_rng(1000 + op))
+              for op in (1, 2, 3)}
+    incidents = geo.sphere_points(2000, np.random.default_rng(2000))
+    sample = geo.simulate_detection(fields, incidents)
+    digest = hashlib.sha256(sample.detected.tobytes() + repr(sample.rate).encode())
+    assert digest.hexdigest() == DETECTION_DIGEST

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leobft import netsim
+from leobft import netsim, pipeline
+from leobft.pipeline import PropertyViolation
 from leobft.scenario import (
     AdversaryConfig,
     ConfigError,
@@ -154,6 +155,18 @@ class TestParsing:
         with pytest.raises(ConfigError, match="truth"):
             parse_scenario(cfg)
 
+    @pytest.mark.parametrize("truth", [1.7e308, -1.7e308, 1.0000001e100, -2 * 10**100])
+    def test_truth_past_the_magnitude_bound_rejected(self, truth):
+        cfg = base_config()
+        cfg["events"][0]["truth"] = truth
+        with pytest.raises(ConfigError, match="truth must be a number of magnitude"):
+            parse_scenario(cfg)
+
+    def test_truth_at_the_magnitude_bound_accepted(self):
+        cfg = base_config()
+        cfg["events"][0]["truth"] = -netsim.MAX_MAGNITUDE
+        assert parse_scenario(cfg).events[0].truth == -1e100
+
 
 # integers past the float range are valid JSON and must not reach float()
 SCALAR = (st.none() | st.booleans() | st.integers() | st.integers(2**1023, 2**1100)
@@ -168,7 +181,8 @@ JSON = st.recursive(
 def _full_config():
     cfg = base_config()
     cfg["adversary"] = {"behavior": "equivocate", "operators": [1],
-                        "params": {"delta": 1.0, "bits": [0, 1]}, "rotate": False,
+                        "params": {"delta": 1.0, "values": [0.5, 1.0], "bits": [0, 1]},
+                        "rotate": False,
                         "vote_policy": "honest", "proposal": "honest"}
     cfg["frame_bytes"] = 64
     cfg["aggregation"] = "median"
@@ -184,11 +198,30 @@ def _paths(node, prefix=()):
             yield from _paths(child, prefix + (key,))
 
 
+# the numbers that form spreads, and values at and past the magnitude bound
+NUMBER_PATHS = [("events", 0, "truth"), ("adversary", "params", "delta"),
+                ("adversary", "params", "values", 0), ("adversary", "params", "values", 1)]
+EXTREMES = st.sampled_from([1.7976931348623157e308, -1.7976931348623157e308, 1e100, -1e100])
+
+
 @st.composite
 def mutated_configs(draw):
-    """A valid config with one to three values, anywhere in it, replaced."""
+    """A valid config with values, anywhere in it, replaced.
+
+    Half of the configs get one to three values replaced. The other half
+    first get the truth and every value the adversary lies with set to the
+    largest floats or to the magnitude bound, so that extremes of opposite
+    signs often meet in one spread, and then zero to three values replaced.
+    """
     cfg = _full_config()
-    for _ in range(draw(st.integers(1, 3))):
+    extremes = draw(st.booleans())
+    if extremes:
+        for path in NUMBER_PATHS:
+            node = cfg
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = draw(EXTREMES)
+    for _ in range(draw(st.integers(0 if extremes else 1, 3))):
         path = draw(st.sampled_from(list(_paths(cfg))))
         node = cfg
         for key in path[:-1]:
@@ -210,9 +243,17 @@ class TestParseFuzz:
     @settings(max_examples=400, deadline=None)
     def test_mutated_config_raises_only_config_error(self, cfg):
         try:
-            parse_scenario(cfg)
+            sc = parse_scenario(cfg)
         except ConfigError:
-            pass
+            return
+        # a config that parses must also run: to completion, or to a
+        # PropertyViolation, never to another exception (the mutations can
+        # pick the largest floats, whose spreads would overflow)
+        if sc.network.n_operators <= 10:
+            try:
+                pipeline.run_scenario(sc)
+            except PropertyViolation:
+                pass
 
 
 class TestAdversaryConfig:
@@ -263,6 +304,30 @@ class TestAdversaryConfig:
     def test_misspelt_param_rejected(self):
         with pytest.raises(ConfigError, match="offest"):
             parse_scenario(self._with_adv(params={"offest": 5}))
+
+    @pytest.mark.parametrize("params", [
+        {"value": -1.7e308},
+        {"offset": 1.0000001e100},
+        {"delta": 10**101},
+        {"values": [0.0, 1.7e308]},
+        {"range": [-1.7e308, 1.7e308]},
+        {"threshold": -1e300},
+        {"epsilon": 1e200},
+    ])
+    def test_param_past_the_magnitude_bound_rejected(self, params):
+        with pytest.raises(ConfigError, match="magnitude at most 1e"):
+            parse_scenario(self._with_adv(params=params))
+
+    def test_opposite_extremes_run(self):
+        # truth and lie at opposite ends of the allowed range: the first
+        # spread, 2e100, is finite, so the approx run halves it for hundreds
+        # of rounds and completes
+        cfg = self._with_adv(behavior="value-liar", params={"value": -netsim.MAX_MAGNITUDE})
+        cfg["events"][0]["truth"] = netsim.MAX_MAGNITUDE
+        cfg["adversary"]["operators"] = [1]
+        outcome = pipeline.run_scenario(parse_scenario(cfg)).outcomes[0]
+        assert outcome.rounds > 300
+        assert [outcome.outputs[op] for op in (2, 3, 4)] == [1e100] * 3
 
     @pytest.mark.parametrize("params", [
         {"offset": "ten"},
