@@ -119,6 +119,7 @@ class ApproxOperator:
         self.output: Optional[float] = None
         self._announce_halt = False
         self._final_values: Dict[int, float] = {}  # sticky values of halted peers
+        self.history = [self.v]  # v at the start and after each bus round
 
     def outgoing(self, round_no: int) -> List[netsim.Outbound]:
         me = self.operator_id
@@ -138,25 +139,24 @@ class ApproxOperator:
         return self.default_value  # absent or duplicated sender
 
     def deliver(self, round_no: int, inbox: Dict[int, List[netsim.Message]]) -> None:
-        if self.halted:
-            return
-        if self._announce_halt:
+        if self._announce_halt and not self.halted:
             self.halted = True
             self.output = self.v
-            return
-        values = [self._peer_value(s, inbox[s]) for s in sorted(inbox)]
-        f = self.params.max_faulty
-        self.v = averaging_function(values, f)
-        self.exchanges += 1
-        if self.exchanges == 1:
-            self.first_spread = max(values) - min(values)
-            if f == 0:
-                self.horizon = 1
-            else:
-                c = shrink_factor(self.params.n_operators, f)
-                self.horizon = max(1, round_count(self.first_spread, self.params.zeta, c))
-        if self.exchanges >= self.horizon:
-            self._announce_halt = True
+        elif not self.halted:
+            values = [self._peer_value(s, inbox[s]) for s in sorted(inbox)]
+            f = self.params.max_faulty
+            self.v = averaging_function(values, f)
+            self.exchanges += 1
+            if self.exchanges == 1:
+                self.first_spread = max(values) - min(values)
+                if f == 0:
+                    self.horizon = 1
+                else:
+                    c = shrink_factor(self.params.n_operators, f)
+                    self.horizon = max(1, round_count(self.first_spread, self.params.zeta, c))
+            if self.exchanges >= self.horizon:
+                self._announce_halt = True
+        self.history.append(self.v)
 
 
 @dataclass
@@ -180,44 +180,20 @@ def run_approx(params: NetworkParams, initial_values: Dict[int, float], *,
                record_transcript: bool = False,
                max_rounds: int = 10_000) -> ApproxResult:
     """Run one approximate agreement instance until all honest operators halt."""
-    ids = sorted(initial_values)
-    if len(ids) != params.n_operators:
-        raise ValueError("expected %d initial values, got %d" % (params.n_operators, len(ids)))
-
-    bus = netsim.RoundBus(ids, seed=seed, frame_bytes=frame_bytes,
-                          record_transcript=record_transcript)
-    for op in ids:
-        bus.register(ApproxOperator(op, params, initial_values[op]))
-    bus.bind_adversary(adversary)
-
-    def snapshot() -> Dict[int, float]:
-        return {
-            op: (bus.participants[op].output if bus.participants[op].halted
-                 else bus.participants[op].v)
-            for op in ids
-        }
-
-    values_by_round = [snapshot()]
-    controlled_by_round: List[frozenset] = []
-
-    honest = netsim.honest_ids(ids, adversary)
-
-    while not all(bus.participants[op].halted for op in honest):
-        if bus.round >= max_rounds:
-            raise netsim.HarnessError("approximate agreement exceeded %d rounds" % max_rounds)
-        controlled_by_round.append(
-            adversary.controlled_at(bus.round, ids) if adversary else frozenset()
-        )
-        bus.run_round()
-        values_by_round.append(snapshot())
-
+    bus = netsim.run_instance(
+        initial_values, lambda op, value: ApproxOperator(op, params, value),
+        params.n_operators, adversary, max_rounds=max_rounds, seed=seed,
+        frame_bytes=frame_bytes, record_transcript=record_transcript)
+    ids = bus.operator_ids
     machines = {op: bus.participants[op] for op in ids}
     return ApproxResult(
         outputs={op: m.output for op, m in machines.items()},
         horizons={op: m.horizon for op, m in machines.items()},
         first_spreads={op: m.first_spread for op, m in machines.items()},
         rounds=bus.round,
-        values_by_round=values_by_round,
-        controlled_by_round=controlled_by_round,
+        values_by_round=[{op: m.history[r] for op, m in machines.items()}
+                         for r in range(bus.round + 1)],
+        controlled_by_round=[adversary.controlled_at(r, ids) if adversary else frozenset()
+                             for r in range(bus.round)],
         bus=bus,
     )

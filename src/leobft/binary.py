@@ -153,33 +153,21 @@ def run_binary(params: NetworkParams, initial_bits: Dict[int, int], *,
     broadcasting certificates), which is what byte-accounting scenarios use.
     """
     ids = sorted(initial_bits)
-    if len(ids) != params.n_operators:
-        raise ValueError("expected %d initial bits, got %d" % (params.n_operators, len(ids)))
     registry = registry or auth.KeyRegistry(ids, auth.derive_seed(seed, "keys"))
     coin = coin or auth.CommonCoin(auth.derive_seed(seed, "coin"))
-
-    bus = netsim.RoundBus(ids, seed=seed, frame_bytes=frame_bytes,
-                          record_transcript=record_transcript)
-    for op in ids:
-        bus.register(BinaryOperator(op, params, initial_bits[op], instance, coin, registry))
-    bus.bind_adversary(adversary)
-
-    honest = netsim.honest_ids(ids, adversary)
-
-    if exact_rounds is not None:
-        for _ in range(exact_rounds):
-            bus.run_round()
-    else:
-        def done() -> bool:
-            return all(bus.participants[op].halted for op in honest)
-
-        try:
-            bus.run_until(done, max_rounds=3 * max_iterations)
-        except netsim.HarnessError as err:
-            raise AgreementError(
-                "binary agreement exceeded %d iterations (instance %s)"
-                % (max_iterations, instance)
-            ) from err
+    try:
+        bus = netsim.run_instance(
+            initial_bits,
+            lambda op, bit: BinaryOperator(op, params, bit, instance, coin, registry),
+            params.n_operators, adversary,
+            max_rounds=3 * max_iterations if exact_rounds is None else exact_rounds,
+            rounds=exact_rounds, seed=seed, frame_bytes=frame_bytes,
+            record_transcript=record_transcript)
+    except netsim.HarnessError as err:
+        raise AgreementError(
+            "binary agreement exceeded %d iterations (instance %s)"
+            % (max_iterations, instance)
+        ) from err
 
     machines = {op: bus.participants[op] for op in ids}
     return BinaryResult(

@@ -164,18 +164,13 @@ def run_exact(params: NetworkParams, initial_values: Dict[int, float], *,
               record_transcript: bool = False) -> ExactResult:
     """Run the N parallel broadcasts for exactly f+1 rounds and aggregate."""
     ids = sorted(initial_values)
-    if len(ids) != params.n_operators:
-        raise ValueError("expected %d initial values, got %d" % (params.n_operators, len(ids)))
     registry = registry or auth.KeyRegistry(ids, auth.derive_seed(seed, "keys"))
-
-    bus = netsim.RoundBus(ids, seed=seed, frame_bytes=frame_bytes,
-                          record_transcript=record_transcript)
-    for op in ids:
-        bus.register(ExactOperator(op, params, registry, initial_values[op], instance))
-    bus.bind_adversary(adversary)
-
-    for _ in range(params.max_faulty + 1):
-        bus.run_round()
+    bus = netsim.run_instance(
+        initial_values,
+        lambda op, value: ExactOperator(op, params, registry, value, instance),
+        params.n_operators, adversary,
+        max_rounds=params.max_faulty + 1, rounds=params.max_faulty + 1, seed=seed,
+        frame_bytes=frame_bytes, record_transcript=record_transcript)
 
     machines = {op: bus.participants[op] for op in ids}
     views = {op: dict(m.view) for op, m in machines.items()}

@@ -178,31 +178,6 @@ def interference_sweep(densities_per_million_km2: Sequence[float], n_operators: 
     return rows
 
 
-class CellGrid:
-    """Fixed longitude/latitude grid used to localise incidents (200 x 100)."""
-
-    def __init__(self, azimuth_bins: int = 200, polar_bins: int = 100):
-        if azimuth_bins < 1 or polar_bins < 1:
-            raise ValueError("grid needs at least one bin per axis")
-        self.azimuth_bins = azimuth_bins
-        self.polar_bins = polar_bins
-
-    @property
-    def n_cells(self) -> int:
-        return self.azimuth_bins * self.polar_bins
-
-    def cell_of(self, points: np.ndarray) -> np.ndarray:
-        """Cell index per unit vector, in [0, n_cells)."""
-        pts = np.atleast_2d(points)
-        azimuth = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * math.pi)
-        polar = np.arccos(np.clip(pts[:, 2], -1.0, 1.0))
-        ia = np.minimum((azimuth / (2.0 * math.pi) * self.azimuth_bins).astype(np.int64),
-                        self.azimuth_bins - 1)
-        ip = np.minimum((polar / math.pi * self.polar_bins).astype(np.int64),
-                        self.polar_bins - 1)
-        return ia * self.polar_bins + ip
-
-
 def detection_probability_theory(sensor_densities_per_km2: Sequence[float],
                                  beam: Optional[BeamGeometry] = None) -> float:
     """Probability that every listed operator has a sensor in the footprint."""
@@ -218,14 +193,12 @@ def detection_probability_theory(sensor_densities_per_km2: Sequence[float],
 
 @dataclass
 class DetectionSample:
-    detected: np.ndarray       # bool per incident
-    incident_cells: np.ndarray
+    detected: np.ndarray  # bool per incident
     rate: float
 
 
 def simulate_detection(sensor_fields: Dict[int, np.ndarray], incidents: np.ndarray,
-                       beam: Optional[BeamGeometry] = None,
-                       grid: Optional[CellGrid] = None) -> DetectionSample:
+                       beam: Optional[BeamGeometry] = None) -> DetectionSample:
     """Check, per incident, whether every operator has a sensor within the footprint.
 
     Membership uses the chord radius equivalent to the great-circle footprint
@@ -234,7 +207,6 @@ def simulate_detection(sensor_fields: Dict[int, np.ndarray], incidents: np.ndarr
     nearest-incident query, exact ball count.
     """
     beam = beam or BeamGeometry()
-    grid = grid or CellGrid()
     angle = beam.footprint_radius_km / R_EARTH_KM
     chord = 2.0 * math.sin(angle / 2.0)
     radius = chord * _WIDEN
@@ -256,7 +228,7 @@ def simulate_detection(sensor_fields: Dict[int, np.ndarray], incidents: np.ndarr
         counts = tree.query_ball_point(incidents, chord, return_length=True, workers=-1)
         detected &= counts > 0
     rate = float(np.count_nonzero(detected)) / len(incidents) if len(incidents) else 0.0
-    return DetectionSample(detected, grid.cell_of(incidents), rate)
+    return DetectionSample(detected, rate)
 
 
 def _cell_edge(incidents: np.ndarray, radius: float) -> float:

@@ -15,6 +15,11 @@ from typing import Dict, Iterator, Tuple
 
 Key = Tuple[int, int, int]  # (region, subband, operator)
 
+# Largest magnitude of a configured value: epsilon, an event truth or an
+# adversary number. Every spread of honest and adversarial values, every
+# value + offset and every sum the averaging function takes then stays finite.
+MAX_MAGNITUDE = 1e100
+
 
 def check_fault_bound(n_operators: int, max_faulty: int) -> None:
     """Raise ValueError unless N >= 1, f >= 0 and N >= 3f + 1."""
@@ -55,8 +60,8 @@ class NetworkParams:
                 raise ValueError("%s must be finite" % name)
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
-        if not math.isfinite(2 * self.epsilon):  # the honest spread bound
-            raise ValueError("epsilon must be at most half the largest float")
+        if self.epsilon > MAX_MAGNITUDE:
+            raise ValueError("epsilon must be at most %g" % MAX_MAGNITUDE)
         if self.zeta <= 0:
             raise ValueError("zeta must be > 0")
         if self.alpha <= 0:

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import auth
+from .model import MAX_MAGNITUDE
 
 BROADCAST = -1
 
@@ -39,11 +40,6 @@ BEHAVIORS = (CRASH, EQUIVOCATE, RANDOM_VALUES, VALUE_LIAR, BOUNDARY_ATTACKER, BA
 
 # how far a value liar, a corrupt proposer and a lying responder shift a value
 DEFAULT_OFFSET = 10.0
-
-# Largest magnitude of a configured value: an event truth or an adversary
-# number. With epsilon at most half the largest float, every spread of honest
-# and adversarial values, and every value + offset, then stays finite.
-MAX_MAGNITUDE = 1e100
 
 
 def _number(x) -> bool:
@@ -321,15 +317,6 @@ class RoundBus:
         self.round += 1
         return inboxes
 
-    def run_until(self, done: Callable[[], bool], max_rounds: int) -> int:
-        """Run rounds until done() or the cap; returns rounds executed."""
-        start = self.round
-        while not done():
-            if self.round - start >= max_rounds:
-                raise HarnessError("round cap %d exceeded" % max_rounds)
-            self.run_round()
-        return self.round - start
-
     def bytes_exchanged(self, op: int) -> int:
         """Canonical bytes the operator put on the wire plus bytes received.
 
@@ -342,3 +329,31 @@ class RoundBus:
         if self.transcript is None:
             raise ValueError("bus was created without transcript recording")
         return list(self.transcript)
+
+
+def run_instance(inputs: Mapping[int, object], make_operator: Callable[[int, object], object],
+                 n_operators: int, adversary: Optional[AdversaryStrategy], *,
+                 max_rounds: int, rounds: Optional[int] = None, seed: int = 0,
+                 frame_bytes: Optional[int] = None,
+                 record_transcript: bool = False) -> RoundBus:
+    """Run one protocol instance with one make_operator(op, inputs[op]) per operator.
+
+    Rounds run until every operator in honest_ids has halted, or exactly
+    `rounds` rounds when that is given; a run that would pass max_rounds
+    raises HarnessError instead.
+    """
+    ids = sorted(inputs)
+    if len(ids) != n_operators:
+        raise ValueError("expected %d inputs, got %d" % (n_operators, len(ids)))
+    bus = RoundBus(ids, seed=seed, frame_bytes=frame_bytes,
+                   record_transcript=record_transcript)
+    for op in ids:
+        bus.register(make_operator(op, inputs[op]))
+    bus.bind_adversary(adversary)
+    honest = honest_ids(ids, adversary)
+    while (bus.round < rounds if rounds is not None
+           else not all(bus.participants[op].halted for op in honest)):
+        if bus.round >= max_rounds:
+            raise HarnessError("round cap %d exceeded" % max_rounds)
+        bus.run_round()
+    return bus

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from . import ledger, netsim
-from .model import NetworkParams
+from .model import MAX_MAGNITUDE, NetworkParams
 
 PROFILES = ("binary", "exact", "approx")
 AGGREGATIONS = ("median", "trimmed-stride")
@@ -176,9 +176,9 @@ def parse_scenario(obj) -> Scenario:
             raise ConfigError("%s: subband out of range" % where)
         if not (1 <= event.operator <= network.n_operators):
             raise ConfigError("%s: operator out of range" % where)
-        if not abs(event.truth) <= netsim.MAX_MAGNITUDE:
+        if not abs(event.truth) <= MAX_MAGNITUDE:
             raise ConfigError("%s: truth must be a number of magnitude at most %g"
-                              % (where, netsim.MAX_MAGNITUDE))
+                              % (where, MAX_MAGNITUDE))
         events.append(event)
 
     adversary = None

@@ -183,6 +183,13 @@ class TestFaultFree:
         final = result.values_by_round[-1]
         assert final == result.outputs
 
+    def test_round_cap_raises(self):
+        # the spread of 8 needs 7 exchanges and a halt round
+        initials = {1: 0.0, 2: 4.0, 3: 8.0, 4: 2.0}
+        with pytest.raises(netsim.HarnessError, match="round cap 1 exceeded"):
+            run_approx(make_params(), initials, seed=5, max_rounds=1)
+        assert run_approx(make_params(), initials, seed=5, max_rounds=8).rounds == 8
+
 
 class TestHaltProtocol:
     def test_halt_notice_repeats_while_peers_run(self):

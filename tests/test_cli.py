@@ -113,6 +113,7 @@ class TestConsensusCommand:
 
     @pytest.mark.parametrize("profile, key, value", [
         ("approx", "epsilon", float("nan")), ("approx", "epsilon", 1e308),
+        ("approx", "epsilon", 8.9e307),
         ("binary", "zeta", float("nan")), ("exact", "rssi_threshold", float("inf")),
     ])
     def test_non_finite_network_value_is_exit_1(self, config_file, tmp_path, capsys,

@@ -14,7 +14,6 @@ from leobft.geo import (
     EARTH_AREA_KM2,
     R_EARTH_KM,
     BeamGeometry,
-    CellGrid,
     Constellation,
     build_constellation,
     count_interference,
@@ -212,32 +211,6 @@ class TestInterferenceCounting:
         assert 0.5 * expected_total < rows[0][1] < 1.5 * expected_total
 
 
-class TestCellGrid:
-    def test_default_cell_count(self):
-        assert CellGrid().n_cells == 20000
-
-    def test_known_directions(self):
-        grid = CellGrid(200, 100)
-        cells = grid.cell_of(np.array([
-            [0.0, 0.0, 1.0],    # north pole: polar bin 0
-            [0.0, 0.0, -1.0],   # south pole: polar bin 99 (clipped)
-            [1.0, 0.0, 0.0],    # equator at azimuth 0
-        ]))
-        assert cells[0] == 0
-        assert cells[1] == 99
-        assert cells[2] == 50
-
-    def test_all_cells_in_range(self):
-        grid = CellGrid()
-        cells = grid.cell_of(sphere_points(5000, np.random.default_rng(7)))
-        assert cells.min() >= 0
-        assert cells.max() < grid.n_cells
-
-    def test_rejects_degenerate_grid(self):
-        with pytest.raises(ValueError):
-            CellGrid(0, 10)
-
-
 class TestDetection:
     def test_theory_formula(self):
         beam = BeamGeometry()
@@ -300,13 +273,6 @@ class TestDetection:
         r2 = detection_sweep([30.0], n_honest=3, trials=1000, seed=2)
         assert r1 == r2
 
-    def test_incident_cells_recorded(self):
-        incidents = sphere_points(100, np.random.default_rng(12))
-        fields = {1: sphere_points(1000, np.random.default_rng(13))}
-        sample = simulate_detection(fields, incidents)
-        assert len(sample.incident_cells) == 100
-        assert sample.incident_cells.max() < CellGrid().n_cells
-
     def test_sensor_shared_by_close_incidents_detects_both(self):
         # The sensor sits between two incidents less than 2r apart, inside both
         # footprints but nearer to the first: it must count for both.
@@ -336,7 +302,6 @@ class TestDetection:
         sample = simulate_detection(fields, np.empty((0, 3)))
         assert sample.rate == 0.0
         assert len(sample.detected) == 0
-        assert len(sample.incident_cells) == 0
 
 
 def search_radius(beam):

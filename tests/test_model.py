@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leobft.model import (
+    MAX_MAGNITUDE,
     GroundTruth,
     Measurement,
     NetworkParams,
@@ -63,9 +64,11 @@ class TestNetworkParams:
             NetworkParams(4, 1, **kwargs)
 
     def test_epsilon_keeps_the_honest_spread_finite(self):
-        assert make_params(eps=8e307).epsilon == 8e307
-        with pytest.raises(ValueError, match="epsilon"):
-            make_params(eps=1e308)
+        # bounded like truths, so averaging N values near epsilon stays finite
+        assert make_params(eps=MAX_MAGNITUDE).epsilon == 1e100
+        for eps in (1.0000001e100, 8.9e307, 1e308):
+            with pytest.raises(ValueError, match=r"epsilon must be at most 1e\+100"):
+                make_params(eps=eps)
 
 
 class TestUsageTensor:

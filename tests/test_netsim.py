@@ -1,8 +1,13 @@
-"""Round bus tests: lockstep delivery, byte accounting, fault injection."""
+"""Round bus and protocol driver tests: lockstep delivery, byte accounting,
+fault injection, round caps and closed-form message counts."""
+
+import ast
+import pathlib
 
 import pytest
 
-from leobft import netsim
+from leobft import approx, binary, exact, netsim
+from leobft.model import NetworkParams
 from leobft.netsim import BROADCAST, AdversaryStrategy, Message, RoundBus
 
 
@@ -99,11 +104,58 @@ class TestRoundBus:
         with pytest.raises(netsim.HarnessError):
             bus.run_round()
 
-    def test_run_until_cap(self):
-        bus = make_bus(3)
-        with pytest.raises(netsim.HarnessError):
-            bus.run_until(lambda: False, max_rounds=4)
-        assert bus.round == 4
+
+class TestRunInstance:
+    def test_round_cap(self):
+        # Echo never halts: exactly max_rounds rounds run, then the cap raises
+        machines = []
+
+        def make(op, value):
+            machines.append(Echo(op, value=value))
+            return machines[-1]
+
+        with pytest.raises(netsim.HarnessError, match="round cap 4 exceeded"):
+            netsim.run_instance({1: 1.0, 2: 2.0, 3: 3.0}, make, 3, None, max_rounds=4)
+        assert [len(m.seen) for m in machines] == [4, 4, 4]
+
+    @pytest.mark.parametrize("n, f", [(4, 1), (7, 2), (10, 3), (13, 4)])
+    def test_fault_free_message_counts(self, n, f):
+        # closed-form transcript sizes of one fault-free instance per protocol
+        params = NetworkParams(n, f, 0.05, zeta=0.1, alpha=0.5, rssi_threshold=0.5)
+        ids = range(1, n + 1)
+
+        result = exact.run_exact(params, {op: float(op) for op in ids},
+                                 record_transcript=True)
+        assert len(result.bus.transcript_rows()) == n * n + n * (n - 1) * (n - 2)
+        assert result.rounds == f + 1
+
+        result = approx.run_approx(params, {op: float(op) for op in ids},
+                                   record_transcript=True)
+        h = max(1, approx.round_count(n - 1, params.zeta, approx.shrink_factor(n, f)))
+        assert len(result.bus.transcript_rows()) == n * n * (h + 1)
+        assert result.rounds == h + 1
+
+        for bit, rounds in ((0, 1), (1, 2)):
+            result = binary.run_binary(params, {op: bit for op in ids},
+                                       record_transcript=True)
+            assert len(result.bus.transcript_rows()) == rounds * n * n
+            assert result.rounds == rounds
+
+    def test_round_bus_built_only_by_run_instance(self):
+        # one driver: a protocol that builds its own bus bypasses run_instance
+        builders = []
+        for path in sorted(pathlib.Path(netsim.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            parents = {child: node for node in ast.walk(tree)
+                       for child in ast.iter_child_nodes(node)}
+            for node in ast.walk(tree):
+                func = getattr(node, "func", None)
+                if getattr(func, "id", getattr(func, "attr", None)) != "RoundBus":
+                    continue
+                while node in parents and not isinstance(node, ast.FunctionDef):
+                    node = parents[node]
+                builders.append((path.name, getattr(node, "name", "<module>")))
+        assert builders == [("netsim.py", "run_instance")]
 
 
 class TestByteAccounting:

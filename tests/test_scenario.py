@@ -140,6 +140,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("key, value", [
         ("epsilon", float("nan")), ("epsilon", float("inf")), ("epsilon", 1e308),
+        ("epsilon", 8.9e307),
         ("epsilon", 10**400), ("zeta", float("nan")), ("alpha", float("inf")),
         ("rssi_threshold", float("nan")), ("rssi_threshold", -float("inf")),
     ])
@@ -328,6 +329,14 @@ class TestAdversaryConfig:
         outcome = pipeline.run_scenario(parse_scenario(cfg)).outcomes[0]
         assert outcome.rounds > 300
         assert [outcome.outputs[op] for op in (2, 3, 4)] == [1e100] * 3
+
+    def test_honest_run_at_the_epsilon_bound(self):
+        # measurements spread over (0, 2e100); averaging them stays finite
+        cfg = base_config()
+        cfg["network"]["epsilon"] = cfg["events"][0]["truth"] = netsim.MAX_MAGNITUDE
+        outcome = pipeline.run_scenario(parse_scenario(cfg)).outcomes[0]
+        assert outcome.rounds > 300
+        assert all(0.0 < v < 2e100 for v in outcome.outputs.values())
 
     @pytest.mark.parametrize("params", [
         {"offset": "ten"},
