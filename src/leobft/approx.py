@@ -105,13 +105,11 @@ class ApproxOperator:
     # back to the default value instead of the sender's final one.
     HALT_KINDS: frozenset = frozenset({netsim.KIND_HALTED})
 
-    def __init__(self, operator_id: int, params: NetworkParams, initial_value: float,
-                 default_value: float = 0.0):
+    def __init__(self, operator_id: int, params: NetworkParams, initial_value: float):
         self.operator_id = operator_id
         self.params = params
         self.v = float(initial_value)
         self.initial_value = float(initial_value)
-        self.default_value = default_value
         self.exchanges = 0
         self.horizon: Optional[int] = None
         self.first_spread: Optional[float] = None
@@ -136,7 +134,7 @@ class ApproxOperator:
         val_msgs = [m for m in msgs if m.kind == netsim.KIND_VAL]
         if len(val_msgs) == 1:
             return float(val_msgs[0].body[0])
-        return self.default_value  # absent or duplicated sender
+        return 0.0  # absent or duplicated sender, as in ledger.retrieve_approx
 
     def deliver(self, round_no: int, inbox: Dict[int, List[netsim.Message]]) -> None:
         if self._announce_halt and not self.halted:

@@ -183,27 +183,14 @@ def verify_certificate(
 class CommonCoin:
     """Deterministic shared coin: a keyed PRF of (instance, iteration).
 
-    With commonness == 1.0 (the default) every operator sees the same bit,
-    which strengthens the usual at-least-2/3 commonness guarantee. Setting
-    commonness = p < 1 makes each operator's flip independently fall back to
-    a private bit with probability 1 - p, for adversarial-coin experiments.
+    Every operator sees the same bit, which is stronger than the usual
+    common-coin guarantee of the same bit with probability at least 2/3.
     """
 
-    def __init__(self, shared_seed: int, commonness: float = 1.0):
-        if not 0.0 <= commonness <= 1.0:
-            raise ValueError("commonness must be in [0, 1]")
+    def __init__(self, shared_seed: int):
         self._key = hashlib.sha256(encode(shared_seed, "coin")).digest()
-        self.commonness = commonness
 
-    def _digest(self, *parts: Field) -> bytes:
-        return hashlib.blake2b(encode(*parts), key=self._key, digest_size=9).digest()
-
-    def flip(self, instance: str, iteration: int, operator: int = 0) -> int:
-        common = self._digest(instance, iteration)[0] & 1
-        if self.commonness >= 1.0:
-            return common
-        probe = self._digest(instance, iteration, "probe", operator)
-        u = int.from_bytes(probe[1:9], "big") / 2.0**64
-        if u < self.commonness:
-            return common
-        return self._digest(instance, iteration, "private", operator)[0] & 1
+    def flip(self, instance: str, iteration: int) -> int:
+        # blake2b's output depends on digest_size: 9 keeps every recorded bit
+        digest = hashlib.blake2b(encode(instance, iteration), key=self._key, digest_size=9)
+        return digest.digest()[0] & 1

@@ -115,7 +115,7 @@ class BinaryOperator:
             elif ones >= quorum:
                 self.b = 1
             else:
-                self.b = self.coin.flip(self.instance, self.iteration, self.operator_id)
+                self.b = self.coin.flip(self.instance, self.iteration)
             self.step = 1
             self.iteration += 1
 

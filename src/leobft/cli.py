@@ -55,6 +55,23 @@ def _parse_densities(text: str) -> List[float]:
     return values
 
 
+# the most Poisson points one sensor or satellite field may expect: a
+# density-90 detection field expects 4.6M, and memory grows with the count
+MAX_FIELD_POINTS = 1e7
+
+
+def _field_densities(text: str, per_km2: float) -> List[float]:
+    """Densities per `per_km2` square km, each finite, >= 0 and within MAX_FIELD_POINTS."""
+    densities = _parse_densities(text)
+    limit = MAX_FIELD_POINTS * per_km2 / geo.EARTH_AREA_KM2
+    for density in densities:
+        if not 0.0 <= density <= limit:  # NaN fails too
+            raise ConfigError("--densities: %r is not between 0 and %.6g per %g km^2 "
+                              "(at most %g expected points per field)"
+                              % (density, limit, per_km2, MAX_FIELD_POINTS))
+    return densities
+
+
 def _write_rows(out_dir: Optional[str], name: str, header: List[str],
                 rows: List[list]) -> Optional[str]:
     if out_dir is None:
@@ -104,7 +121,9 @@ def _cmd_consensus(args) -> int:
 
 
 def _cmd_constellation(args) -> int:
-    densities = _parse_densities(args.densities)
+    densities = _field_densities(args.densities, 1e6)
+    if args.subbands < 1:
+        raise ConfigError("--subbands must be at least 1")
     rows = geo.interference_sweep(
         densities, args.operators, args.subbands, args.trials, args.seed,
     )
@@ -121,7 +140,7 @@ def _cmd_constellation(args) -> int:
 
 
 def _cmd_detection(args) -> int:
-    densities = _parse_densities(args.densities)
+    densities = _field_densities(args.densities, 1e4)
     rows = geo.detection_sweep(
         densities, args.honest, args.trials, args.seed,
     )

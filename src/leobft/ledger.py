@@ -299,44 +299,17 @@ class CommitOutcome:
     votes_emitted: List[Tuple[int, bytes, int, bytes]] = field(default_factory=list)
 
 
-@dataclass
-class LedgerAdversary:
-    """How controlled operators behave during ledger voting.
-
-    proposal: "honest", "corrupt" (shift entries by params offset, or inject
-    the configured key/value), "equivocate" (two different signed payloads)
-    or "crash" (no proposal). vote_policy: "honest", "approve-all",
-    "reject-all" or "crash".
-    """
-
-    controlled: frozenset
-    proposal: str = "honest"
-    vote_policy: str = "honest"
-    offset: float = netsim.DEFAULT_OFFSET
-    inject_key: Optional[Tuple[int, int, int]] = None
-    inject_value: float = 0.0
-
-    def corrupt_tensor(self, local: UsageTensor) -> UsageTensor:
-        bad = local.copy()
-        if self.inject_key is not None:
-            bad.set(self.inject_key, self.inject_value)
-        elif bad.entries:
-            for key in list(bad.entries):
-                bad.set(key, bad.get(key) + self.offset)
-        else:
-            bad.set((0, 0, 0), self.offset)
-        return bad
-
-
 def commit_period(params: NetworkParams, registry: auth.KeyRegistry,
                   ledger: TensorLedger, period: int,
                   locals_by_op: Dict[int, UsageTensor], mode: str,
-                  adversary: Optional[LedgerAdversary] = None) -> CommitOutcome:
+                  adversary: Optional[netsim.AdversaryStrategy] = None) -> CommitOutcome:
     """Drive one period through proposal/vote attempts until a block commits.
 
     mode "exact" votes on byte identity, mode "approx" on the alpha band.
     Runs at most f+1 attempts; with at most f faulty operators the rotation
     reaches an honest proposer whose proposal every honest operator approves.
+    The adversary's operators propose and vote by its proposal and
+    vote_policy.
     """
     if mode not in ("exact", "approx"):
         raise ValueError("mode must be 'exact' or 'approx'")

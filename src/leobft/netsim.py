@@ -8,7 +8,8 @@ operator; an empty list is the explicit "absent this round" marker.
 
 Adversarial operators keep an honestly-updating state machine, but whatever
 it wants to send is substituted according to the bound strategy. Strategies
-may only sign through keys their operators own.
+may only sign through keys their operators own. The same strategy decides how
+its operators propose and vote in the ledger phase and answer retrieval.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import auth
-from .model import MAX_MAGNITUDE
+from .model import MAX_MAGNITUDE, UsageTensor
 
 BROADCAST = -1
 
@@ -37,6 +38,21 @@ BOUNDARY_ATTACKER = "boundary-attacker"
 BAD_PROPOSER = "bad-proposer"
 
 BEHAVIORS = (CRASH, EQUIVOCATE, RANDOM_VALUES, VALUE_LIAR, BOUNDARY_ATTACKER, BAD_PROPOSER)
+
+VOTE_POLICIES = ("honest", "approve-all", "reject-all", "crash")
+PROPOSAL_STYLES = ("honest", "corrupt", "equivocate", "crash")
+
+# behavior -> (ledger proposal, ledger vote policy, retrieval answer) of its
+# operators; the first two apply when the strategy does not set them, and a
+# "crash" retrieval answer is silence
+LEDGER_ROLES: Dict[str, Tuple[str, str, str]] = {
+    CRASH: ("crash", "crash", "crash"),
+    EQUIVOCATE: ("equivocate", "honest", "corrupt"),
+    RANDOM_VALUES: ("corrupt", "honest", "corrupt"),
+    VALUE_LIAR: ("corrupt", "honest", "corrupt"),
+    BOUNDARY_ATTACKER: ("honest", "honest", "honest"),
+    BAD_PROPOSER: ("corrupt", "honest", "corrupt"),
+}
 
 # how far a value liar, a corrupt proposer and a lying responder shift a value
 DEFAULT_OFFSET = 10.0
@@ -96,23 +112,37 @@ Outbound = Tuple[int, Message]  # (destination operator or BROADCAST, message)
 
 @dataclass
 class AdversaryStrategy:
-    """Which operators misbehave and how.
+    """Which operators misbehave and how, in every phase of a period.
 
     controlled: operator ids the adversary owns (at most f for the guarantees
     to hold; the bus does not enforce this so tests can exceed it on purpose).
     rotate: if true, the controlled set changes every round, cycling through
     all operators in id order with the same cardinality.
+    proposal: how a controlled proposer acts in the ledger phase: "honest",
+    "corrupt" (proposes corrupt_tensor of its local tensor), "equivocate"
+    (signs both) or "crash" (proposes nothing). vote_policy: "honest",
+    "approve-all", "reject-all" or "crash" (no vote). None takes the
+    behavior's entry in LEDGER_ROLES.
     """
 
     behavior: str
     controlled: frozenset
     params: dict = field(default_factory=dict)
     rotate: bool = False
+    proposal: Optional[str] = None
+    vote_policy: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.behavior not in BEHAVIORS:
-            raise ValueError("unknown adversary behavior %r" % self.behavior)
+            raise ValueError("adversary behavior must be one of %s" % (BEHAVIORS,))
+        if self.proposal not in PROPOSAL_STYLES + (None,):
+            raise ValueError("proposal must be one of %s" % (PROPOSAL_STYLES,))
+        if self.vote_policy not in VOTE_POLICIES + (None,):
+            raise ValueError("vote_policy must be one of %s" % (VOTE_POLICIES,))
         self.controlled = frozenset(self.controlled)
+        proposal, vote_policy, _ = LEDGER_ROLES[self.behavior]
+        self.proposal = self.proposal or proposal
+        self.vote_policy = self.vote_policy or vote_policy
 
     def controlled_at(self, round_no: int, all_ids: Sequence[int]) -> frozenset:
         if not self.rotate or not self.controlled:
@@ -121,6 +151,24 @@ class AdversaryStrategy:
         k = len(self.controlled)
         start = round_no % len(ids)
         return frozenset(ids[(start + i) % len(ids)] for i in range(k))
+
+    def corrupt_tensor(self, local: UsageTensor) -> UsageTensor:
+        """local with every entry shifted by params offset (or one entry set to it)."""
+        offset = float(self.params.get("offset", DEFAULT_OFFSET))
+        bad = local.copy()
+        if bad.entries:
+            for key in list(bad.entries):
+                bad.set(key, bad.get(key) + offset)
+        else:
+            bad.set((0, 0, 0), offset)
+        return bad
+
+    def retrieval_answer(self, local: UsageTensor) -> Optional[UsageTensor]:
+        """What a controlled operator returns for a retrieval request; None is silence."""
+        answer = LEDGER_ROLES[self.behavior][2]
+        if answer == "crash":
+            return None
+        return local.copy() if answer == "honest" else self.corrupt_tensor(local)
 
 
 def honest_ids(operator_ids: Sequence[int],
@@ -135,20 +183,14 @@ def honest_ids(operator_ids: Sequence[int],
     return [op for op in operator_ids if op not in adversary.controlled]
 
 
-class _AdversaryContext:
-    def __init__(self, all_ids: Sequence[int], rng: random.Random, participant):
-        self.all_ids = sorted(all_ids)
-        self.rng = rng
-        self.participant = participant
-
-    def split_recipients(self, recipients: Sequence[int]) -> Tuple[List[int], List[int]]:
-        ordered = sorted(recipients)
-        half = len(ordered) // 2
-        return ordered[:half], ordered[half:]
+def _halves(recipients: Sequence[int]) -> Tuple[List[int], List[int]]:
+    ordered = sorted(recipients)
+    half = len(ordered) // 2
+    return ordered[:half], ordered[half:]
 
 
 def _lie_values(strategy: AdversaryStrategy, base: float, recipients: Sequence[int],
-                ctx: _AdversaryContext) -> List[Tuple[int, float]]:
+                rng: random.Random) -> List[Tuple[int, float]]:
     """(recipient, value) pairs sent instead of base by one of the four value lies.
 
     Shared by approximate-agreement values and own-origin broadcasts; crash
@@ -158,22 +200,23 @@ def _lie_values(strategy: AdversaryStrategy, base: float, recipients: Sequence[i
     if behavior == EQUIVOCATE:
         delta = float(params.get("delta", 1.0))
         lo, hi = params.get("values", (base - delta, base + delta))
-        lows, highs = ctx.split_recipients(recipients)
+        lows, highs = _halves(recipients)
         return [(r, float(lo)) for r in lows] + [(r, float(hi)) for r in highs]
     if behavior == RANDOM_VALUES:
         lo, hi = params.get("range", (-100.0, 100.0))
-        return [(r, ctx.rng.uniform(lo, hi)) for r in recipients]
+        return [(r, rng.uniform(lo, hi)) for r in recipients]
     if behavior == BOUNDARY_ATTACKER:
         mid = float(params.get("threshold", 0.0))
         eps = float(params.get("epsilon", 1.0))
-        return [(r, mid + eps * (2 * ctx.rng.random() - 1)) for r in recipients]
+        return [(r, mid + eps * (2 * rng.random() - 1)) for r in recipients]
     # VALUE_LIAR
     value = float(params.get("value", base + params.get("offset", DEFAULT_OFFSET)))
     return [(r, value) for r in recipients]
 
 
 def _substitute(strategy: AdversaryStrategy, op: int, round_no: int,
-                intended: List[Outbound], ctx: _AdversaryContext) -> List[Outbound]:
+                intended: List[Outbound], all_ids: Sequence[int], rng: random.Random,
+                participant) -> List[Outbound]:
     """Replace an operator's honest outbox according to the strategy."""
     behavior = strategy.behavior
     params = strategy.params
@@ -185,18 +228,18 @@ def _substitute(strategy: AdversaryStrategy, op: int, round_no: int,
 
     out: List[Outbound] = []
     for dest, msg in intended:
-        recipients = ctx.all_ids if dest == BROADCAST else [dest]
+        recipients = all_ids if dest == BROADCAST else [dest]
 
         if msg.kind in (KIND_BIT, KIND_CERT):
             original = int(msg.body[0])
             if behavior == EQUIVOCATE:
-                lows, highs = ctx.split_recipients(recipients)
+                lows, highs = _halves(recipients)
                 b0, b1 = params.get("bits", (0, 1))
                 out.extend((r, Message(op, KIND_BIT, (b0,))) for r in lows)
                 out.extend((r, Message(op, KIND_BIT, (b1,))) for r in highs)
             elif behavior == RANDOM_VALUES or behavior == BOUNDARY_ATTACKER:
                 out.extend(
-                    (r, Message(op, KIND_BIT, (ctx.rng.randint(0, 1),)))
+                    (r, Message(op, KIND_BIT, (rng.randint(0, 1),)))
                     for r in recipients
                 )
             elif behavior == VALUE_LIAR:
@@ -211,22 +254,22 @@ def _substitute(strategy: AdversaryStrategy, op: int, round_no: int,
                     out.extend((r, Message(op, KIND_HALTED, (value,))) for r in recipients)
                 continue
             out.extend((r, Message(op, KIND_VAL, (value,)))
-                       for r, value in _lie_values(strategy, original_value, recipients, ctx))
+                       for r, value in _lie_values(strategy, original_value, recipients, rng))
 
         elif msg.kind == KIND_BCAST:
             signed: auth.SignedMessage = msg.body[0]
             own_origin = signed.signers == (op,)
-            if own_origin and hasattr(ctx.participant, "make_own_broadcast"):
-                base = float(ctx.participant.initial_value)
-                out.extend((r, ctx.participant.make_own_broadcast(value))
-                           for r, value in _lie_values(strategy, base, recipients, ctx))
+            if own_origin and hasattr(participant, "make_own_broadcast"):
+                base = float(participant.initial_value)
+                out.extend((r, participant.make_own_broadcast(value))
+                           for r, value in _lie_values(strategy, base, recipients, rng))
             else:
                 # relayed chains cannot be forged, only withheld or split
                 if behavior == EQUIVOCATE:
-                    keep, _ = ctx.split_recipients(recipients)
+                    keep, _ = _halves(recipients)
                     out.extend((r, msg) for r in keep)
                 elif behavior == RANDOM_VALUES:
-                    out.extend((r, msg) for r in recipients if ctx.rng.random() < 0.5)
+                    out.extend((r, msg) for r in recipients if rng.random() < 0.5)
                 else:
                     out.extend((r, msg) for r in recipients)
         else:
@@ -283,8 +326,8 @@ class RoundBus:
             intended = list(participant.outgoing(round_no))
             if op in controlled:
                 rng = random.Random(auth.derive_seed(self.seed, "adv", op, round_no))
-                ctx = _AdversaryContext(self.operator_ids, rng, participant)
-                outbound = _substitute(self.adversary, op, round_no, intended, ctx)
+                outbound = _substitute(self.adversary, op, round_no, intended,
+                                       self.operator_ids, rng, participant)
             else:
                 outbound = intended
                 if getattr(participant, "halted", False):
@@ -316,14 +359,6 @@ class RoundBus:
 
         self.round += 1
         return inboxes
-
-    def bytes_exchanged(self, op: int) -> int:
-        """Canonical bytes the operator put on the wire plus bytes received.
-
-        Each originated message is counted once regardless of fan-out; the
-        per-delivery figure is tracked separately in `delivered`.
-        """
-        return self.originated[op] + self.received[op]
 
     def transcript_rows(self) -> List[Tuple[int, int, int, str, int]]:
         if self.transcript is None:

@@ -133,8 +133,7 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     ids = list(params.operator_ids())
     registry = auth.KeyRegistry(ids, auth.derive_seed(sc.seed, "keys"))
     coin = auth.CommonCoin(auth.derive_seed(sc.seed, "coin"))
-    strategy = sc.adversary.message_strategy() if sc.adversary else None
-    honest = netsim.honest_ids(ids, strategy)
+    honest = netsim.honest_ids(ids, sc.adversary)
     profile = _PROFILES[sc.profile]
 
     locals_by_op = {op: UsageTensor(sc.period, sc.dims) for op in ids}
@@ -153,7 +152,7 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
         }
         instance = "p%d.e%d" % (sc.period, index)
         record = sc.record_transcript and index == 0
-        bus = {"seed": auth.derive_seed(sc.seed, "bus", index), "adversary": strategy,
+        bus = {"seed": auth.derive_seed(sc.seed, "bus", index), "adversary": sc.adversary,
                "frame_bytes": sc.frame_bytes, "record_transcript": record}
         result = profile.run(sc, initials, instance, coin, registry, bus)
         outputs = {op: profile.output(result, op) for op in ids}
@@ -177,11 +176,10 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     # ledger commit for the period
     chain = ledger.TensorLedger(params, registry)
     mode = "exact" if sc.profile in ("binary", "exact") else "approx"
-    ledger_adv = sc.adversary.ledger_adversary() if sc.adversary else None
     commit = ledger.commit_period(params, registry, chain, sc.period,
-                                  locals_by_op, mode, ledger_adv)
+                                  locals_by_op, mode, sc.adversary)
 
-    responses = _retrieval_responses(sc, locals_by_op)
+    responses = _retrieval_responses(sc.adversary, locals_by_op)
     retrieved_exact = ledger.retrieve_exact(responses, params.max_faulty)
     retrieved_approx = ledger.retrieve_approx(responses, params, sc.period, sc.dims)
     _check_retrieval(sc, honest, locals_by_op, retrieved_exact, retrieved_approx)
@@ -194,6 +192,9 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
         commit=commit,
         retrieved_exact=retrieved_exact,
         retrieved_approx=retrieved_approx,
+        # exchanged: the canonical bytes an operator put on the wire plus the
+        # bytes it received; each originated message counts once regardless of
+        # fan-out, the per-delivery figure is `delivered`
         bytes_by_op={
             op: (acc[0], acc[1], acc[2], acc[0] + acc[2])
             for op, acc in bytes_acc.items()
@@ -202,17 +203,15 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     )
 
 
-def _retrieval_responses(sc: Scenario, locals_by_op: Dict[int, UsageTensor]
-                         ) -> Dict[int, UsageTensor]:
+def _retrieval_responses(adversary: Optional[netsim.AdversaryStrategy],
+                         locals_by_op: Dict[int, UsageTensor]) -> Dict[int, UsageTensor]:
     responses = {op: tensor.copy() for op, tensor in locals_by_op.items()}
-    if not sc.adversary:
-        return responses
-    liar = sc.adversary.ledger_adversary()
-    for op in sc.adversary.operators:
-        if sc.adversary.behavior == netsim.CRASH:
+    for op in adversary.controlled if adversary else ():
+        answer = adversary.retrieval_answer(locals_by_op[op])
+        if answer is None:
             del responses[op]
-        elif sc.adversary.behavior != netsim.BOUNDARY_ATTACKER:  # it answers honestly
-            responses[op] = liar.corrupt_tensor(locals_by_op[op])
+        else:
+            responses[op] = answer
     return responses
 
 

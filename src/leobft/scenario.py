@@ -7,16 +7,14 @@ Unknown keys anywhere in the file are rejected so that a typo like
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from . import ledger, netsim
+from . import netsim
 from .model import MAX_MAGNITUDE, NetworkParams
 
 PROFILES = ("binary", "exact", "approx")
 AGGREGATIONS = ("median", "trimmed-stride")
-VOTE_POLICIES = ("honest", "approve-all", "reject-all", "crash")
-PROPOSAL_STYLES = ("honest", "corrupt", "equivocate", "crash")
 
 
 class ConfigError(ValueError):
@@ -63,50 +61,6 @@ class EventConfig:
 
 
 @dataclass(frozen=True)
-class AdversaryConfig:
-    behavior: str
-    operators: Tuple[int, ...]
-    params: dict = field(default_factory=dict)
-    rotate: bool = False
-    vote_policy: Optional[str] = None  # None: derived from behavior
-    proposal: Optional[str] = None  # None: derived from behavior
-
-    def message_strategy(self) -> netsim.AdversaryStrategy:
-        return netsim.AdversaryStrategy(
-            behavior=self.behavior,
-            controlled=frozenset(self.operators),
-            params=dict(self.params),
-            rotate=self.rotate,
-        )
-
-    def proposal_style(self) -> str:
-        if self.proposal is not None:
-            return self.proposal
-        return {
-            netsim.CRASH: "crash",
-            netsim.BAD_PROPOSER: "corrupt",
-            netsim.EQUIVOCATE: "equivocate",
-            netsim.VALUE_LIAR: "corrupt",
-            netsim.RANDOM_VALUES: "corrupt",
-            netsim.BOUNDARY_ATTACKER: "honest",
-        }[self.behavior]
-
-    def effective_vote_policy(self) -> str:
-        if self.vote_policy is not None:
-            return self.vote_policy
-        return "crash" if self.behavior == netsim.CRASH else "honest"
-
-    def ledger_adversary(self) -> ledger.LedgerAdversary:
-        """How the controlled operators propose, vote and answer retrieval."""
-        return ledger.LedgerAdversary(
-            controlled=frozenset(self.operators),
-            proposal=self.proposal_style(),
-            vote_policy=self.effective_vote_policy(),
-            offset=float(self.params.get("offset", netsim.DEFAULT_OFFSET)),
-        )
-
-
-@dataclass(frozen=True)
 class Scenario:
     profile: str
     seed: int
@@ -114,7 +68,7 @@ class Scenario:
     dims: Tuple[int, int, int]  # (regions, subbands, operators)
     period: int
     events: Tuple[EventConfig, ...]
-    adversary: Optional[AdversaryConfig]
+    adversary: Optional[netsim.AdversaryStrategy]
     frame_bytes: Optional[int]
     aggregation: str
     record_transcript: bool
@@ -188,8 +142,6 @@ def parse_scenario(obj) -> Scenario:
         _check_keys(adv, {"behavior", "operators", "params", "rotate", "vote_policy",
                           "proposal"}, "adversary")
         behavior = _get(adv, "behavior", str, "adversary")
-        if behavior not in netsim.BEHAVIORS:
-            raise ConfigError("adversary behavior must be one of %s" % (netsim.BEHAVIORS,))
         raw_ops = _get(adv, "operators", list, "adversary")
         ops = []
         for op in raw_ops:
@@ -200,26 +152,27 @@ def parse_scenario(obj) -> Scenario:
             ops.append(op)
         if len(set(ops)) != len(ops):
             raise ConfigError("adversary operators must be distinct")
-        vote_policy = adv.get("vote_policy")
-        if vote_policy is not None and vote_policy not in VOTE_POLICIES:
-            raise ConfigError("vote_policy must be one of %s" % (VOTE_POLICIES,))
-        proposal = adv.get("proposal")
-        if proposal is not None and proposal not in PROPOSAL_STYLES:
-            raise ConfigError("proposal must be one of %s" % (PROPOSAL_STYLES,))
+        if len(ops) > network.max_faulty:
+            raise ConfigError("adversary controls %d operators, more than max_faulty %d"
+                              % (len(ops), network.max_faulty))
         params = _get(adv, "params", dict, "adversary", default={})
         _check_keys(params, set(netsim.PARAM_TYPES), "adversary params")
         for key, value in params.items():
             kind, ok = netsim.PARAM_TYPES[key]
             if not ok(value):
                 raise ConfigError("adversary param %r must be %s" % (key, kind))
-        adversary = AdversaryConfig(
-            behavior=behavior,
-            operators=tuple(sorted(ops)),
-            params=params,
-            rotate=_get(adv, "rotate", bool, "adversary", default=False),
-            vote_policy=vote_policy,
-            proposal=proposal,
-        )
+        rotate = _get(adv, "rotate", bool, "adversary", default=False)
+        try:
+            adversary = netsim.AdversaryStrategy(
+                behavior=behavior,
+                controlled=frozenset(ops),
+                params=params,
+                rotate=rotate,
+                proposal=adv.get("proposal"),
+                vote_policy=adv.get("vote_policy"),
+            )
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
 
     frame_bytes = root.get("frame_bytes")
     if frame_bytes is not None:

@@ -17,7 +17,7 @@ from scipy.stats import spearmanr
 
 from leobft import approx, auth, binary, exact, geo, ledger, netsim, pipeline
 from leobft.model import NetworkParams, UsageTensor
-from leobft.scenario import AdversaryConfig, parse_scenario
+from leobft.scenario import parse_scenario
 
 GRID = [(4, 1), (7, 2), (10, 3)]
 BEHAVIORS = list(netsim.BEHAVIORS)
@@ -301,15 +301,12 @@ def test_criterion_5_ledger_safety_exhaustive(report):
 
         for behavior, faulty, vote_policy in itertools.product(
                 BEHAVIORS, ids, ("derived", "approve-all", "reject-all")):
-            adv_cfg = AdversaryConfig(behavior=behavior, operators=(faulty,))
-            policy = (adv_cfg.effective_vote_policy() if vote_policy == "derived"
-                      else vote_policy)
             locals_by_op = make_locals(mode)
-            adversary = ledger.LedgerAdversary(
+            adversary = netsim.AdversaryStrategy(
+                behavior=behavior,
                 controlled=frozenset({faulty}),
-                proposal=adv_cfg.proposal_style(),
-                vote_policy=policy,
-                offset=10.0,
+                params={"offset": 10.0},
+                vote_policy=None if vote_policy == "derived" else vote_policy,
             )
             chain = ledger.TensorLedger(params, registry)
             outcome = ledger.commit_period(params, registry, chain, 0,
@@ -318,7 +315,7 @@ def test_criterion_5_ledger_safety_exhaustive(report):
 
             # liveness within f+1 attempts despite one faulty operator
             assert outcome.block is not None, \
-                "no commit: %s faulty=%d votes=%s" % (behavior, faulty, policy)
+                "no commit: %s faulty=%d votes=%s" % (behavior, faulty, adversary.vote_policy)
 
             # safety: per attempt, honest operators vote once and at most one
             # digest can gather a quorum of distinct signers

@@ -124,7 +124,7 @@ class TestHaltMechanics:
                                    frame_bytes=200)
         assert result.rounds == 10
         for op in params.operator_ids():
-            assert result.bus.bytes_exchanged(op) == 10 * 200 * 4
+            assert result.bus.originated[op] + result.bus.received[op] == 10 * 200 * 4
 
     def test_split_inputs_converge_without_the_coin(self):
         # a fault-free 2-2 split resolves through the step-1 else branch

@@ -8,7 +8,8 @@ import json
 import pytest
 
 from leobft import auth, ledger
-from leobft.cli import _parse_densities, main
+from leobft.cli import MAX_FIELD_POINTS, _field_densities, _parse_densities, main
+from leobft.geo import EARTH_AREA_KM2
 from leobft.scenario import ConfigError
 
 
@@ -48,6 +49,18 @@ class TestDensityParsing:
         for bad in ["1:2", "1:2:3:4", "a:b:c", "1:9:0", "x,y", ""]:
             with pytest.raises(ConfigError):
                 _parse_densities(bad)
+
+    def test_default_and_benchmark_densities_accepted(self):
+        assert _field_densities("3:17:15", 1e6)[-1] == 17.0
+        assert _field_densities("5,17", 1e6) == [5.0, 17.0]
+        assert _field_densities("10,30,50,70,90", 1e4)[-1] == 90.0
+        assert _field_densities("0", 1e4) == [0.0]
+
+    def test_density_bound_is_expected_points_per_field(self):
+        limit = MAX_FIELD_POINTS * 1e4 / EARTH_AREA_KM2
+        assert _field_densities(repr(limit), 1e4) == [limit]
+        with pytest.raises(ConfigError, match="expected points per field"):
+            _field_densities(repr(limit * 1.000001), 1e4)
 
 
 class TestConsensusCommand:
@@ -153,6 +166,22 @@ class TestConsensusCommand:
             assert err.startswith("configuration error: " + message)
             assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("profile, operators", [
+        ("approx", [1, 2, 3, 4]),  # ran into max() of an empty honest set
+        ("binary", [1, 2]),  # ran past the binary iteration cap
+    ])
+    def test_more_than_f_adversary_operators_is_exit_1(self, config_file, tmp_path,
+                                                       capsys, profile, operators):
+        cfg = json.loads(config_file.read_text())
+        cfg["profile"] = profile
+        cfg["adversary"] = {"behavior": "value-liar", "operators": operators}
+        config_file.write_text(json.dumps(cfg))
+        assert main(["consensus", "--config", str(config_file),
+                     "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == ("configuration error: adversary controls %d operators, "
+                       "more than max_faulty 1\n" % len(operators))
+
     def test_bad_flag_is_exit_1(self, config_file, capsys):
         assert main(["consensus", "--config", str(config_file),
                      "--frobnicate"]) == 1
@@ -182,6 +211,22 @@ class TestConstellationCommand:
         assert main(["constellation", "--densities", "4", "--trials", "1"]) == 0
         stdout = capsys.readouterr().out
         assert "wrote" not in stdout
+
+
+class TestGeoFlags:
+    @pytest.mark.parametrize("argv, message", [
+        (["constellation", "--subbands", "0"], "--subbands must be at least 1"),
+        (["constellation", "--densities", "-5"], "--densities: -5.0 is not between 0"),
+        (["detection", "--densities", "nan"], "--densities: nan is not between 0"),
+        (["constellation", "--densities", "inf"], "--densities: inf is not between 0"),
+        (["detection", "--densities", "1e30"], "--densities: 1e+30 is not between 0"),
+    ])
+    def test_bad_geo_flag_is_exit_1(self, capsys, argv, message):
+        assert main(argv + ["--trials", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: " + message)
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
 
 class TestDetectionCommand:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from leobft import auth, ledger
 from leobft.ledger import (
-    LedgerAdversary,
     TensorLedger,
     approx_vote,
     audit_chain,
@@ -24,6 +23,7 @@ from leobft.ledger import (
     verify_rejection,
     verify_verdict,
 )
+from leobft.netsim import AdversaryStrategy
 from leobft.model import NetworkParams, UsageTensor
 
 
@@ -174,8 +174,8 @@ class TestCommitFlow:
         params = make_params()
         chain = TensorLedger(params, registry)
         # attempt 0 of period 0 belongs to operator 1; crash it
-        adversary = LedgerAdversary(controlled=frozenset({1}), proposal="crash",
-                                    vote_policy="crash")
+        adversary = AdversaryStrategy("bad-proposer", frozenset({1}), proposal="crash",
+                                      vote_policy="crash")
         locals_by_op = {op: make_tensor() for op in params.operator_ids()}
         outcome = commit_period(params, registry, chain, 0, locals_by_op, "exact",
                                 adversary)
@@ -186,7 +186,8 @@ class TestCommitFlow:
     def test_equivocating_proposer_gets_verdict(self, registry):
         params = make_params()
         chain = TensorLedger(params, registry)
-        adversary = LedgerAdversary(controlled=frozenset({1}), proposal="equivocate")
+        adversary = AdversaryStrategy("bad-proposer", frozenset({1}), proposal="equivocate",
+                                      vote_policy="honest")
         locals_by_op = {op: make_tensor() for op in params.operator_ids()}
         outcome = commit_period(params, registry, chain, 0, locals_by_op, "exact",
                                 adversary)
@@ -200,8 +201,8 @@ class TestCommitFlow:
     def test_corrupt_proposal_rejected_with_verdict(self, registry):
         params = make_params()
         chain = TensorLedger(params, registry)
-        adversary = LedgerAdversary(controlled=frozenset({1}), proposal="corrupt",
-                                    vote_policy="honest")
+        adversary = AdversaryStrategy("bad-proposer", frozenset({1}), proposal="corrupt",
+                                      vote_policy="honest")
         locals_by_op = {op: make_tensor() for op in params.operator_ids()}
         outcome = commit_period(params, registry, chain, 0, locals_by_op, "exact",
                                 adversary)
@@ -213,8 +214,8 @@ class TestCommitFlow:
     def test_reject_all_minority_cannot_block_commit(self, registry):
         params = make_params()
         chain = TensorLedger(params, registry)
-        adversary = LedgerAdversary(controlled=frozenset({3}), proposal="honest",
-                                    vote_policy="reject-all")
+        adversary = AdversaryStrategy("bad-proposer", frozenset({3}), proposal="honest",
+                                      vote_policy="reject-all")
         locals_by_op = {op: make_tensor() for op in params.operator_ids()}
         outcome = commit_period(params, registry, chain, 0, locals_by_op, "exact",
                                 adversary)
@@ -245,8 +246,8 @@ class TestCommitFlow:
     def test_commit_never_exceeds_f_plus_one_attempts(self, registry):
         params = make_params()
         chain = TensorLedger(params, registry)
-        adversary = LedgerAdversary(controlled=frozenset({1, 2}), proposal="crash",
-                                    vote_policy="crash")
+        adversary = AdversaryStrategy("bad-proposer", frozenset({1, 2}), proposal="crash",
+                                      vote_policy="crash")
         locals_by_op = {op: make_tensor() for op in params.operator_ids()}
         # two crashed proposers exceed f; the window can close without a block
         outcome = commit_period(params, registry, chain, 0, locals_by_op, "exact",
@@ -271,8 +272,8 @@ class TestCommitFlow:
         # would need 2(2f+1) - N > f distinct faulty voters
         params = make_params()
         chain = TensorLedger(params, registry)
-        adversary = LedgerAdversary(controlled=frozenset({1}), proposal="equivocate",
-                                    vote_policy="approve-all")
+        adversary = AdversaryStrategy("bad-proposer", frozenset({1}), proposal="equivocate",
+                                      vote_policy="approve-all")
         locals_by_op = {op: make_tensor() for op in params.operator_ids()}
         outcome = commit_period(params, registry, chain, 0, locals_by_op, "exact",
                                 adversary)

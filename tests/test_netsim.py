@@ -7,7 +7,7 @@ import pathlib
 import pytest
 
 from leobft import approx, binary, exact, netsim
-from leobft.model import NetworkParams
+from leobft.model import NetworkParams, UsageTensor
 from leobft.netsim import BROADCAST, AdversaryStrategy, Message, RoundBus
 
 
@@ -167,14 +167,14 @@ class TestByteAccounting:
             assert bus.delivered[op] == 800
             assert bus.received[op] == 800
             assert bus.originated[op] == 200
-            assert bus.bytes_exchanged(op) == 1000
+            assert bus.originated[op] + bus.received[op] == 1000
 
     def test_exchanged_counts_each_origination_once(self):
         bus = make_bus(5, frame_bytes=200)
         for _ in range(10):
             bus.run_round()
         for op in range(1, 6):
-            assert bus.bytes_exchanged(op) == 10 * (200 + 4 * 200)
+            assert bus.originated[op] + bus.received[op] == 10 * (200 + 4 * 200)
 
     def test_frame_is_a_floor_not_a_truncation(self):
         class Chatty(Echo):
@@ -335,3 +335,74 @@ class TestAdversarySubstitution:
         assert inbox0[2][0].kind == netsim.KIND_HALTED
         assert inbox0[2][0].body == (42.0,)
         assert inbox1[2] == []
+
+
+class TestLedgerRoles:
+    # behavior -> (proposal, vote policy, retrieval answer) derived when a
+    # config names neither the proposal nor the vote policy
+    DERIVED = {
+        "crash": ("crash", "crash", "silent"),
+        "bad-proposer": ("corrupt", "honest", "corrupt"),
+        "equivocate": ("equivocate", "honest", "corrupt"),
+        "value-liar": ("corrupt", "honest", "corrupt"),
+        "random-values": ("corrupt", "honest", "corrupt"),
+        "boundary-attacker": ("honest", "honest", "honest"),
+    }
+
+    @staticmethod
+    def _answer(strategy, local):
+        answer = strategy.retrieval_answer(local)
+        if answer is None:
+            return "silent"
+        if answer.canonical_bytes() == local.canonical_bytes():
+            return "honest"
+        assert answer.canonical_bytes() == strategy.corrupt_tensor(local).canonical_bytes()
+        return "corrupt"
+
+    def test_roles_derived_from_behavior(self):
+        local = UsageTensor(0, (2, 2, 4))
+        local.set((1, 0, 2), 0.25)
+        assert set(self.DERIVED) == set(netsim.BEHAVIORS)
+        for behavior, roles in self.DERIVED.items():
+            strategy = AdversaryStrategy(behavior, frozenset({2}))
+            assert (strategy.proposal, strategy.vote_policy,
+                    self._answer(strategy, local)) == roles, behavior
+
+    def test_set_roles_override_the_derived_ones(self):
+        strategy = AdversaryStrategy(netsim.CRASH, frozenset({2}), proposal="honest",
+                                     vote_policy="approve-all")
+        assert (strategy.proposal, strategy.vote_policy) == ("honest", "approve-all")
+        with pytest.raises(ValueError, match="proposal"):
+            AdversaryStrategy(netsim.CRASH, frozenset({2}), proposal="spam")
+        with pytest.raises(ValueError, match="vote_policy"):
+            AdversaryStrategy(netsim.CRASH, frozenset({2}), vote_policy="repeat")
+
+    def test_corrupt_tensor_shifts_every_entry_by_offset(self):
+        local = UsageTensor(0, (2, 2, 4))
+        local.set((0, 1, 3), 0.5)
+        local.set((1, 1, 0), -2.0)
+        shifted = AdversaryStrategy(netsim.VALUE_LIAR, frozenset({1}),
+                                    params={"offset": 3}).corrupt_tensor(local)
+        assert shifted.entries == {(0, 1, 3): 3.5, (1, 1, 0): 1.0}
+        empty = AdversaryStrategy(netsim.VALUE_LIAR, frozenset({1})).corrupt_tensor(
+            UsageTensor(0, (2, 2, 4)))
+        assert empty.entries == {(0, 0, 0): netsim.DEFAULT_OFFSET}
+        assert local.entries == {(0, 1, 3): 0.5, (1, 1, 0): -2.0}  # input untouched
+
+    def test_behavior_compared_only_in_netsim(self):
+        # one module decides how a controlled operator acts in every phase
+        readers = []
+        for path in sorted(pathlib.Path(netsim.__file__).parent.glob("*.py")):
+            if path.name == "netsim.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Compare):
+                    operands = [node.left, *node.comparators]
+                elif isinstance(node, ast.Subscript):
+                    operands = [node.slice]
+                else:
+                    continue
+                if any(isinstance(x, ast.Attribute) and x.attr == "behavior"
+                       for x in operands):
+                    readers.append((path.name, node.lineno))
+        assert readers == []

@@ -110,7 +110,7 @@ class TestAdversarialRuns:
     def test_crash_adversary_omitted_from_retrieval(self):
         sc = make_config(profile="exact",
                          adversary={"behavior": "crash", "operators": [2]})
-        responses = pipeline._retrieval_responses(sc, run_scenario(sc).locals_by_op)
+        responses = pipeline._retrieval_responses(sc.adversary, run_scenario(sc).locals_by_op)
         assert set(responses) == {1, 3, 4}
 
     def test_liar_adversary_shifts_its_response(self):
@@ -118,7 +118,7 @@ class TestAdversarialRuns:
                          adversary={"behavior": "value-liar", "operators": [2],
                                     "params": {"offset": 5.0}})
         locals_by_op = run_scenario(sc).locals_by_op
-        responses = pipeline._retrieval_responses(sc, locals_by_op)
+        responses = pipeline._retrieval_responses(sc.adversary, locals_by_op)
         key = next(iter(locals_by_op[2].entries))
         assert responses[2].get(key) == pytest.approx(locals_by_op[2].get(key) + 5.0)
         # originals untouched

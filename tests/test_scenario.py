@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leobft import netsim, pipeline
+from leobft.model import UsageTensor
+from leobft.netsim import AdversaryStrategy
 from leobft.pipeline import PropertyViolation
 from leobft.scenario import (
-    AdversaryConfig,
     ConfigError,
     load_scenario,
     parse_scenario,
@@ -266,7 +267,7 @@ class TestAdversaryConfig:
     def test_adversary_parses(self):
         sc = parse_scenario(self._with_adv())
         assert sc.adversary.behavior == "crash"
-        assert sc.adversary.operators == (2,)
+        assert sc.adversary.controlled == frozenset({2})
 
     def test_unknown_behavior_rejected(self):
         cfg = self._with_adv()
@@ -285,6 +286,17 @@ class TestAdversaryConfig:
         cfg["adversary"]["operators"] = [True]
         with pytest.raises(ConfigError):
             parse_scenario(cfg)
+
+    @pytest.mark.parametrize("profile", ["binary", "exact", "approx"])
+    @pytest.mark.parametrize("operators", [[1, 2], [1, 2, 3, 4]])
+    def test_more_than_f_operators_rejected(self, profile, operators):
+        # the guarantees cover the honest operators only when at most f misbehave
+        cfg = self._with_adv(behavior="value-liar", operators=operators)
+        cfg["profile"] = profile
+        with pytest.raises(ConfigError, match="more than max_faulty 1"):
+            parse_scenario(cfg)
+        cfg["adversary"]["operators"] = operators[:1]
+        assert parse_scenario(cfg).adversary.controlled == frozenset(operators[:1])
 
     def test_vote_policy_and_proposal_validated(self):
         cfg = self._with_adv(vote_policy="repeat")
@@ -355,42 +367,29 @@ class TestAdversaryConfig:
         with pytest.raises(ConfigError, match="adversary param"):
             parse_scenario(self._with_adv(params=params))
 
-    def test_ledger_adversary_reads_offset(self):
+    def test_corrupt_tensor_reads_offset(self):
         sc = parse_scenario(self._with_adv(behavior="value-liar", params={"offset": 3}))
-        liar = sc.adversary.ledger_adversary()
-        assert (liar.controlled, liar.proposal, liar.vote_policy, liar.offset) == (
+        liar = sc.adversary
+        empty = UsageTensor(0, (1, 1, 4))
+        assert (liar.controlled, liar.proposal, liar.vote_policy,
+                liar.corrupt_tensor(empty).get((0, 0, 0))) == (
             frozenset({2}), "corrupt", "honest", 3.0)
-        default = parse_scenario(self._with_adv()).adversary.ledger_adversary()
-        assert default.offset == netsim.DEFAULT_OFFSET
+        default = parse_scenario(self._with_adv()).adversary
+        assert default.corrupt_tensor(empty).get((0, 0, 0)) == netsim.DEFAULT_OFFSET
 
-    def test_message_strategy_mirrors_config(self):
+    def test_parsed_strategy_mirrors_config(self):
         sc = parse_scenario(self._with_adv(rotate=True, params={"offset": 3.0}))
-        strategy = sc.adversary.message_strategy()
+        strategy = sc.adversary
         assert strategy.behavior == netsim.CRASH
         assert strategy.controlled == frozenset({2})
         assert strategy.rotate is True
         assert strategy.params == {"offset": 3.0}
 
-    def test_proposal_style_derived_from_behavior(self):
-        cases = {
-            "crash": "crash",
-            "bad-proposer": "corrupt",
-            "equivocate": "equivocate",
-            "value-liar": "corrupt",
-            "random-values": "corrupt",
-            "boundary-attacker": "honest",
-        }
-        for behavior, style in cases.items():
-            adv = AdversaryConfig(behavior=behavior, operators=(2,))
-            assert adv.proposal_style() == style
-        override = AdversaryConfig(behavior="crash", operators=(2,), proposal="honest")
-        assert override.proposal_style() == "honest"
-
     def test_vote_policy_derived_from_behavior(self):
-        assert AdversaryConfig("crash", (2,)).effective_vote_policy() == "crash"
-        assert AdversaryConfig("value-liar", (2,)).effective_vote_policy() == "honest"
-        pinned = AdversaryConfig("crash", (2,), vote_policy="approve-all")
-        assert pinned.effective_vote_policy() == "approve-all"
+        assert AdversaryStrategy("crash", frozenset({2})).vote_policy == "crash"
+        assert AdversaryStrategy("value-liar", frozenset({2})).vote_policy == "honest"
+        pinned = AdversaryStrategy("crash", frozenset({2}), vote_policy="approve-all")
+        assert pinned.vote_policy == "approve-all"
 
 
 class TestLoadScenario:
