@@ -24,6 +24,13 @@ TAG_BYTES = 16
 
 
 def _field_bytes(part: Field) -> bytes:
+    kind = type(part)  # exact types first: the common fields skip the ladder
+    if kind is int:
+        return b"%d" % part
+    if kind is float:
+        return repr(part).encode("ascii")
+    if kind is bytes:
+        return part.hex().encode("ascii")
     if isinstance(part, bool):  # bool is an int subclass; forbid to stay exact
         raise TypeError("encode bools as ints explicitly")
     if isinstance(part, int):
@@ -41,7 +48,7 @@ def _field_bytes(part: Field) -> bytes:
 
 def encode(*parts: Field) -> bytes:
     """Canonical payload encoding of a field sequence."""
-    return b"|".join(_field_bytes(p) for p in parts)
+    return b"|".join(map(_field_bytes, parts))
 
 
 def derive_seed(root: int, *labels: Field) -> int:

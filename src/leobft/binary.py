@@ -35,7 +35,7 @@ class BinaryOperator:
 
     def __init__(self, operator_id: int, params: NetworkParams, initial_bit: int,
                  instance: str, coin: auth.CommonCoin, registry: auth.KeyRegistry):
-        if initial_bit not in (0, 1):
+        if type(initial_bit) is not int or initial_bit not in (0, 1):
             raise ValueError("initial bit must be 0 or 1")
         self.operator_id = operator_id
         self.params = params
@@ -51,19 +51,25 @@ class BinaryOperator:
         self.halt_iteration: Optional[int] = None
         # final certified bit per peer, sticky once a valid certificate is seen
         self._peer_certs: Dict[int, int] = {}
+        # what this operator broadcasts: one message per bit, then from its
+        # first halted round one certificate, each built (and signed) once
+        self._bit_msgs = tuple(netsim.Message(operator_id, netsim.KIND_BIT, (bit,))
+                               for bit in (0, 1))
+        self._halt_cert: Optional[netsim.Message] = None
 
     def _cert_payload(self, operator: int, bit: int) -> bytes:
         return auth.encode("cert", self.instance, operator, bit)
 
-    def make_halt_cert(self, bit: Optional[int] = None) -> netsim.Message:
-        value = self.out if bit is None else bit
-        tag = self.registry.sign(self.operator_id, self._cert_payload(self.operator_id, value))
-        return netsim.Message(self.operator_id, netsim.KIND_CERT, (value, tag))
+    def make_halt_cert(self) -> netsim.Message:
+        tag = self.registry.sign(self.operator_id, self._cert_payload(self.operator_id, self.out))
+        return netsim.Message(self.operator_id, netsim.KIND_CERT, (self.out, tag))
 
     def outgoing(self, round_no: int) -> List[netsim.Outbound]:
         if self.halted:
-            return [(netsim.BROADCAST, self.make_halt_cert())]
-        return [(netsim.BROADCAST, netsim.Message(self.operator_id, netsim.KIND_BIT, (self.b,)))]
+            if self._halt_cert is None:
+                self._halt_cert = self.make_halt_cert()
+            return [(netsim.BROADCAST, self._halt_cert)]
+        return [(netsim.BROADCAST, self._bit_msgs[self.b])]
 
     def _tally_bit(self, sender: int, msgs: List[netsim.Message]) -> int:
         if sender in self._peer_certs:

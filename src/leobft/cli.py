@@ -122,6 +122,8 @@ def _cmd_consensus(args) -> int:
 
 def _cmd_constellation(args) -> int:
     densities = _field_densities(args.densities, 1e6)
+    if args.operators < 1:
+        raise ConfigError("--operators must be at least 1")
     if args.subbands < 1:
         raise ConfigError("--subbands must be at least 1")
     rows = geo.interference_sweep(
@@ -141,6 +143,8 @@ def _cmd_constellation(args) -> int:
 
 def _cmd_detection(args) -> int:
     densities = _field_densities(args.densities, 1e4)
+    if args.honest < 1:
+        raise ConfigError("--honest must be at least 1")
     rows = geo.detection_sweep(
         densities, args.honest, args.trials, args.seed,
     )

@@ -75,6 +75,8 @@ class ExactOperator:
         self._relay_queue: List[auth.SignedMessage] = []
         # (protocol_round, n_signatures) for every accepted message
         self.accepted_chain_lengths: List[Tuple[int, int]] = []
+        # payload -> _parse_payload(payload); relays repeat a few payloads
+        self._parsed: Dict[bytes, Optional[Tuple[int, float]]] = {}
 
     def _payload(self, origin: int, value: float) -> bytes:
         return auth.encode("usage", self.instance, origin, float(value))
@@ -121,7 +123,11 @@ class ExactOperator:
                     continue
                 if len(signed.signers) != k:  # round-k messages carry k signatures
                     continue
-                parsed = self._parse_payload(signed.payload)
+                payload = signed.payload
+                try:
+                    parsed = self._parsed[payload]
+                except KeyError:
+                    parsed = self._parsed[payload] = self._parse_payload(payload)
                 if parsed is None:
                     continue
                 origin, value = parsed

@@ -54,6 +54,9 @@ LEDGER_ROLES: Dict[str, Tuple[str, str, str]] = {
     BAD_PROPOSER: ("corrupt", "honest", "corrupt"),
 }
 
+# the behaviors that draw from their per-(operator, round) random stream
+_DRAWING = frozenset({RANDOM_VALUES, BOUNDARY_ATTACKER})
+
 # how far a value liar, a corrupt proposer and a lying responder shift a value
 DEFAULT_OFFSET = 10.0
 
@@ -105,6 +108,13 @@ class Message:
             else:
                 parts.append(part)
         return auth.encode(*parts)
+
+    def raw_size(self) -> int:
+        """len(canonical_bytes()), encoded on the first call only."""
+        size = self.__dict__.get("_raw_size")
+        if size is None:  # frozen: the cache goes straight into the instance dict
+            size = self.__dict__["_raw_size"] = len(self.canonical_bytes())
+        return size
 
 
 Outbound = Tuple[int, Message]  # (destination operator or BROADCAST, message)
@@ -190,34 +200,40 @@ def _halves(recipients: Sequence[int]) -> Tuple[List[int], List[int]]:
 
 
 def _lie_values(strategy: AdversaryStrategy, base: float, recipients: Sequence[int],
-                rng: random.Random) -> List[Tuple[int, float]]:
-    """(recipient, value) pairs sent instead of base by one of the four value lies.
+                rng: Optional[random.Random]) -> List[Tuple[float, Sequence[int]]]:
+    """(value, recipients) groups sent instead of base by one of the four value lies.
 
-    Shared by approximate-agreement values and own-origin broadcasts; crash
-    and bad-proposer never reach it.
+    Groups are non-empty and follow the recipients' order, so a caller that
+    builds one message per group sends the same values to the same peers as
+    one built per recipient. Shared by approximate-agreement values and
+    own-origin broadcasts; crash and bad-proposer never reach it.
     """
     behavior, params = strategy.behavior, strategy.params
     if behavior == EQUIVOCATE:
         delta = float(params.get("delta", 1.0))
         lo, hi = params.get("values", (base - delta, base + delta))
         lows, highs = _halves(recipients)
-        return [(r, float(lo)) for r in lows] + [(r, float(hi)) for r in highs]
+        return [(float(v), group) for v, group in ((lo, lows), (hi, highs)) if group]
     if behavior == RANDOM_VALUES:
         lo, hi = params.get("range", (-100.0, 100.0))
-        return [(r, rng.uniform(lo, hi)) for r in recipients]
+        return [(rng.uniform(lo, hi), (r,)) for r in recipients]
     if behavior == BOUNDARY_ATTACKER:
         mid = float(params.get("threshold", 0.0))
         eps = float(params.get("epsilon", 1.0))
-        return [(r, mid + eps * (2 * rng.random() - 1)) for r in recipients]
+        return [(mid + eps * (2 * rng.random() - 1), (r,)) for r in recipients]
     # VALUE_LIAR
     value = float(params.get("value", base + params.get("offset", DEFAULT_OFFSET)))
-    return [(r, value) for r in recipients]
+    return [(value, recipients)]
 
 
 def _substitute(strategy: AdversaryStrategy, op: int, round_no: int,
-                intended: List[Outbound], all_ids: Sequence[int], rng: random.Random,
-                participant) -> List[Outbound]:
-    """Replace an operator's honest outbox according to the strategy."""
+                intended: List[Outbound], all_ids: Sequence[int],
+                rng: Optional[random.Random], participant) -> List[Outbound]:
+    """Replace an operator's honest outbox according to the strategy.
+
+    Each lie is one message object, shared by every recipient it goes to, so
+    the bus encodes and an exact operator signs it once.
+    """
     behavior = strategy.behavior
     params = strategy.params
     if behavior == CRASH:
@@ -235,34 +251,36 @@ def _substitute(strategy: AdversaryStrategy, op: int, round_no: int,
             if behavior == EQUIVOCATE:
                 lows, highs = _halves(recipients)
                 b0, b1 = params.get("bits", (0, 1))
-                out.extend((r, Message(op, KIND_BIT, (b0,))) for r in lows)
-                out.extend((r, Message(op, KIND_BIT, (b1,))) for r in highs)
+                m0, m1 = Message(op, KIND_BIT, (b0,)), Message(op, KIND_BIT, (b1,))
+                out.extend((r, m0) for r in lows)
+                out.extend((r, m1) for r in highs)
             elif behavior == RANDOM_VALUES or behavior == BOUNDARY_ATTACKER:
-                out.extend(
-                    (r, Message(op, KIND_BIT, (rng.randint(0, 1),)))
-                    for r in recipients
-                )
+                bits = (Message(op, KIND_BIT, (0,)), Message(op, KIND_BIT, (1,)))
+                out.extend((r, bits[rng.randint(0, 1)]) for r in recipients)
             elif behavior == VALUE_LIAR:
-                lie = params.get("bit", 1 - original)
-                out.extend((r, Message(op, KIND_BIT, (lie,))) for r in recipients)
+                lie = Message(op, KIND_BIT, (params.get("bit", 1 - original),))
+                out.extend((r, lie) for r in recipients)
 
         elif msg.kind in (KIND_VAL, KIND_HALTED):
             original_value = float(msg.body[0])
             if params.get("fake_halt"):
                 if round_no == 0:
-                    value = float(params.get("value", original_value))
-                    out.extend((r, Message(op, KIND_HALTED, (value,))) for r in recipients)
+                    notice = Message(op, KIND_HALTED,
+                                     (float(params.get("value", original_value)),))
+                    out.extend((r, notice) for r in recipients)
                 continue
-            out.extend((r, Message(op, KIND_VAL, (value,)))
-                       for r, value in _lie_values(strategy, original_value, recipients, rng))
+            for value, group in _lie_values(strategy, original_value, recipients, rng):
+                lie = Message(op, KIND_VAL, (value,))
+                out.extend((r, lie) for r in group)
 
         elif msg.kind == KIND_BCAST:
             signed: auth.SignedMessage = msg.body[0]
             own_origin = signed.signers == (op,)
             if own_origin and hasattr(participant, "make_own_broadcast"):
                 base = float(participant.initial_value)
-                out.extend((r, participant.make_own_broadcast(value))
-                           for r, value in _lie_values(strategy, base, recipients, rng))
+                for value, group in _lie_values(strategy, base, recipients, rng):
+                    lie = participant.make_own_broadcast(value)
+                    out.extend((r, lie) for r in group)
             else:
                 # relayed chains cannot be forged, only withheld or split
                 if behavior == EQUIVOCATE:
@@ -304,14 +322,9 @@ class RoundBus:
     def bind_adversary(self, strategy: Optional[AdversaryStrategy]) -> None:
         self.adversary = strategy
 
-    def _message_size(self, msg: Message) -> int:
-        size = len(msg.canonical_bytes())
-        if self.frame_bytes is not None:
-            size = max(size, self.frame_bytes)
-        return size
-
     def run_round(self) -> Dict[int, Dict[int, List[Message]]]:
         round_no = self.round
+        frame = self.frame_bytes
         controlled = (
             self.adversary.controlled_at(round_no, self.operator_ids)
             if self.adversary else frozenset()
@@ -325,7 +338,8 @@ class RoundBus:
             participant = self.participants[op]
             intended = list(participant.outgoing(round_no))
             if op in controlled:
-                rng = random.Random(auth.derive_seed(self.seed, "adv", op, round_no))
+                rng = (random.Random(auth.derive_seed(self.seed, "adv", op, round_no))
+                       if self.adversary.behavior in _DRAWING else None)
                 outbound = _substitute(self.adversary, op, round_no, intended,
                                        self.operator_ids, rng, participant)
             else:
@@ -338,13 +352,13 @@ class RoundBus:
                                 "operator %d sent %r after halting" % (op, msg.kind)
                             )
 
-            last = None  # a relay unicast to several peers is one object, sized once
             for dest, msg in outbound:
                 if msg.sender != op:
                     raise HarnessError("operator %d forged sender %d" % (op, msg.sender))
                 recipients = self.operator_ids if dest == BROADCAST else [dest]
-                if msg is not last:
-                    last, size = msg, self._message_size(msg)
+                size = msg.raw_size()
+                if frame is not None:
+                    size = max(size, frame)
                 self.originated[op] += size
                 for rcv in recipients:
                     inboxes[rcv][op].append(msg)

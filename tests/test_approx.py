@@ -305,3 +305,19 @@ class TestAdversaries:
         r2 = run_approx(params, initials, seed=11, adversary=adversary)
         assert r1.outputs == r2.outputs
         assert r1.values_by_round == r2.values_by_round
+
+
+class TestWorkCounts:
+    def test_rotating_liar_run_encodes_each_message_once(self, work_counts):
+        """Pins the work of one N=10, f=3 run under a rotating value-liar.
+
+        Every round each of the 10 operators sends one message object: the
+        7 honest ones their value, the 3 controlled ones one lie shared by
+        all recipients. Building a lie per recipient gave 296 encodes.
+        """
+        params = make_params(10, 3)
+        values = {op: 1.0 + 0.1 * op for op in params.operator_ids()}
+        adversary = AdversaryStrategy(netsim.VALUE_LIAR, frozenset({1, 2, 3}), rotate=True)
+        result = run_approx(params, values, adversary=adversary)
+        assert result.rounds == 8
+        assert work_counts == {"encode": 8 * 10, "sign": 0, "verify": 0}

@@ -1,6 +1,8 @@
 """Authentication layer tests: encoding, tags, signer chains, certificates, coin."""
 
+import enum
 import inspect
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,60 @@ class TestEncode:
         # ints never contain '|' and bytes go to hex, so joining is injective
         assert auth.encode(12, 3) != auth.encode(1, 23)
         assert auth.encode(b"|") == b"7c"
+
+
+def _ladder_field_bytes(part):
+    # the isinstance ladder encode used before its exact-type fast path
+    if isinstance(part, bool):
+        raise TypeError("encode bools as ints explicitly")
+    if isinstance(part, int):
+        return b"%d" % part
+    if isinstance(part, float):
+        return repr(part).encode("ascii")
+    if isinstance(part, str):
+        if "|" in part:
+            raise ValueError("string fields must not contain '|'")
+        return part.encode("ascii")
+    if isinstance(part, bytes):
+        return part.hex().encode("ascii")
+    raise TypeError("cannot encode field of type %s" % type(part).__name__)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 22
+
+
+class _Float(float):
+    pass
+
+
+_FIELDS = st.one_of(
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    st.binary(max_size=8),
+    st.text(max_size=6),
+    st.text(alphabet="ab|", max_size=4),
+    st.booleans(),
+    st.sampled_from(list(_Level)),
+    st.floats(allow_nan=True).map(_Float),
+)
+
+
+def _outcome(fn, parts):
+    try:
+        return fn(parts)
+    except Exception as err:  # the exception type is part of the contract
+        return type(err)
+
+
+class TestEncodeParity:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_FIELDS, max_size=4))
+    def test_matches_the_isinstance_ladder(self, parts):
+        ladder = _outcome(lambda ps: b"|".join(_ladder_field_bytes(p) for p in ps), parts)
+        assert _outcome(lambda ps: auth.encode(*ps), parts) == ladder
 
 
 class TestDeriveSeed:

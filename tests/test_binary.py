@@ -209,7 +209,33 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             binary.run_binary(params, {1: 2, 2: 0, 3: 0, 4: 0}, seed=1)
 
+    def test_rejects_bool_input(self):
+        # True == 1, but a bool is not a bit: the bus would send it as 1
+        params = make_params()
+        with pytest.raises(ValueError):
+            binary.run_binary(params, {1: True, 2: 0, 3: 0, 4: 0}, seed=1)
+        with pytest.raises(TypeError):
+            auth.encode(True)
+
     def test_rejects_wrong_operator_count(self):
         params = make_params()
         with pytest.raises(ValueError):
             binary.run_binary(params, {1: 0, 2: 0, 3: 0}, seed=1)
+
+
+class TestWorkCounts:
+    def test_rotating_random_bits_build_and_sign_each_message_once(self, work_counts):
+        """Pins the work of one N=10, f=3 run under rotating random bits.
+
+        Each operator keeps one message per bit and signs its halt
+        certificate once; a controlled operator draws each recipient's bit
+        from one pair of messages. Building a message per recipient and
+        re-signing the certificate every round gave 148 encodes and 16
+        signs (10 of them the verifies' own).
+        """
+        params = make_params(10, 3)
+        bits = {op: op % 2 for op in params.operator_ids()}
+        adversary = AdversaryStrategy(netsim.RANDOM_VALUES, frozenset({1, 2, 3}), rotate=True)
+        result = binary.run_binary(params, bits, seed=1, adversary=adversary)
+        assert result.rounds == 4
+        assert work_counts == {"encode": 38, "sign": 12, "verify": 10}

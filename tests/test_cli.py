@@ -216,6 +216,11 @@ class TestConstellationCommand:
 class TestGeoFlags:
     @pytest.mark.parametrize("argv, message", [
         (["constellation", "--subbands", "0"], "--subbands must be at least 1"),
+        (["constellation", "--operators", "-2", "--densities", "3"],
+         "--operators must be at least 1"),
+        (["constellation", "--operators", "0"], "--operators must be at least 1"),
+        (["detection", "--honest", "0", "--densities", "10"],
+         "--honest must be at least 1"),
         (["constellation", "--densities", "-5"], "--densities: -5.0 is not between 0"),
         (["detection", "--densities", "nan"], "--densities: nan is not between 0"),
         (["constellation", "--densities", "inf"], "--densities: inf is not between 0"),

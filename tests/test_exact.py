@@ -218,32 +218,20 @@ class TestSignatureDiscipline:
 
 
 class TestWorkCounts:
-    def test_exact_run_verifies_and_encodes_each_thing_once(self, monkeypatch):
+    def test_exact_run_verifies_and_encodes_each_thing_once(self, work_counts):
         """Pins the work of one N=10, f=3 run under a static equivocator.
 
         Verifying before the duplicate check, re-checking cached chain
-        prefixes or re-encoding a relay per destination raises these counts.
+        prefixes, re-encoding a message object or signing an equivocator's
+        lie once per recipient instead of once per value raises these
+        counts.
         """
-        calls = {"verify": 0, "encode": 0}
-        verify = auth.KeyRegistry.verify
-        encode = netsim.Message.canonical_bytes
-
-        def counted_verify(self, *args):
-            calls["verify"] += 1
-            return verify(self, *args)
-
-        def counted_encode(self):
-            calls["encode"] += 1
-            return encode(self)
-
-        monkeypatch.setattr(auth.KeyRegistry, "verify", counted_verify)
-        monkeypatch.setattr(netsim.Message, "canonical_bytes", counted_encode)
         params = make_params(10, 3)
         values = {op: 1.0 + 0.001 * op for op in params.operator_ids()}
         adversary = AdversaryStrategy(netsim.EQUIVOCATE, frozenset({1, 2, 3}))
         result = exact.run_exact(params, values, adversary=adversary)
         assert sum(map(len, result.accepted_chain_lengths.values())) == 127
-        assert calls == {"verify": 19, "encode": 121}
+        assert work_counts == {"verify": 19, "encode": 97, "sign": 152}
 
 
 class TestAggregationProperties:

@@ -231,12 +231,30 @@ class TestByteAccounting:
         bus.run_round()
         bus.run_round()
         size = len(encode(Fanout.msg))
-        assert len(encodes) == 2  # once in each round
+        assert len(encodes) == 1  # once in the object's lifetime, not once a round
         assert bus.originated == {1: 6 * size, 2: 0, 3: 0, 4: 0}
         assert bus.delivered == {1: 6 * size, 2: 0, 3: 0, 4: 0}
         assert bus.received == {1: 0, 2: 2 * size, 3: 2 * size, 4: 2 * size}
         assert [row[2:] for row in bus.transcript_rows()] == [
             (dest, netsim.KIND_VAL, size) for dest in (2, 3, 4)] * 2
+
+    def test_signed_zeros_are_two_messages_of_two_sizes(self):
+        # 0.0 == -0.0 but they encode to different lengths, so lies are
+        # shared by recipient group, never by value equality
+        bus = make_bus(4)
+        bus.bind_adversary(AdversaryStrategy(
+            netsim.EQUIVOCATE, frozenset({2}), params={"values": [0.0, -0.0]}))
+        bus.run_round()
+        sent = [bus.participants[op].seen[0][2][0] for op in (1, 2, 3, 4)]
+        assert sent[0] is sent[1] and sent[2] is sent[3] and sent[1] is not sent[2]
+        assert [m.canonical_bytes() for m in sent] == [b"val|2|0.0"] * 2 + [b"val|2|-0.0"] * 2
+        positive, negative = len(b"val|2|0.0"), len(b"val|2|-0.0")  # 9 and 10
+        # one unicast per recipient; the self-delivery to 2 is not delivered
+        assert bus.originated[2] == 2 * positive + 2 * negative
+        assert bus.delivered[2] == positive + 2 * negative
+        honest = len(b"val|1|1.0")  # 1, 3 and 4 send their own id as a float
+        assert bus.received == {1: 2 * honest + positive, 2: 3 * honest,
+                                3: 2 * honest + negative, 4: 2 * honest + negative}
 
     def test_transcript_records_every_delivery(self):
         bus = make_bus(3, record_transcript=True)
@@ -335,6 +353,26 @@ class TestAdversarySubstitution:
         assert inbox0[2][0].kind == netsim.KIND_HALTED
         assert inbox0[2][0].body == (42.0,)
         assert inbox1[2] == []
+
+
+    def test_substitute_builds_no_message_per_recipient(self):
+        # a lie is one object for all its recipients, so the bus sizes it and
+        # an exact operator signs it once; a build inside a comprehension or
+        # generator makes one per recipient
+        tree = ast.parse(pathlib.Path(netsim.__file__).read_text())
+        func = next(node for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name == "_substitute")
+        builds = []
+        for node in ast.walk(func):
+            if not isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
+                                     ast.GeneratorExp)):
+                continue
+            for call in ast.walk(node):
+                callee = getattr(call, "func", None)
+                name = getattr(callee, "id", getattr(callee, "attr", None))
+                if name in ("Message", "make_own_broadcast"):
+                    builds.append((name, call.lineno))
+        assert builds == []
 
 
 class TestLedgerRoles:
