@@ -216,15 +216,15 @@ class TestConstellationCommand:
 class TestGeoFlags:
     @pytest.mark.parametrize("argv, message", [
         (["constellation", "--subbands", "0"], "--subbands must be at least 1"),
+        (["constellation", "--densities", "-5"], "--densities: -5.0 is not between 0"),
+        (["detection", "--densities", "nan"], "--densities: nan is not between 0"),
+        (["constellation", "--densities", "inf"], "--densities: inf is not between 0"),
+        (["detection", "--densities", "1e30"], "--densities: 1e+30 is not between 0"),
         (["constellation", "--operators", "-2", "--densities", "3"],
          "--operators must be at least 1"),
         (["constellation", "--operators", "0"], "--operators must be at least 1"),
         (["detection", "--honest", "0", "--densities", "10"],
          "--honest must be at least 1"),
-        (["constellation", "--densities", "-5"], "--densities: -5.0 is not between 0"),
-        (["detection", "--densities", "nan"], "--densities: nan is not between 0"),
-        (["constellation", "--densities", "inf"], "--densities: inf is not between 0"),
-        (["detection", "--densities", "1e30"], "--densities: 1e+30 is not between 0"),
     ])
     def test_bad_geo_flag_is_exit_1(self, capsys, argv, message):
         assert main(argv + ["--trials", "1"]) == 1
