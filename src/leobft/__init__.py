@@ -1,14 +1,6 @@
 """Fault-tolerant spectrum-usage consensus toolkit for simulated LEO constellations."""
 
-from .model import (
-    GroundTruth,
-    Measurement,
-    NetworkParams,
-    ResourceBlock,
-    UsageTensor,
-    binarize,
-    observe,
-)
+from .model import NetworkParams, UsageTensor, binarize, observe
 from .approx import averaging_function, round_count, run_approx, shrink_factor
 from .binary import AgreementError, run_binary
 from .exact import run_exact
@@ -21,11 +13,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AgreementError",
     "ConfigError",
-    "GroundTruth",
-    "Measurement",
     "NetworkParams",
     "PropertyViolation",
-    "ResourceBlock",
     "Scenario",
     "TensorLedger",
     "UsageTensor",

@@ -35,8 +35,8 @@ def _field_bytes(part: Field) -> bytes:
         raise TypeError("encode bools as ints explicitly")
     if isinstance(part, int):
         return b"%d" % part
-    if isinstance(part, float):
-        return repr(part).encode("ascii")
+    if isinstance(part, float):  # numpy's float64 repr() is "np.float64(x)"
+        return repr(float(part)).encode("ascii")
     if isinstance(part, str):
         if "|" in part:
             raise ValueError("string fields must not contain '|'")
@@ -55,7 +55,7 @@ def derive_seed(root: int, *labels: Field) -> int:
     """Derive a labelled 63-bit sub-seed from a root seed.
 
     All randomness in a run flows from one root seed through calls like
-    derive_seed(root, "observe", operator, region). Distinct label paths give
+    derive_seed(root, "observe", event, operator). Distinct label paths give
     independent-looking streams; identical paths give identical streams.
     """
     digest = hashlib.sha256(encode(root, *labels)).digest()

@@ -13,7 +13,6 @@ violation, 3 audit failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import os
 import sys
@@ -55,8 +54,9 @@ def _parse_densities(text: str) -> List[float]:
     return values
 
 
-# the most Poisson points one sensor or satellite field may expect: a
-# density-90 detection field expects 4.6M, and memory grows with the count
+# the most Poisson points one sensor or satellite field may expect, and the
+# most incident points one detection draw holds: a density-90 detection field
+# expects 4.6M, and memory grows with the count
 MAX_FIELD_POINTS = 1e7
 
 
@@ -72,6 +72,21 @@ def _field_densities(text: str, per_km2: float) -> List[float]:
     return densities
 
 
+def _incident_count(text: str) -> int:
+    """detection --trials: the incident points drawn into one array per density.
+
+    A type function, so every --trials given is checked before any draw.
+    """
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if count > MAX_FIELD_POINTS:
+        raise argparse.ArgumentTypeError("%d is more than %g incident points per density"
+                                         % (count, MAX_FIELD_POINTS))
+    return count
+
+
 def _write_rows(out_dir: Optional[str], name: str, header: List[str],
                 rows: List[list]) -> Optional[str]:
     if out_dir is None:
@@ -79,10 +94,21 @@ def _write_rows(out_dir: Optional[str], name: str, header: List[str],
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(pipeline.csv_text(header, rows))
     return path
+
+
+def _print_sweep(out_dir: Optional[str], name: str, header: List[str],
+                 rows: List[tuple]) -> None:
+    """Print a sweep's rows as CSV lines of repr() floats, and write them to
+    out_dir/name when out_dir is given."""
+    table = [[repr(float(x)) for x in row] for row in rows]
+    print(",".join(header))
+    for row in table:
+        print(",".join(row))
+    path = _write_rows(out_dir, name, header, table)
+    if path:
+        print("wrote %s" % path)
 
 
 def _cmd_consensus(args) -> int:
@@ -129,15 +155,8 @@ def _cmd_constellation(args) -> int:
     rows = geo.interference_sweep(
         densities, args.operators, args.subbands, args.trials, args.seed,
     )
-    print("density_per_1e6km2,mean_incidents")
-    table = []
-    for (_, mean_count), density in zip(rows, densities):
-        print("%s,%s" % (repr(float(density)), repr(float(mean_count))))
-        table.append([repr(float(density)), repr(float(mean_count))])
-    path = _write_rows(args.out_dir, "constellation.csv",
-                       ["density_per_1e6km2", "mean_incidents"], table)
-    if path:
-        print("wrote %s" % path)
+    _print_sweep(args.out_dir, "constellation.csv",
+                 ["density_per_1e6km2", "mean_incidents"], rows)
     return 0
 
 
@@ -148,17 +167,8 @@ def _cmd_detection(args) -> int:
     rows = geo.detection_sweep(
         densities, args.honest, args.trials, args.seed,
     )
-    print("density_per_1e4km2,empirical,theory")
-    table = []
-    for (_, empirical, theory), density in zip(rows, densities):
-        print("%s,%s,%s" % (repr(float(density)), repr(float(empirical)),
-                            repr(float(theory))))
-        table.append([repr(float(density)), repr(float(empirical)),
-                      repr(float(theory))])
-    path = _write_rows(args.out_dir, "detection.csv",
-                       ["density_per_1e4km2", "empirical", "theory"], table)
-    if path:
-        print("wrote %s" % path)
+    _print_sweep(args.out_dir, "detection.csv",
+                 ["density_per_1e4km2", "empirical", "theory"], rows)
     return 0
 
 
@@ -218,7 +228,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--densities", default="10,30,50,70,90",
                    help="per 1e4 km^2; start:stop:count or comma list")
     p.add_argument("--honest", type=int, default=3, help="independent sensor operators")
-    p.add_argument("--trials", type=int, default=10000, help="incidents per density")
+    p.add_argument("--trials", type=_incident_count, default=10000,
+                   help="incidents per density, at most %g" % MAX_FIELD_POINTS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=None, help="also write detection.csv here")
     p.set_defaults(func=_cmd_detection)

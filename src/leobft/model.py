@@ -1,4 +1,4 @@
-"""Domain model: operators, resource blocks, usage tensors, measurements.
+"""Domain model: network parameters, usage tensors and noisy readings.
 
 Usage tensors are sparse maps from (region, subband, operator) to a float
 usage value. Keys that are absent mean 0.0, and storing an exact 0.0 drops
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Tuple
 
 Key = Tuple[int, int, int]  # (region, subband, operator)
 
@@ -76,38 +76,6 @@ class NetworkParams:
         return range(1, self.n_operators + 1)
 
 
-@dataclass(frozen=True)
-class ResourceBlock:
-    """One reportable spectrum element: a region/sub-band pair in a period."""
-
-    region: int
-    subband: int
-    period: int
-
-    def __post_init__(self) -> None:
-        if self.region < 0 or self.subband < 0 or self.period < 0:
-            raise ValueError("resource block coordinates must be >= 0")
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    """True usage of one resource block attributed to one operator."""
-
-    block: ResourceBlock
-    target_operator: int
-    value: float
-
-
-@dataclass(frozen=True)
-class Measurement:
-    """One operator's noisy reading of a ground truth value."""
-
-    block: ResourceBlock
-    target_operator: int
-    value: float
-    error_bound: float
-
-
 @dataclass
 class UsageTensor:
     """Sparse usage tensor for one period.
@@ -145,9 +113,6 @@ class UsageTensor:
         self._check_key(key)
         return self.entries.get(key, 0.0)
 
-    def keys(self) -> Iterator[Key]:
-        return iter(sorted(self.entries))
-
     def copy(self) -> "UsageTensor":
         return UsageTensor(self.period, self.dims, dict(self.entries))
 
@@ -184,8 +149,8 @@ class UsageTensor:
             raise ValueError(str(err)) from err
 
 
-def observe(truth: GroundTruth, epsilon: float, seed: int) -> Measurement:
-    """Produce one noisy measurement of a ground truth value.
+def observe(truth: float, epsilon: float, seed: int) -> float:
+    """One noisy reading of a ground truth value.
 
     Noise is uniform on the open interval (-epsilon, epsilon) and is fully
     determined by the seed. epsilon == 0 yields the exact value.
@@ -199,17 +164,12 @@ def observe(truth: GroundTruth, epsilon: float, seed: int) -> Measurement:
         noise = epsilon * (2.0 * rng.random() - 1.0)
         while abs(noise) >= epsilon:  # keep the interval open at both ends
             noise = epsilon * (2.0 * rng.random() - 1.0)
-    return Measurement(
-        block=truth.block,
-        target_operator=truth.target_operator,
-        value=truth.value + noise,
-        error_bound=epsilon,
-    )
+    return truth + noise
 
 
-def binarize(measurement: Measurement, rssi_threshold: float) -> int:
-    """Map a measurement to a usage bit: 1 iff strictly above the threshold."""
-    return 1 if measurement.value > rssi_threshold else 0
+def binarize(value: float, rssi_threshold: float) -> int:
+    """Map a reading to a usage bit: 1 iff strictly above the threshold."""
+    return 1 if value > rssi_threshold else 0
 
 
 def tensor_diff(a: UsageTensor, b: UsageTensor) -> Dict[Key, Tuple[float, float]]:

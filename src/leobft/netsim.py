@@ -282,7 +282,10 @@ def _substitute(strategy: AdversaryStrategy, op: int, round_no: int,
                     lie = participant.make_own_broadcast(value)
                     out.extend((r, lie) for r in group)
             else:
-                # relayed chains cannot be forged, only withheld or split
+                # relayed chains cannot be forged, only withheld. An exact
+                # operator addresses each relay to one peer, and the lower
+                # half of one recipient is nobody, so an equivocator relays
+                # nothing; random-values drops each relay with probability 1/2
                 if behavior == EQUIVOCATE:
                     keep, _ = _halves(recipients)
                     out.extend((r, msg) for r in keep)

@@ -1,6 +1,6 @@
 """End-to-end consensus pipeline for one scenario.
 
-Per event: each operator takes a noisy measurement of the ground truth,
+Per event: each operator takes a noisy reading of the ground truth,
 derives its protocol input (a bit for the binary profile, the raw value
 otherwise) and runs the configured agreement protocol with its peers. The
 agreed values fill per-operator local tensors; the period is then committed
@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import approx, auth, binary, exact, ledger, netsim
-from .model import GroundTruth, ResourceBlock, UsageTensor, binarize, observe
-from .scenario import Scenario
+from .model import UsageTensor, binarize, observe
+from .scenario import EventConfig, Scenario
 
 
 class PropertyViolation(AssertionError):
@@ -27,15 +27,10 @@ class PropertyViolation(AssertionError):
 @dataclass
 class EventOutcome:
     index: int
-    region: int
-    subband: int
-    target: int
-    truth: float
+    event: EventConfig
     initials: Dict[int, float]
     outputs: Dict[int, float]
     rounds: int
-    halt_iterations: Dict[int, Optional[int]] = field(default_factory=dict)
-    horizons: Dict[int, Optional[int]] = field(default_factory=dict)
 
 
 @dataclass
@@ -87,43 +82,44 @@ def _check_approx(initials: Dict[int, float], result: approx.ApproxResult,
 
 
 class _Profile(NamedTuple):
-    """How one profile turns an event's measurements into agreed values."""
+    """How one profile turns an event's readings into agreed values, and how
+    the period is committed and retrieved."""
 
-    protocol_input: Callable  # (measurement, params) -> an operator's input
+    protocol_input: Callable  # (reading, params) -> an operator's input
     run: Callable  # (scenario, initials, instance, coin, registry, bus kwargs) -> result
     output: Callable  # (result, op) -> the value the operator ends with
-    extras: Callable  # result -> per-operator EventOutcome fields
     check: Callable  # (initials, result, honest, zeta, instance) -> raises on a violation
+    mode: str  # ledger commit and retrieval mode: "exact" or "approx"
 
 
 # Lambdas look functions up per call, so wrappers set on a module (span tracing) apply.
 _PROFILES = {
     "binary": _Profile(
-        lambda m, params: binarize(m, params.rssi_threshold),
+        lambda value, params: binarize(value, params.rssi_threshold),
         lambda sc, initials, instance, coin, registry, bus: binary.run_binary(
             sc.network, initials, instance=instance, coin=coin, registry=registry, **bus),
         lambda result, op: float(result.outputs[op] if result.outputs[op] is not None
                                  else result.bus.participants[op].b),
-        lambda result: {"halt_iterations": result.halt_iterations},
         _check_binary,
+        "exact",
     ),
     "exact": _Profile(
-        lambda m, params: m.value,
+        lambda value, params: value,
         lambda sc, initials, instance, coin, registry, bus: exact.run_exact(
             sc.network, initials, instance=instance, registry=registry,
             aggregation=sc.aggregation, **bus),
         lambda result, op: result.outputs[op],
-        lambda result: {},
         _check_exact,
+        "exact",
     ),
     "approx": _Profile(
-        lambda m, params: m.value,
+        lambda value, params: value,
         lambda sc, initials, instance, coin, registry, bus: approx.run_approx(
             sc.network, initials, **bus),
         lambda result, op: (result.outputs[op] if result.outputs[op] is not None
                             else result.bus.participants[op].v),
-        lambda result: {"horizons": result.horizons},
         _check_approx,
+        "approx",
     ),
 }
 
@@ -142,11 +138,10 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     transcript = None
 
     for index, event in enumerate(sc.events):
-        block = ResourceBlock(event.region, event.subband, sc.period)
-        truth = GroundTruth(block, event.operator, event.truth)
         initials = {
             op: profile.protocol_input(
-                observe(truth, params.epsilon, auth.derive_seed(sc.seed, "observe", index, op)),
+                observe(event.truth, params.epsilon,
+                        auth.derive_seed(sc.seed, "observe", index, op)),
                 params)
             for op in ids
         }
@@ -156,9 +151,6 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
                "frame_bytes": sc.frame_bytes, "record_transcript": record}
         result = profile.run(sc, initials, instance, coin, registry, bus)
         outputs = {op: profile.output(result, op) for op in ids}
-        outcome = EventOutcome(index, event.region, event.subband, event.operator,
-                               event.truth, {op: float(v) for op, v in initials.items()},
-                               outputs, result.rounds, **profile.extras(result))
         profile.check(initials, result, honest, params.zeta, instance)
 
         for op in ids:
@@ -171,18 +163,18 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
         key = (event.region, event.subband, event.operator - 1)
         for op in ids:
             locals_by_op[op].set(key, outputs[op])
-        outcomes.append(outcome)
+        outcomes.append(EventOutcome(index, event, {op: float(v) for op, v in initials.items()},
+                                     outputs, result.rounds))
 
     # ledger commit for the period
     chain = ledger.TensorLedger(params, registry)
-    mode = "exact" if sc.profile in ("binary", "exact") else "approx"
     commit = ledger.commit_period(params, registry, chain, sc.period,
-                                  locals_by_op, mode, sc.adversary)
+                                  locals_by_op, profile.mode, sc.adversary)
 
     responses = _retrieval_responses(sc.adversary, locals_by_op)
     retrieved_exact = ledger.retrieve_exact(responses, params.max_faulty)
     retrieved_approx = ledger.retrieve_approx(responses, params, sc.period, sc.dims)
-    _check_retrieval(sc, honest, locals_by_op, retrieved_exact, retrieved_approx)
+    _check_retrieval(profile.mode, honest, locals_by_op, retrieved_exact, retrieved_approx)
 
     return ScenarioResult(
         scenario=sc,
@@ -215,11 +207,11 @@ def _retrieval_responses(adversary: Optional[netsim.AdversaryStrategy],
     return responses
 
 
-def _check_retrieval(sc: Scenario, honest: List[int],
+def _check_retrieval(mode: str, honest: List[int],
                      locals_by_op: Dict[int, UsageTensor],
                      retrieved_exact: Optional[UsageTensor],
                      retrieved_approx: UsageTensor) -> None:
-    if sc.profile in ("binary", "exact"):
+    if mode == "exact":
         reference = locals_by_op[honest[0]].canonical_bytes()
         if retrieved_exact is None or retrieved_exact.canonical_bytes() != reference:
             raise PropertyViolation("exact retrieval did not return the honest tensor")
@@ -236,50 +228,41 @@ def _check_retrieval(sc: Scenario, honest: List[int],
 
 # --- artifacts --------------------------------------------------------------
 
+def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
+    """A header row and then the data rows as CSV text (CRLF line ends)."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
 def _float_cell(x: float) -> str:
     return repr(float(x))
 
 
 def results_csv(result: ScenarioResult) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["event", "region", "subband", "target", "truth",
-                     "operator", "initial", "output", "rounds"])
-    for outcome in result.outcomes:
-        for op in sorted(outcome.outputs):
-            writer.writerow([
-                outcome.index, outcome.region, outcome.subband, outcome.target,
-                _float_cell(outcome.truth), op,
-                _float_cell(outcome.initials[op]),
-                _float_cell(outcome.outputs[op]),
-                outcome.rounds,
-            ])
-    return out.getvalue()
+    return csv_text(
+        ["event", "region", "subband", "target", "truth",
+         "operator", "initial", "output", "rounds"],
+        ([outcome.index, outcome.event.region, outcome.event.subband, outcome.event.operator,
+          _float_cell(outcome.event.truth), op, _float_cell(outcome.initials[op]),
+          _float_cell(outcome.outputs[op]), outcome.rounds]
+         for outcome in result.outcomes for op in sorted(outcome.outputs)))
 
 
 def bytes_csv(result: ScenarioResult) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["operator", "originated", "delivered", "received", "exchanged"])
-    for op in sorted(result.bytes_by_op):
-        writer.writerow([op, *result.bytes_by_op[op]])
-    return out.getvalue()
+    return csv_text(["operator", "originated", "delivered", "received", "exchanged"],
+                    ([op, *result.bytes_by_op[op]] for op in sorted(result.bytes_by_op)))
 
 
 def retrieval_csv(result: ScenarioResult) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["region", "subband", "target", "exact", "approx"])
-    keys = set(result.retrieved_approx.entries)
-    if result.retrieved_exact is not None:
-        keys |= set(result.retrieved_exact.entries)
-    for key in sorted(keys):
-        exact_cell = ""
-        if result.retrieved_exact is not None:
-            exact_cell = _float_cell(result.retrieved_exact.get(key))
-        writer.writerow([key[0], key[1], key[2] + 1, exact_cell,
-                         _float_cell(result.retrieved_approx.get(key))])
-    return out.getvalue()
+    exact_t, approx_t = result.retrieved_exact, result.retrieved_approx
+    keys = set(approx_t.entries) | set(exact_t.entries if exact_t is not None else ())
+    return csv_text(["region", "subband", "target", "exact", "approx"],
+                    ([key[0], key[1], key[2] + 1,
+                      "" if exact_t is None else _float_cell(exact_t.get(key)),
+                      _float_cell(approx_t.get(key))] for key in sorted(keys)))
 
 
 def summary_text(result: ScenarioResult) -> str:
@@ -328,10 +311,6 @@ def write_artifacts(result: ScenarioResult, out_dir) -> List[str]:
     _put("ledger.txt", ledger.export_chain(result.ledger))
     _put("summary.txt", summary_text(result))
     if result.transcript is not None:
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(["round", "sender", "recipient", "kind", "bytes"])
-        for row in result.transcript:
-            writer.writerow(row)
-        _put("transcript.csv", out.getvalue())
+        _put("transcript.csv",
+             csv_text(["round", "sender", "recipient", "kind", "bytes"], result.transcript))
     return written

@@ -4,6 +4,7 @@ import enum
 import inspect
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,10 @@ class TestEncode:
         assert auth.encode(7, -3) == b"7|-3"
         assert auth.encode(0.5) == b"0.5"
         assert auth.encode("abc", b"\x01\xff") == b"abc|01ff"
+
+    def test_float_subclass_encodes_as_its_float(self):
+        # numpy's repr() is "np.float64(0.5)"; the frozen format is the float's repr()
+        assert auth.encode(np.float64(0.5)) == b"0.5"
 
     def test_float_repr_roundtrips(self):
         x = 0.8199079698355657

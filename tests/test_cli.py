@@ -225,6 +225,9 @@ class TestGeoFlags:
         (["constellation", "--operators", "0"], "--operators must be at least 1"),
         (["detection", "--honest", "0", "--densities", "10"],
          "--honest must be at least 1"),
+        # checked as it is parsed, so the --trials 1 appended below cannot mask it
+        (["detection", "--trials", "1000000000", "--densities", "10"],
+         "argument --trials: 1000000000 is more than 1e+07 incident points"),
     ])
     def test_bad_geo_flag_is_exit_1(self, capsys, argv, message):
         assert main(argv + ["--trials", "1"]) == 1

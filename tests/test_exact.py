@@ -1,5 +1,7 @@
 """Exact multi-valued agreement tests: views, relays, conflicts, aggregation."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,6 +152,21 @@ class TestAdversaries:
         result = exact.run_exact(params, values, seed=6, adversary=adversary)
         for op in (1, 2, 3):
             assert result.views[op][4] is CONFLICT
+
+    def test_equivocator_relays_nothing(self):
+        # a relay goes to one peer and an equivocator keeps the lower half of
+        # its recipients, which for one peer is nobody: it sends its own split
+        # broadcast in round 0 and is silent for the f relay rounds
+        params = make_params(7, 2)
+        adversary = AdversaryStrategy(netsim.EQUIVOCATE, frozenset({1, 2}))
+        values = {op: float(op) for op in params.operator_ids()}
+        result = exact.run_exact(params, values, seed=0, adversary=adversary,
+                                 record_transcript=True)
+        sent = Counter((round_no, sender)
+                       for round_no, sender, *_ in result.bus.transcript_rows())
+        assert result.rounds == 3
+        assert {key: n for key, n in sent.items() if key[1] in (1, 2)} == {(0, 1): 7, (0, 2): 7}
+        assert sent[(1, 3)] > 0 and sent[(2, 3)] > 0  # honest operators do relay
 
 
 class TestSignatureDiscipline:

@@ -8,10 +8,7 @@ from hypothesis import strategies as st
 
 from leobft.model import (
     MAX_MAGNITUDE,
-    GroundTruth,
-    Measurement,
     NetworkParams,
-    ResourceBlock,
     UsageTensor,
     binarize,
     max_deviation,
@@ -187,26 +184,21 @@ class TestTensorDiff:
 
 
 class TestObserve:
-    def _truth(self, value=0.7):
-        return GroundTruth(ResourceBlock(0, 0, 0), 1, value)
-
     def test_zero_noise_is_exact(self):
-        m = observe(self._truth(0.7), 0.0, seed=1)
-        assert m.value == 0.7
-        assert m.error_bound == 0.0
+        assert observe(0.7, 0.0, seed=1) == 0.7
 
     def test_noise_within_open_interval(self):
         eps = 0.05
         for seed in range(2000):
-            m = observe(self._truth(0.7), eps, seed)
-            assert abs(m.value - 0.7) < eps
+            m = observe(0.7, eps, seed)
+            assert abs(m - 0.7) < eps
 
     def test_deterministic_per_seed(self):
-        a = observe(self._truth(), 0.05, seed=42)
-        b = observe(self._truth(), 0.05, seed=42)
-        c = observe(self._truth(), 0.05, seed=43)
-        assert a.value == b.value
-        assert a.value != c.value
+        a = observe(0.7, 0.05, seed=42)
+        b = observe(0.7, 0.05, seed=42)
+        c = observe(0.7, 0.05, seed=43)
+        assert a == b
+        assert a != c
 
     def test_noise_mean_is_centred(self):
         # uniform noise on (-eps, eps) has mean 0; Monte Carlo at 3 sigma.
@@ -217,7 +209,7 @@ class TestObserve:
         eps = 0.05
         n = 20000
         total = sum(
-            observe(self._truth(0.0), eps, derive_seed(0, "mc", i)).value
+            observe(0.0, eps, derive_seed(0, "mc", i))
             for i in range(n)
         )
         sigma = eps / math.sqrt(3 * n)
@@ -225,33 +217,25 @@ class TestObserve:
 
     def test_rejects_negative_epsilon(self):
         with pytest.raises(ValueError):
-            observe(self._truth(), -0.01, seed=0)
+            observe(0.7, -0.01, seed=0)
 
     @pytest.mark.parametrize("eps", [math.inf, math.nan])
     def test_rejects_non_finite_epsilon(self, eps):
         # an infinite epsilon used to loop forever redrawing its noise
         with pytest.raises(ValueError, match="finite"):
-            observe(self._truth(), eps, seed=0)
+            observe(0.7, eps, seed=0)
 
 
 class TestBinarize:
-    def _measurement(self, value):
-        return Measurement(ResourceBlock(0, 0, 0), 1, value, 0.05)
-
     def test_strictly_above_threshold_is_one(self):
-        assert binarize(self._measurement(0.51), 0.5) == 1
-        assert binarize(self._measurement(0.5), 0.5) == 0
-        assert binarize(self._measurement(0.49), 0.5) == 0
+        assert binarize(0.51, 0.5) == 1
+        assert binarize(0.5, 0.5) == 0
+        assert binarize(0.49, 0.5) == 0
 
     def test_extreme_noise_cannot_flip_a_clear_signal(self):
         # signal at threshold + eps stays 1 under any noise magnitude < eps
         eps = 0.05
         threshold = 0.5
-        truth = GroundTruth(ResourceBlock(0, 0, 0), 1, threshold + eps)
         for seed in range(500):
-            m = observe(truth, eps, seed)
+            m = observe(threshold + eps, eps, seed)
             assert binarize(m, threshold) == 1
-
-    def test_resource_block_rejects_negative_coordinates(self):
-        with pytest.raises(ValueError):
-            ResourceBlock(-1, 0, 0)

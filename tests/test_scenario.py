@@ -91,6 +91,12 @@ class TestParsing:
             with pytest.raises(ConfigError):
                 parse_scenario(cfg)
 
+    def test_negative_period_rejected(self):
+        cfg = base_config()
+        cfg["tensor"]["period"] = -1
+        with pytest.raises(ConfigError, match="period must be >= 0"):
+            parse_scenario(cfg)
+
     def test_event_truth_must_be_finite(self):
         cfg = base_config()
         cfg["events"][0]["truth"] = float("nan")
