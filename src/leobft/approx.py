@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from . import netsim
 from .model import NetworkParams
@@ -59,9 +59,15 @@ def _mean(values: Sequence[float], lo: float, hi: float) -> float:
     """sum / len kept within [lo, hi], the range of `values`.
 
     The rounded quotient can fall just outside that range (for some x,
-    (x + x + x) / 3 < x); the mean of a multiset cannot.
+    (x + x + x) / 3 < x); the mean of a multiset cannot. Only a sum past the
+    float range is recomputed, so every sum that fits keeps its exact result.
     """
-    mean = sum(values) / len(values)
+    n = len(values)
+    total = sum(values)
+    if math.isfinite(total):
+        mean = total / n
+    else:  # terms scaled by 1/(2n) keep fsum's exact total inside the float range
+        mean = 2 * math.fsum(v / (2 * n) for v in values)
     return lo if mean < lo else hi if mean > hi else mean
 
 
@@ -116,16 +122,20 @@ class ApproxOperator:
         self.halted = False
         self.output: Optional[float] = None
         self._announce_halt = False
+        # built on the first announcing round, when v stops changing
+        self._halt_notice: Optional[netsim.Message] = None
         self._final_values: Dict[int, float] = {}  # sticky values of halted peers
         self.history = [self.v]  # v at the start and after each bus round
 
     def outgoing(self, round_no: int) -> List[netsim.Outbound]:
         me = self.operator_id
         if self.halted or self._announce_halt:
-            return [(netsim.BROADCAST, netsim.Message(me, netsim.KIND_HALTED, (self.v,)))]
+            if self._halt_notice is None:
+                self._halt_notice = netsim.Message(me, netsim.KIND_HALTED, (self.v,))
+            return [(netsim.BROADCAST, self._halt_notice)]
         return [(netsim.BROADCAST, netsim.Message(me, netsim.KIND_VAL, (self.v,)))]
 
-    def _peer_value(self, sender: int, msgs: List[netsim.Message]) -> float:
+    def _peer_value(self, sender: int, msgs: Sequence[netsim.Message]) -> float:
         for msg in msgs:
             if msg.kind == netsim.KIND_HALTED and sender not in self._final_values:
                 self._final_values[sender] = float(msg.body[0])
@@ -136,12 +146,18 @@ class ApproxOperator:
             return float(val_msgs[0].body[0])
         return 0.0  # absent or duplicated sender, as in ledger.retrieve_approx
 
-    def deliver(self, round_no: int, inbox: Dict[int, List[netsim.Message]]) -> None:
+    def deliver(self, round_no: int, inbox: Mapping[int, Sequence[netsim.Message]]) -> None:
+        """Take one round's values; inbox (read-only) lists senders in id order."""
         if self._announce_halt and not self.halted:
             self.halted = True
             self.output = self.v
         elif not self.halted:
-            values = [self._peer_value(s, inbox[s]) for s in sorted(inbox)]
+            final, val = self._final_values, netsim.KIND_VAL
+            # a lone value from a sender with no recorded final value is read inline
+            values = [float(msgs[0].body[0])
+                      if len(msgs) == 1 and msgs[0].kind == val and s not in final
+                      else self._peer_value(s, msgs)
+                      for s, msgs in inbox.items()]
             f = self.params.max_faulty
             self.v = averaging_function(values, f)
             self.exchanges += 1

@@ -18,7 +18,7 @@ decision, and peers tally the certified bit for it from then on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from . import auth, netsim
 from .model import NetworkParams
@@ -71,7 +71,7 @@ class BinaryOperator:
             return [(netsim.BROADCAST, self._halt_cert)]
         return [(netsim.BROADCAST, self._bit_msgs[self.b])]
 
-    def _tally_bit(self, sender: int, msgs: List[netsim.Message]) -> int:
+    def _tally_bit(self, sender: int, msgs: Sequence[netsim.Message]) -> int:
         if sender in self._peer_certs:
             return self._peer_certs[sender]
         for msg in msgs:
@@ -88,13 +88,18 @@ class BinaryOperator:
             return bit_msgs[0].body[0]
         return 0  # absent, duplicated or malformed senders default to 0
 
-    def deliver(self, round_no: int, inbox: Dict[int, List[netsim.Message]]) -> None:
-        zeros = ones = 0
-        for sender in sorted(inbox):
-            if self._tally_bit(sender, inbox[sender]) == 1:
-                ones += 1
-            else:
-                zeros += 1
+    def deliver(self, round_no: int, inbox: Mapping[int, Sequence[netsim.Message]]) -> None:
+        """Tally one round's bits; inbox (read-only) lists senders in id order."""
+        certs, bit_kind = self._peer_certs, netsim.KIND_BIT
+        ones = 0
+        for sender, msgs in inbox.items():
+            if len(msgs) == 1 and sender not in certs:
+                msg = msgs[0]
+                if msg.kind == bit_kind and msg.body:  # a lone bit is read inline
+                    ones += msg.body[0] == 1
+                    continue
+            ones += self._tally_bit(sender, msgs) == 1
+        zeros = len(inbox) - ones
         if self.halted:
             return
         quorum = self.params.quorum

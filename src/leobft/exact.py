@@ -13,7 +13,7 @@ decided slots) or, alternatively, with the trimmed-stride average.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from . import auth, netsim
 from .approx import averaging_function
@@ -109,7 +109,8 @@ class ExactOperator:
         self._relay_queue = []
         return out
 
-    def deliver(self, round_no: int, inbox: Dict[int, List[netsim.Message]]) -> None:
+    def deliver(self, round_no: int, inbox: Mapping[int, Sequence[netsim.Message]]) -> None:
+        """Accept one round's relays; inbox (read-only) lists senders in id order."""
         if self.halted:
             return
         k = round_no + 1  # protocol rounds are 1-based

@@ -4,7 +4,7 @@ All protocol traffic moves in lockstep rounds: every participant hands its
 outgoing messages to the bus, the bus delivers them, and only then does the
 round counter advance, so a message sent in round r is readable in round r
 and never earlier or later. Inboxes carry an entry for every registered
-operator; an empty list is the explicit "absent this round" marker.
+operator; an empty sequence is the explicit "absent this round" marker.
 
 Adversarial operators keep an honestly-updating state machine, but whatever
 it wants to send is substituted according to the bound strategy. Strategies
@@ -325,26 +325,36 @@ class RoundBus:
     def bind_adversary(self, strategy: Optional[AdversaryStrategy]) -> None:
         self.adversary = strategy
 
-    def run_round(self) -> Dict[int, Dict[int, List[Message]]]:
+    def run_round(self) -> Dict[int, Mapping[int, Sequence[Message]]]:
+        """Run one round; return each receiver's inbox, senders in ascending id.
+
+        Inboxes are read-only: an absent sender's entry is one shared empty
+        tuple, a present one lists its messages in sending order.
+        """
         round_no = self.round
+        ids = self.operator_ids
         frame = self.frame_bytes
+        transcript = self.transcript
+        received = self.received
+        peers = len(ids) - 1
         controlled = (
-            self.adversary.controlled_at(round_no, self.operator_ids)
+            self.adversary.controlled_at(round_no, ids)
             if self.adversary else frozenset()
         )
 
-        inboxes: Dict[int, Dict[int, List[Message]]] = {
-            rcv: {snd: [] for snd in self.operator_ids} for rcv in self.operator_ids
-        }
+        boxes = [(rcv, dict.fromkeys(ids, ())) for rcv in ids]
+        inboxes: Dict[int, Dict[int, Sequence[Message]]] = dict(boxes)
+        # bytes each sender broadcast this round: every other operator receives them
+        broadcast: Dict[int, int] = {}
 
-        for op in self.operator_ids:
+        for op in ids:
             participant = self.participants[op]
             intended = list(participant.outgoing(round_no))
             if op in controlled:
                 rng = (random.Random(auth.derive_seed(self.seed, "adv", op, round_no))
                        if self.adversary.behavior in _DRAWING else None)
                 outbound = _substitute(self.adversary, op, round_no, intended,
-                                       self.operator_ids, rng, participant)
+                                       ids, rng, participant)
             else:
                 outbound = intended
                 if getattr(participant, "halted", False):
@@ -355,23 +365,40 @@ class RoundBus:
                                 "operator %d sent %r after halting" % (op, msg.kind)
                             )
 
+            originated = delivered = broadcast[op] = 0
             for dest, msg in outbound:
                 if msg.sender != op:
                     raise HarnessError("operator %d forged sender %d" % (op, msg.sender))
-                recipients = self.operator_ids if dest == BROADCAST else [dest]
                 size = msg.raw_size()
                 if frame is not None:
                     size = max(size, frame)
-                self.originated[op] += size
-                for rcv in recipients:
-                    inboxes[rcv][op].append(msg)
-                    if rcv != op:
-                        self.delivered[op] += size
-                        self.received[rcv] += size
-                    if self.transcript is not None:
-                        self.transcript.append((round_no, op, rcv, msg.kind, size))
+                originated += size
+                if dest == BROADCAST:
+                    recipients = boxes
+                    delivered += size * peers
+                    broadcast[op] += size
+                else:
+                    recipients = ((dest, inboxes[dest]),)
+                    if dest != op:
+                        delivered += size
+                        received[dest] += size
+                for rcv, inbox in recipients:
+                    held = inbox[op]
+                    if held:
+                        held.append(msg)
+                    else:  # the shared empty tuple: this sender's first message
+                        inbox[op] = [msg]
+                if transcript is not None:
+                    transcript.extend((round_no, op, rcv, msg.kind, size)
+                                      for rcv, _ in recipients)
+            self.originated[op] += originated
+            self.delivered[op] += delivered
 
-        for op in self.operator_ids:
+        broadcast_total = sum(broadcast.values())
+        for rcv in ids:
+            received[rcv] += broadcast_total - broadcast[rcv]
+
+        for op in ids:
             self.participants[op].deliver(round_no, inboxes[op])
 
         self.round += 1

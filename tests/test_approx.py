@@ -1,5 +1,7 @@
 """Approximate agreement tests: averaging function, horizons, convergence."""
 
+import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -69,6 +71,17 @@ class TestAveragingFunction:
         assert (x + x + x) / 3 < x
         assert averaging_function([1.0, x, x, x, x], 1) == x
         assert averaging_function([x, x, x], 0) == x
+
+    @pytest.mark.parametrize("values, f, expected", [
+        ([8.9e307] * 3 + [-8.9e307], 0, 0.5 * 8.9e307),
+        ([8.9e307] * 3 + [-8.9e307] * 2 + [8.9e307] * 2, 1, 0.6 * 8.9e307),
+        ([-8.9e307] * 3 + [8.9e307], 0, -0.5 * 8.9e307),
+        ([sys.float_info.max] * 3, 0, sys.float_info.max),
+    ])
+    def test_sum_past_float_range_is_averaged(self, values, f, expected):
+        # the plain sum overflows to +-inf, which the range clamp used to hide
+        assert math.isinf(sum(values))
+        assert averaging_function(values, f) == pytest.approx(expected, rel=1e-15)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=12), st.integers(1, 3))
     @settings(max_examples=300, deadline=None)
@@ -227,6 +240,20 @@ class TestHaltProtocol:
         second = netsim.Message(2, netsim.KIND_HALTED, (1.0,))
         assert machine._peer_value(2, [first, second]) == 9.0
 
+    def test_deliver_prefers_sticky_value_to_a_lone_val(self):
+        # a lone value is read inline only from a peer without a final value
+        machine = approx.ApproxOperator(1, make_params(), 5.0)
+
+        def val(op, value):
+            return netsim.Message(op, netsim.KIND_VAL, (value,))
+
+        machine.deliver(0, {1: [val(1, 5.0)], 2: [netsim.Message(2, netsim.KIND_HALTED, (9.0,))],
+                            3: (), 4: [val(4, 1.0), val(4, 2.0)]})
+        assert machine.v == averaging_function([5.0, 9.0, 0.0, 0.0], 1) == 2.5
+        machine.deliver(1, {1: [val(1, 2.5)], 2: [val(2, -100.0)], 3: [val(3, 3.0)],
+                            4: [val(4, 4.0)]})
+        assert machine.v == averaging_function([2.5, 9.0, 3.0, 4.0], 1) == 3.5
+
     def test_absent_peer_counts_default(self):
         params = make_params()
         machine = approx.ApproxOperator(1, params, 5.0)
@@ -321,3 +348,20 @@ class TestWorkCounts:
         result = run_approx(params, values, adversary=adversary)
         assert result.rounds == 8
         assert work_counts == {"encode": 8 * 10, "sign": 0, "verify": 0}
+
+    def test_halt_notice_encoded_once_however_long_halted(self, work_counts):
+        """Pins the work of a fault-free N=4, f=1 run.
+
+        Each operator sends a new value in each of its h exchange rounds and
+        then one halt notice object, built once and resent every later round.
+        """
+        params = make_params()
+        values = {op: float(op) for op in params.operator_ids()}
+        h = run_approx(params, values).rounds - 1
+        assert work_counts["encode"] == 4 * h + 4
+        # the same run kept going for 5 more rounds: every operator stays halted
+        bus = netsim.run_instance(
+            values, lambda op, value: approx.ApproxOperator(op, params, value), 4, None,
+            max_rounds=h + 6, rounds=h + 6)
+        assert all(bus.participants[op].halted for op in values)
+        assert work_counts == {"encode": 2 * (4 * h + 4), "sign": 0, "verify": 0}

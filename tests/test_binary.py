@@ -117,6 +117,24 @@ class TestHaltMechanics:
                 netsim.Message(2, netsim.KIND_BIT, (1,))]
         assert me._tally_bit(2, msgs) == 0
 
+    def test_deliver_counts_lone_bits_as_tally_bit_does(self):
+        # lone bits are counted inline, but a certified peer keeps its bit
+        # and a bit message without a body counts as 0
+        params = make_params()
+        coin = auth.CommonCoin(1)
+        registry = auth.KeyRegistry([1, 2, 3, 4], 9)
+        me = binary.BinaryOperator(1, params, 1, "inst", coin, registry)
+        peer = binary.BinaryOperator(2, params, 1, "inst", coin, registry)
+        peer.out = 1
+
+        def bit(op, *body):
+            return netsim.Message(op, netsim.KIND_BIT, body)
+
+        me.deliver(0, {1: [bit(1, 1)], 2: [peer.make_halt_cert()], 3: [bit(3, 1)], 4: ()})
+        assert (me.step, me.b, me.halted) == (2, 1, False)  # three ones adopt 1
+        me.deliver(1, {1: [bit(1, 1)], 2: [bit(2, 0)], 3: [bit(3, 1)], 4: [bit(4)]})
+        assert me.halted and me.out == 1  # peer 2's certified 1 completes the quorum
+
     def test_exact_rounds_overrides_halting(self):
         params = make_params()
         bits = {op: 1 for op in params.operator_ids()}

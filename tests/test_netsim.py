@@ -5,6 +5,8 @@ import ast
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leobft import approx, binary, exact, netsim
 from leobft.model import NetworkParams, UsageTensor
@@ -33,6 +35,64 @@ class Echo:
 class Silent(Echo):
     def outgoing(self, round_no):
         return []
+
+
+class Scripted(Echo):
+    """Sends script[round_no], a list of (destination, message) pairs."""
+
+    def __init__(self, operator_id, script):
+        super().__init__(operator_id)
+        self.script = script
+
+    def outgoing(self, round_no):
+        return self.script[round_no]
+
+
+def reference_round(ids, outboxes, frame_bytes, round_no):
+    """One round delivered recipient by recipient into fresh lists.
+
+    Returns (inboxes, originated, delivered, received, transcript rows) for
+    outboxes mapping each operator to its (destination, message) pairs.
+    """
+    inboxes = {rcv: {snd: [] for snd in ids} for rcv in ids}
+    originated, delivered, received = ({op: 0 for op in ids} for _ in range(3))
+    rows = []
+    for op in ids:
+        for dest, msg in outboxes[op]:
+            recipients = ids if dest == BROADCAST else [dest]
+            size = msg.raw_size()
+            if frame_bytes is not None:
+                size = max(size, frame_bytes)
+            originated[op] += size
+            for rcv in recipients:
+                inboxes[rcv][op].append(msg)
+                if rcv != op:
+                    delivered[op] += size
+                    received[rcv] += size
+                rows.append((round_no, op, rcv, msg.kind, size))
+    return inboxes, originated, delivered, received, rows
+
+
+@st.composite
+def round_scripts(draw):
+    """(ids, frame_bytes, {op: [outbox per round]}) over a few senders.
+
+    Each sender picks from a pool of at most three messages, so a message can
+    go to one peer several times, by address and by broadcast alike; an empty
+    outbox is a silent sender.
+    """
+    ids = list(range(1, draw(st.integers(1, 6)) + 1))
+    frame_bytes = draw(st.none() | st.integers(0, 30))
+    n_rounds = draw(st.integers(1, 3))
+    scripts = {}
+    for op in ids:
+        pool = [Message(op, kind, (value,)) for kind, value in draw(st.lists(
+            st.tuples(st.sampled_from([netsim.KIND_VAL, netsim.KIND_BIT, "blob"]),
+                      st.integers(-10**30, 10**30)), min_size=1, max_size=3))]
+        outbox = st.lists(st.tuples(st.sampled_from([BROADCAST] + ids),
+                                    st.sampled_from(pool)), max_size=6)
+        scripts[op] = [draw(outbox) for _ in range(n_rounds)]
+    return ids, frame_bytes, scripts
 
 
 def make_bus(n=5, frame_bytes=None, cls=Echo, seed=0, **kwargs):
@@ -68,6 +128,44 @@ class TestRoundBus:
         inbox = bus.participants[1].seen[0]
         assert inbox[2] == []
         assert len(inbox[3]) == 1
+
+    def test_inbox_lists_senders_in_id_order_and_absence_is_falsy(self):
+        bus = RoundBus([3, 1, 2])
+        bus.register(Echo(3))
+        bus.register(Silent(2))
+        bus.register(Echo(1))
+        inboxes = bus.run_round()
+        assert list(inboxes) == [1, 2, 3]
+        for inbox in inboxes.values():
+            assert list(inbox) == [1, 2, 3]
+            assert not inbox[2] and len(inbox[2]) == 0
+            assert len(inbox[1]) == len(inbox[3]) == 1
+
+    @given(round_scripts())
+    @settings(max_examples=200, deadline=None)
+    def test_run_round_matches_per_recipient_delivery(self, case):
+        ids, frame_bytes, scripts = case
+        bus = RoundBus(ids, frame_bytes=frame_bytes, record_transcript=True)
+        for op in ids:
+            bus.register(Scripted(op, scripts[op]))
+        totals = [{op: 0 for op in ids} for _ in range(3)]
+        rows = []
+        for round_no in range(len(scripts[ids[0]])):
+            inboxes = bus.run_round()
+            want, *counts, want_rows = reference_round(
+                ids, {op: scripts[op][round_no] for op in ids}, frame_bytes, round_no)
+            assert list(inboxes) == ids
+            for rcv in ids:
+                assert list(inboxes[rcv]) == ids
+                for snd in ids:
+                    got = inboxes[rcv][snd]
+                    assert [id(m) for m in got] == [id(m) for m in want[rcv][snd]]
+            for total, count in zip(totals, counts):
+                for op in ids:
+                    total[op] += count[op]
+            rows += want_rows
+            assert [bus.originated, bus.delivered, bus.received] == totals
+            assert bus.transcript_rows() == rows
 
     def test_round_counter_advances(self):
         bus = make_bus(3)
