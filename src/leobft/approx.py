@@ -59,15 +59,16 @@ def _mean(values: Sequence[float], lo: float, hi: float) -> float:
     """sum / len kept within [lo, hi], the range of `values`.
 
     The rounded quotient can fall just outside that range (for some x,
-    (x + x + x) / 3 < x); the mean of a multiset cannot. Only a sum past the
-    float range is recomputed, so every sum that fits keeps its exact result.
+    (x + x + x) / 3 < x); the mean of a multiset cannot. Only a sum of finite
+    values that overflowed is recomputed, so every other sum keeps its result.
     """
     n = len(values)
     total = sum(values)
-    if math.isfinite(total):
-        mean = total / n
-    else:  # terms scaled by 1/(2n) keep fsum's exact total inside the float range
+    if math.isinf(total) and all(map(math.isfinite, values)):
+        # terms scaled by 1/(2n) keep fsum's exact total inside the float range
         mean = 2 * math.fsum(v / (2 * n) for v in values)
+    else:
+        mean = total / n
     return lo if mean < lo else hi if mean > hi else mean
 
 

@@ -115,8 +115,8 @@ class ExactOperator:
             return
         k = round_no + 1  # protocol rounds are 1-based
         f = self.params.max_faulty
-        for sender in sorted(inbox):
-            for msg in inbox[sender]:
+        for msgs in inbox.values():
+            for msg in msgs:
                 if msg.kind != netsim.KIND_BCAST or len(msg.body) != 1:
                     continue
                 signed = msg.body[0]

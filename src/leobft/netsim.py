@@ -328,33 +328,28 @@ class RoundBus:
     def run_round(self) -> Dict[int, Mapping[int, Sequence[Message]]]:
         """Run one round; return each receiver's inbox, senders in ascending id.
 
-        Inboxes are read-only: an absent sender's entry is one shared empty
-        tuple, a present one lists its messages in sending order.
+        Inboxes are read-only: an absent sender's entry is empty, a present
+        one lists its messages in sending order.
         """
         round_no = self.round
-        ids = self.operator_ids
         frame = self.frame_bytes
-        transcript = self.transcript
-        received = self.received
-        peers = len(ids) - 1
         controlled = (
-            self.adversary.controlled_at(round_no, ids)
+            self.adversary.controlled_at(round_no, self.operator_ids)
             if self.adversary else frozenset()
         )
 
-        boxes = [(rcv, dict.fromkeys(ids, ())) for rcv in ids]
-        inboxes: Dict[int, Dict[int, Sequence[Message]]] = dict(boxes)
-        # bytes each sender broadcast this round: every other operator receives them
-        broadcast: Dict[int, int] = {}
+        inboxes: Dict[int, Dict[int, List[Message]]] = {
+            rcv: {snd: [] for snd in self.operator_ids} for rcv in self.operator_ids
+        }
 
-        for op in ids:
+        for op in self.operator_ids:
             participant = self.participants[op]
             intended = list(participant.outgoing(round_no))
             if op in controlled:
                 rng = (random.Random(auth.derive_seed(self.seed, "adv", op, round_no))
                        if self.adversary.behavior in _DRAWING else None)
                 outbound = _substitute(self.adversary, op, round_no, intended,
-                                       ids, rng, participant)
+                                       self.operator_ids, rng, participant)
             else:
                 outbound = intended
                 if getattr(participant, "halted", False):
@@ -365,40 +360,23 @@ class RoundBus:
                                 "operator %d sent %r after halting" % (op, msg.kind)
                             )
 
-            originated = delivered = broadcast[op] = 0
             for dest, msg in outbound:
                 if msg.sender != op:
                     raise HarnessError("operator %d forged sender %d" % (op, msg.sender))
+                recipients = self.operator_ids if dest == BROADCAST else [dest]
                 size = msg.raw_size()
                 if frame is not None:
                     size = max(size, frame)
-                originated += size
-                if dest == BROADCAST:
-                    recipients = boxes
-                    delivered += size * peers
-                    broadcast[op] += size
-                else:
-                    recipients = ((dest, inboxes[dest]),)
-                    if dest != op:
-                        delivered += size
-                        received[dest] += size
-                for rcv, inbox in recipients:
-                    held = inbox[op]
-                    if held:
-                        held.append(msg)
-                    else:  # the shared empty tuple: this sender's first message
-                        inbox[op] = [msg]
-                if transcript is not None:
-                    transcript.extend((round_no, op, rcv, msg.kind, size)
-                                      for rcv, _ in recipients)
-            self.originated[op] += originated
-            self.delivered[op] += delivered
+                self.originated[op] += size
+                for rcv in recipients:
+                    inboxes[rcv][op].append(msg)
+                    if rcv != op:
+                        self.delivered[op] += size
+                        self.received[rcv] += size
+                    if self.transcript is not None:
+                        self.transcript.append((round_no, op, rcv, msg.kind, size))
 
-        broadcast_total = sum(broadcast.values())
-        for rcv in ids:
-            received[rcv] += broadcast_total - broadcast[rcv]
-
-        for op in ids:
+        for op in self.operator_ids:
             self.participants[op].deliver(round_no, inboxes[op])
 
         self.round += 1

@@ -83,6 +83,11 @@ class TestAveragingFunction:
         assert math.isinf(sum(values))
         assert averaging_function(values, f) == pytest.approx(expected, rel=1e-15)
 
+    def test_infinite_inputs_keep_the_plain_sum(self):
+        # only a sum of finite values that overflowed is recomputed
+        assert math.isnan(averaging_function([math.inf, -math.inf, 0.0], 0))
+        assert averaging_function([math.inf, 1.0, 2.0], 0) == math.inf
+
     @given(st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=12), st.integers(1, 3))
     @settings(max_examples=300, deadline=None)
     def test_result_within_input_range(self, values, f):
