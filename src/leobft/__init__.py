@@ -2,7 +2,7 @@
 
 from .model import NetworkParams, UsageTensor, binarize, observe
 from .approx import averaging_function, round_count, run_approx, shrink_factor
-from .binary import AgreementError, run_binary
+from .binary import run_binary
 from .exact import run_exact
 from .ledger import TensorLedger, audit_chain, commit_period, export_chain
 from .pipeline import PropertyViolation, run_scenario
@@ -11,7 +11,6 @@ from .scenario import ConfigError, Scenario, load_scenario, parse_scenario
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgreementError",
     "ConfigError",
     "NetworkParams",
     "PropertyViolation",

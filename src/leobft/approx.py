@@ -116,7 +116,6 @@ class ApproxOperator:
         self.operator_id = operator_id
         self.params = params
         self.v = float(initial_value)
-        self.initial_value = float(initial_value)
         self.exchanges = 0
         self.horizon: Optional[int] = None
         self.first_spread: Optional[float] = None

@@ -160,9 +160,6 @@ class QuorumCertificate:
     digest: bytes
     votes: Tuple[Tuple[int, bytes], ...]  # (operator, tag) sorted by operator
 
-    def signer_set(self) -> Tuple[int, ...]:
-        return tuple(sorted(op for op, _ in self.votes))
-
 
 def vote_payload(digest: bytes, context: bytes) -> bytes:
     return encode("vote", context, digest)

@@ -26,10 +26,6 @@ from .model import NetworkParams
 MAX_ITERATIONS = 64
 
 
-class AgreementError(RuntimeError):
-    """The run hit the iteration cap; indicates a harness or protocol bug."""
-
-
 class BinaryOperator:
     HALT_KINDS = frozenset({netsim.KIND_CERT})
 
@@ -90,6 +86,8 @@ class BinaryOperator:
 
     def deliver(self, round_no: int, inbox: Mapping[int, Sequence[netsim.Message]]) -> None:
         """Tally one round's bits; inbox (read-only) lists senders in id order."""
+        if self.halted:
+            return
         certs, bit_kind = self._peer_certs, netsim.KIND_BIT
         ones = 0
         for sender, msgs in inbox.items():
@@ -100,8 +98,6 @@ class BinaryOperator:
                     continue
             ones += self._tally_bit(sender, msgs) == 1
         zeros = len(inbox) - ones
-        if self.halted:
-            return
         quorum = self.params.quorum
 
         if self.step == 1:
@@ -166,19 +162,13 @@ def run_binary(params: NetworkParams, initial_bits: Dict[int, int], *,
     ids = sorted(initial_bits)
     registry = registry or auth.KeyRegistry(ids, auth.derive_seed(seed, "keys"))
     coin = coin or auth.CommonCoin(auth.derive_seed(seed, "coin"))
-    try:
-        bus = netsim.run_instance(
-            initial_bits,
-            lambda op, bit: BinaryOperator(op, params, bit, instance, coin, registry),
-            params.n_operators, adversary,
-            max_rounds=3 * max_iterations if exact_rounds is None else exact_rounds,
-            rounds=exact_rounds, seed=seed, frame_bytes=frame_bytes,
-            record_transcript=record_transcript)
-    except netsim.HarnessError as err:
-        raise AgreementError(
-            "binary agreement exceeded %d iterations (instance %s)"
-            % (max_iterations, instance)
-        ) from err
+    bus = netsim.run_instance(
+        initial_bits,
+        lambda op, bit: BinaryOperator(op, params, bit, instance, coin, registry),
+        params.n_operators, adversary,
+        max_rounds=3 * max_iterations if exact_rounds is None else exact_rounds,
+        rounds=exact_rounds, seed=seed, frame_bytes=frame_bytes,
+        record_transcript=record_transcript)
 
     machines = {op: bus.participants[op] for op in ids}
     return BinaryResult(

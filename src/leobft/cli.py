@@ -30,7 +30,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_densities(text: str) -> List[float]:
-    """Either "start:stop:count" or a comma-separated list."""
+    """Either "start:stop:count" (at most MAX_DENSITY_POINTS) or a comma-separated list."""
     if ":" in text:
         fields = text.split(":")
         if len(fields) != 3:
@@ -39,8 +39,8 @@ def _parse_densities(text: str) -> List[float]:
             start, stop, count = float(fields[0]), float(fields[1]), int(fields[2])
         except ValueError as err:
             raise ConfigError("bad density range %r" % text) from err
-        if count < 1:
-            raise ConfigError("density range needs at least one point")
+        if not 1 <= count <= MAX_DENSITY_POINTS:
+            raise ConfigError("density range needs 1 to %d points" % MAX_DENSITY_POINTS)
         if count == 1:
             return [start]
         step = (stop - start) / (count - 1)
@@ -58,6 +58,10 @@ def _parse_densities(text: str) -> List[float]:
 # most incident points one detection draw holds: a density-90 detection field
 # expects 4.6M, and memory grows with the count
 MAX_FIELD_POINTS = 1e7
+# the most points a start:stop:count density range may list
+MAX_DENSITY_POINTS = 10_000
+# sub-band ids are drawn as 64-bit integers
+MAX_SUBBANDS = 2**63 - 1
 
 
 def _field_densities(text: str, per_km2: float) -> List[float]:
@@ -87,17 +91,6 @@ def _incident_count(text: str) -> int:
     return count
 
 
-def _write_rows(out_dir: Optional[str], name: str, header: List[str],
-                rows: List[list]) -> Optional[str]:
-    if out_dir is None:
-        return None
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w", newline="") as fh:
-        fh.write(pipeline.csv_text(header, rows))
-    return path
-
-
 def _print_sweep(out_dir: Optional[str], name: str, header: List[str],
                  rows: List[tuple]) -> None:
     """Print a sweep's rows as CSV lines of repr() floats, and write them to
@@ -106,9 +99,8 @@ def _print_sweep(out_dir: Optional[str], name: str, header: List[str],
     print(",".join(header))
     for row in table:
         print(",".join(row))
-    path = _write_rows(out_dir, name, header, table)
-    if path:
-        print("wrote %s" % path)
+    if out_dir is not None:
+        print("wrote %s" % pipeline.write_file(out_dir, name, pipeline.csv_text(header, table)))
 
 
 def _cmd_consensus(args) -> int:
@@ -138,10 +130,9 @@ def _cmd_consensus(args) -> int:
             print("  wrote %s" % path)
 
     if args.trials > 1:
-        path = _write_rows(args.out_dir, "trials.csv",
-                           ["trial", "seed", "committed", "attempts", "verdicts",
-                            "max_rounds"],
-                           trial_summaries)
+        path = pipeline.write_file(args.out_dir, "trials.csv", pipeline.csv_text(
+            ["trial", "seed", "committed", "attempts", "verdicts", "max_rounds"],
+            trial_summaries))
         print("wrote %s" % path)
     return 0
 
@@ -152,6 +143,8 @@ def _cmd_constellation(args) -> int:
         raise ConfigError("--operators must be at least 1")
     if args.subbands < 1:
         raise ConfigError("--subbands must be at least 1")
+    if args.subbands > MAX_SUBBANDS:
+        raise ConfigError("--subbands must be at most %d" % MAX_SUBBANDS)
     rows = geo.interference_sweep(
         densities, args.operators, args.subbands, args.trials, args.seed,
     )

@@ -106,16 +106,13 @@ class Constellation:
     beam: BeamGeometry
     satellites: Dict[int, np.ndarray]       # operator -> unit vectors (n, 3)
     subbands: Dict[int, np.ndarray]         # operator -> sub-band id per satellite
-    n_subbands: int
 
 
 def build_constellation(operator_ids: Sequence[int], density_per_km2: float,
-                        n_subbands: int, rng: np.random.Generator,
-                        beam: Optional[BeamGeometry] = None) -> Constellation:
+                        n_subbands: int, rng: np.random.Generator) -> Constellation:
     """Independent Poisson constellations with uniform random sub-bands."""
     if n_subbands < 1:
         raise ValueError("need at least one sub-band")
-    beam = beam or BeamGeometry()
     satellites = {}
     subbands = {}
     for op in operator_ids:
@@ -125,7 +122,7 @@ def build_constellation(operator_ids: Sequence[int], density_per_km2: float,
             subbands[op] = np.zeros(len(pts), dtype=np.int64)
         else:
             subbands[op] = rng.integers(0, n_subbands, len(pts))
-    return Constellation(beam, satellites, subbands, n_subbands)
+    return Constellation(BeamGeometry(), satellites, subbands)
 
 
 def count_interference(constellation: Constellation) -> int:
@@ -161,17 +158,15 @@ def count_interference(constellation: Constellation) -> int:
 
 
 def interference_sweep(densities_per_million_km2: Sequence[float], n_operators: int,
-                       n_subbands: int, trials: int, seed: int,
-                       beam: Optional[BeamGeometry] = None) -> List[Tuple[float, float]]:
+                       n_subbands: int, trials: int, seed: int) -> List[Tuple[float, float]]:
     """Mean incident count per density, averaged over independent trials."""
-    beam = beam or BeamGeometry()
     rows = []
     for di, density in enumerate(densities_per_million_km2):
         counts = []
         for t in range(trials):
             rng = np.random.default_rng(_substream(seed, "sweep", di, t))
             constellation = build_constellation(
-                range(1, n_operators + 1), density / 1e6, n_subbands, rng, beam
+                range(1, n_operators + 1), density / 1e6, n_subbands, rng
             )
             counts.append(count_interference(constellation))
         rows.append((density, sum(counts) / len(counts)))
@@ -298,14 +293,12 @@ def _in_marked_cells(field: np.ndarray, marked: np.ndarray, edge: float) -> np.n
 
 
 def detection_sweep(densities_per_10k_km2: Sequence[float], n_honest: int,
-                    trials: int, seed: int,
-                    beam: Optional[BeamGeometry] = None) -> List[Tuple[float, float, float]]:
+                    trials: int, seed: int) -> List[Tuple[float, float, float]]:
     """(density, empirical rate, theory rate) per sensor density.
 
     Each of the `trials` incidents is a freshly sampled adversarial satellite
     position; honest sensor fields are one Poisson realisation per density.
     """
-    beam = beam or BeamGeometry()
     rows = []
     for di, density in enumerate(densities_per_10k_km2):
         lam = density / 1e4
@@ -314,8 +307,8 @@ def detection_sweep(densities_per_10k_km2: Sequence[float], n_honest: int,
             for op in range(1, n_honest + 1)
         }
         incidents = sphere_points(trials, np.random.default_rng(_substream(seed, "incident", di)))
-        sample = simulate_detection(fields, incidents, beam)
-        theory = detection_probability_theory([lam] * n_honest, beam)
+        sample = simulate_detection(fields, incidents)
+        theory = detection_probability_theory([lam] * n_honest)
         rows.append((density, sample.rate, theory))
     return rows
 

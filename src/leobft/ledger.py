@@ -230,22 +230,6 @@ class TensorLedger:
         self.blocks.append(block)
         return block
 
-    def verify_chain(self) -> Optional[str]:
-        """None if the chain checks out, else a description of the first break."""
-        prev, last_period = GENESIS_DIGEST, -1
-        for i, block in enumerate(self.blocks):
-            problem = check_block(self.registry, self.params.quorum, block, prev, last_period)
-            if problem is not None:
-                return "block %d: %s" % (i, problem)
-            prev, last_period = block.digest, block.period
-        return None
-
-    def committed_tensor(self, period: int) -> Optional[UsageTensor]:
-        for block in self.blocks:
-            if block.period == period:
-                return block.tensor()
-        return None
-
 
 def retrieve_exact(responses: Dict[int, UsageTensor], f: int) -> Optional[UsageTensor]:
     """First tensor backed by f+1 byte-identical copies, scanning in id order.

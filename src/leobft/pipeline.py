@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import approx, auth, binary, exact, ledger, netsim
 from .model import UsageTensor, binarize, observe
@@ -292,25 +293,25 @@ def summary_text(result: ScenarioResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_artifacts(result: ScenarioResult, out_dir) -> List[str]:
-    import os
-
+def write_file(out_dir: str, name: str, data: Union[str, bytes]) -> str:
+    """Write text (line ends as given) or bytes to out_dir/name; the one file writer."""
     os.makedirs(out_dir, exist_ok=True)
-    written = []
+    path = os.path.join(out_dir, name)
+    mode = "wb" if isinstance(data, bytes) else "w"
+    with open(path, mode, newline="" if mode == "w" else None) as fh:
+        fh.write(data)
+    return path
 
-    def _put(name: str, data) -> None:
-        path = os.path.join(out_dir, name)
-        mode = "wb" if isinstance(data, bytes) else "w"
-        with open(path, mode, newline="" if mode == "w" else None) as fh:
-            fh.write(data)
-        written.append(path)
 
-    _put("results.csv", results_csv(result))
-    _put("bytes.csv", bytes_csv(result))
-    _put("retrieval.csv", retrieval_csv(result))
-    _put("ledger.txt", ledger.export_chain(result.ledger))
-    _put("summary.txt", summary_text(result))
+def write_artifacts(result: ScenarioResult, out_dir: str) -> List[str]:
+    written = [
+        write_file(out_dir, "results.csv", results_csv(result)),
+        write_file(out_dir, "bytes.csv", bytes_csv(result)),
+        write_file(out_dir, "retrieval.csv", retrieval_csv(result)),
+        write_file(out_dir, "ledger.txt", ledger.export_chain(result.ledger)),
+        write_file(out_dir, "summary.txt", summary_text(result)),
+    ]
     if result.transcript is not None:
-        _put("transcript.csv",
-             csv_text(["round", "sender", "recipient", "kind", "bytes"], result.transcript))
+        written.append(write_file(out_dir, "transcript.csv", csv_text(
+            ["round", "sender", "recipient", "kind", "bytes"], result.transcript)))
     return written

@@ -263,7 +263,7 @@ class TestQuorumCertificate:
         }
         cert = auth.make_certificate(digest, votes)
         assert auth.verify_certificate(registry, cert, context, quorum=3)
-        assert cert.signer_set() == (1, 2, 3)
+        assert [op for op, _ in cert.votes] == [1, 2, 3]
 
     def test_below_quorum_fails(self, registry):
         digest = b"\x01" * 32

@@ -160,7 +160,7 @@ class TestHaltMechanics:
     def test_iteration_cap_raises(self):
         params = make_params()
         bits = {1: 0, 2: 1, 3: 0, 4: 1}
-        with pytest.raises(binary.AgreementError):
+        with pytest.raises(netsim.HarnessError, match="round cap 0 exceeded"):
             binary.run_binary(params, bits, seed=1, max_iterations=0)
 
 
@@ -249,11 +249,30 @@ class TestWorkCounts:
         certificate once; a controlled operator draws each recipient's bit
         from one pair of messages. Building a message per recipient and
         re-signing the certificate every round gave 148 encodes and 16
-        signs (10 of them the verifies' own).
+        signs (10 of them the verifies' own); halted operators that still
+        checked their peers' certificates gave 12 signs and 10 verifies.
         """
         params = make_params(10, 3)
         bits = {op: op % 2 for op in params.operator_ids()}
         adversary = AdversaryStrategy(netsim.RANDOM_VALUES, frozenset({1, 2, 3}), rotate=True)
         result = binary.run_binary(params, bits, seed=1, adversary=adversary)
         assert result.rounds == 4
-        assert work_counts == {"encode": 38, "sign": 12, "verify": 10}
+        assert work_counts == {"encode": 38, "sign": 10, "verify": 8}
+
+    def test_halted_operator_skips_tally_and_certificate_checks(self, work_counts):
+        """Once halted, an operator verifies no peer certificate and records none."""
+        params = make_params()
+        registry = auth.KeyRegistry(params.operator_ids(), 5)
+        coin = auth.CommonCoin(6)
+        peer, halted, running = (binary.BinaryOperator(op, params, 1, "bin", coin, registry)
+                                 for op in (2, 1, 3))
+        peer._halt(1, "2.1")
+        halted._halt(1, "2.1")
+        inbox = {2: [peer.make_halt_cert()]}
+        work_counts.update(encode=0, sign=0, verify=0)
+        halted.deliver(6, inbox)
+        assert work_counts["verify"] == 0
+        assert halted._peer_certs == {}
+        running.deliver(6, inbox)  # the same certificate is valid to a running peer
+        assert work_counts["verify"] == 1
+        assert running._peer_certs == {2: 1}

@@ -228,6 +228,10 @@ class TestGeoFlags:
         # checked as it is parsed, so the --trials 1 appended below cannot mask it
         (["detection", "--trials", "1000000000", "--densities", "10"],
          "argument --trials: 1000000000 is more than 1e+07 incident points"),
+        (["constellation", "--densities", "5", "--subbands", "100000000000000000000"],
+         "--subbands must be at most 9223372036854775807"),
+        (["detection", "--densities", "0:1:1000000000"],
+         "density range needs 1 to 10000 points"),
     ])
     def test_bad_geo_flag_is_exit_1(self, capsys, argv, message):
         assert main(argv + ["--trials", "1"]) == 1

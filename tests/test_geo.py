@@ -122,7 +122,6 @@ class TestInterferenceCounting:
             beam,
             {op: np.array(pts, dtype=float) for op, pts in sats.items()},
             {op: np.array(b, dtype=np.int64) for op, b in bands.items()},
-            n_subbands=max((max(b) + 1 for b in bands.values() if len(b)), default=1),
         )
 
     def test_overlapping_pair_counts_once(self):

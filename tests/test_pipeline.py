@@ -295,6 +295,26 @@ class TestStructure:
                     writers.append((path.name, scope))
         assert writers == [("pipeline.py", "csv_text")]
 
+    def test_every_file_is_written_by_write_file(self):
+        # an open() whose mode is not a read-only literal, or a call that
+        # makes directories or writes a path, counts as writing a file
+        writers = set()
+        for path in sorted(pathlib.Path(pipeline.__file__).parent.glob("*.py")):
+            for node, _, scope in _scoped_nodes(path):
+                if not isinstance(node, ast.Call):
+                    continue
+                if getattr(node.func, "id", None) == "open":
+                    mode = node.args[1] if len(node.args) > 1 else next(
+                        (kw.value for kw in node.keywords if kw.arg == "mode"), None)
+                    if mode is None or (isinstance(mode, ast.Constant)
+                                        and not set(mode.value) & set("wax+")):
+                        continue
+                elif getattr(node.func, "attr", None) not in (
+                        "makedirs", "mkdir", "write_text", "write_bytes"):
+                    continue
+                writers.add((path.name, scope))
+        assert writers == {("pipeline.py", "write_file")}
+
     def test_profile_is_read_only_to_pick_its_row_and_to_report_it(self):
         # what a profile changes (protocol, checks, ledger mode) lives in its
         # _PROFILES row, not in tests of the profile name
