@@ -100,12 +100,11 @@ class ExactOperator:
     def outgoing(self, round_no: int) -> List[netsim.Outbound]:
         if round_no == 0:
             return [(netsim.BROADCAST, self.make_own_broadcast(self.initial_value))]
-        out: List[netsim.Outbound] = []
-        for signed in self._relay_queue:
-            msg = netsim.Message(self.operator_id, netsim.KIND_BCAST, (signed,))
-            for dest in self.params.operator_ids():
-                if dest not in signed.signers:
-                    out.append((dest, msg))
+        # one entry per relay, addressed to every peer not yet on its chain
+        out: List[netsim.Outbound] = [
+            (tuple(dest for dest in self.params.operator_ids() if dest not in signed.signers),
+             netsim.Message(self.operator_id, netsim.KIND_BCAST, (signed,)))
+            for signed in self._relay_queue]
         self._relay_queue = []
         return out
 

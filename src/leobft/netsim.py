@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import auth
 from .model import MAX_MAGNITUDE, UsageTensor
@@ -117,7 +117,9 @@ class Message:
         return size
 
 
-Outbound = Tuple[int, Message]  # (destination operator or BROADCAST, message)
+# (destination, message); the destination is BROADCAST, one operator id, or a
+# tuple of ids that gets one copy per listed id
+Outbound = Tuple[Union[int, Tuple[int, ...]], Message]
 
 
 @dataclass
@@ -193,14 +195,14 @@ def honest_ids(operator_ids: Sequence[int],
     return [op for op in operator_ids if op not in adversary.controlled]
 
 
-def _halves(recipients: Sequence[int]) -> Tuple[List[int], List[int]]:
-    ordered = sorted(recipients)
+def _halves(recipients: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    ordered = tuple(sorted(recipients))
     half = len(ordered) // 2
     return ordered[:half], ordered[half:]
 
 
-def _lie_values(strategy: AdversaryStrategy, base: float, recipients: Sequence[int],
-                rng: Optional[random.Random]) -> List[Tuple[float, Sequence[int]]]:
+def _lie_values(strategy: AdversaryStrategy, base: float, recipients: Tuple[int, ...],
+                rng: Optional[random.Random]) -> List[Tuple[float, Tuple[int, ...]]]:
     """(value, recipients) groups sent instead of base by one of the four value lies.
 
     Groups are non-empty and follow the recipients' order, so a caller that
@@ -226,13 +228,21 @@ def _lie_values(strategy: AdversaryStrategy, base: float, recipients: Sequence[i
     return [(value, recipients)]
 
 
+def _recipients(dest, ids: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The operators an Outbound destination names, in sending order."""
+    if dest == BROADCAST:
+        return ids
+    return dest if isinstance(dest, tuple) else (dest,)
+
+
 def _substitute(strategy: AdversaryStrategy, op: int, round_no: int,
-                intended: List[Outbound], all_ids: Sequence[int],
+                intended: List[Outbound], all_ids: Tuple[int, ...],
                 rng: Optional[random.Random], participant) -> List[Outbound]:
     """Replace an operator's honest outbox according to the strategy.
 
-    Each lie is one message object, shared by every recipient it goes to, so
-    the bus encodes and an exact operator signs it once.
+    Each lie is one message object sent to its recipient group as one tuple
+    destination, so the bus encodes and an exact operator signs it once.
+    Lies never use BROADCAST: they originate their size once per recipient.
     """
     behavior = strategy.behavior
     params = strategy.params
@@ -244,22 +254,21 @@ def _substitute(strategy: AdversaryStrategy, op: int, round_no: int,
 
     out: List[Outbound] = []
     for dest, msg in intended:
-        recipients = all_ids if dest == BROADCAST else [dest]
+        recipients = _recipients(dest, all_ids)
 
         if msg.kind in (KIND_BIT, KIND_CERT):
             original = int(msg.body[0])
             if behavior == EQUIVOCATE:
                 lows, highs = _halves(recipients)
                 b0, b1 = params.get("bits", (0, 1))
-                m0, m1 = Message(op, KIND_BIT, (b0,)), Message(op, KIND_BIT, (b1,))
-                out.extend((r, m0) for r in lows)
-                out.extend((r, m1) for r in highs)
+                out.append((lows, Message(op, KIND_BIT, (b0,))))
+                out.append((highs, Message(op, KIND_BIT, (b1,))))
             elif behavior == RANDOM_VALUES or behavior == BOUNDARY_ATTACKER:
                 bits = (Message(op, KIND_BIT, (0,)), Message(op, KIND_BIT, (1,)))
                 out.extend((r, bits[rng.randint(0, 1)]) for r in recipients)
             elif behavior == VALUE_LIAR:
                 lie = Message(op, KIND_BIT, (params.get("bit", 1 - original),))
-                out.extend((r, lie) for r in recipients)
+                out.append((recipients, lie))
 
         elif msg.kind in (KIND_VAL, KIND_HALTED):
             original_value = float(msg.body[0])
@@ -267,11 +276,10 @@ def _substitute(strategy: AdversaryStrategy, op: int, round_no: int,
                 if round_no == 0:
                     notice = Message(op, KIND_HALTED,
                                      (float(params.get("value", original_value)),))
-                    out.extend((r, notice) for r in recipients)
+                    out.append((recipients, notice))
                 continue
             for value, group in _lie_values(strategy, original_value, recipients, rng):
-                lie = Message(op, KIND_VAL, (value,))
-                out.extend((r, lie) for r in group)
+                out.append((group, Message(op, KIND_VAL, (value,))))
 
         elif msg.kind == KIND_BCAST:
             signed: auth.SignedMessage = msg.body[0]
@@ -279,22 +287,20 @@ def _substitute(strategy: AdversaryStrategy, op: int, round_no: int,
             if own_origin and hasattr(participant, "make_own_broadcast"):
                 base = float(participant.initial_value)
                 for value, group in _lie_values(strategy, base, recipients, rng):
-                    lie = participant.make_own_broadcast(value)
-                    out.extend((r, lie) for r in group)
+                    out.append((group, participant.make_own_broadcast(value)))
             else:
-                # relayed chains cannot be forged, only withheld. An exact
-                # operator addresses each relay to one peer, and the lower
-                # half of one recipient is nobody, so an equivocator relays
-                # nothing; random-values drops each relay with probability 1/2
+                # relayed chains cannot be forged, only withheld, destination
+                # by destination: an equivocator keeps the lower half of a
+                # broadcast, which for one listed peer is nobody, so it relays
+                # nothing to a listed group; random-values drops each
+                # recipient with probability 1/2, drawing in the listed order
                 if behavior == EQUIVOCATE:
-                    keep, _ = _halves(recipients)
-                    out.extend((r, msg) for r in keep)
+                    recipients = _halves(recipients)[0] if dest == BROADCAST else ()
                 elif behavior == RANDOM_VALUES:
-                    out.extend((r, msg) for r in recipients if rng.random() < 0.5)
-                else:
-                    out.extend((r, msg) for r in recipients)
+                    recipients = tuple(r for r in recipients if rng.random() < 0.5)
+                out.append((recipients, msg))
         else:
-            out.extend((r, msg) for r in recipients)
+            out.append((recipients, msg))
     return out
 
 
@@ -328,28 +334,35 @@ class RoundBus:
     def run_round(self) -> Dict[int, Mapping[int, Sequence[Message]]]:
         """Run one round; return each receiver's inbox, senders in ascending id.
 
-        Inboxes are read-only: an absent sender's entry is empty, a present
-        one lists its messages in sending order.
+        Inboxes are read-only and may be shared between receivers: an absent
+        sender's entry is empty, a present one lists its messages in sending
+        order. A sender whose one message goes to every operator fills one
+        entry of a shared base inbox; a receiver of any other message gets a
+        copy of the base with its own entries. A BROADCAST originates its
+        size once, any other destination once per listed id.
         """
         round_no = self.round
         frame = self.frame_bytes
+        ids = tuple(self.operator_ids)
+        originated, delivered, received = self.originated, self.delivered, self.received
+        transcript = self.transcript
         controlled = (
-            self.adversary.controlled_at(round_no, self.operator_ids)
-            if self.adversary else frozenset()
+            self.adversary.controlled_at(round_no, ids) if self.adversary else frozenset()
         )
 
-        inboxes: Dict[int, Dict[int, List[Message]]] = {
-            rcv: {snd: [] for snd in self.operator_ids} for rcv in self.operator_ids
-        }
+        absent: List[Message] = []
+        base: Dict[int, Sequence[Message]] = {}
+        private: Dict[int, Dict[int, List[Message]]] = {}
+        shared_bytes = 0  # what every operator receives of the base, its own included
 
-        for op in self.operator_ids:
+        for op in ids:
             participant = self.participants[op]
             intended = list(participant.outgoing(round_no))
             if op in controlled:
                 rng = (random.Random(auth.derive_seed(self.seed, "adv", op, round_no))
                        if self.adversary.behavior in _DRAWING else None)
                 outbound = _substitute(self.adversary, op, round_no, intended,
-                                       self.operator_ids, rng, participant)
+                                       ids, rng, participant)
             else:
                 outbound = intended
                 if getattr(participant, "halted", False):
@@ -360,24 +373,40 @@ class RoundBus:
                                 "operator %d sent %r after halting" % (op, msg.kind)
                             )
 
+            base[op] = absent
             for dest, msg in outbound:
                 if msg.sender != op:
                     raise HarnessError("operator %d forged sender %d" % (op, msg.sender))
-                recipients = self.operator_ids if dest == BROADCAST else [dest]
+                recipients = _recipients(dest, ids)
+                if not recipients:  # an empty group is never sized, so never encoded
+                    continue
                 size = msg.raw_size()
                 if frame is not None:
                     size = max(size, frame)
-                self.originated[op] += size
+                originated[op] += size if dest == BROADCAST else size * len(recipients)
+                if transcript is not None:
+                    transcript.extend((round_no, op, rcv, msg.kind, size) for rcv in recipients)
+                if len(outbound) == 1 and recipients == ids:
+                    base[op] = (msg,)
+                    delivered[op] += size * (len(ids) - 1)
+                    received[op] -= size  # its own copy is not received
+                    shared_bytes += size
+                    continue
                 for rcv in recipients:
-                    inboxes[rcv][op].append(msg)
+                    if rcv not in received:
+                        raise HarnessError("operator %d sent to %r, which is not on this bus"
+                                           % (op, rcv))
+                    private.setdefault(rcv, {}).setdefault(op, []).append(msg)
                     if rcv != op:
-                        self.delivered[op] += size
-                        self.received[rcv] += size
-                    if self.transcript is not None:
-                        self.transcript.append((round_no, op, rcv, msg.kind, size))
+                        delivered[op] += size
+                        received[rcv] += size
 
-        for op in self.operator_ids:
-            self.participants[op].deliver(round_no, inboxes[op])
+        inboxes: Dict[int, Mapping[int, Sequence[Message]]] = dict.fromkeys(ids, base)
+        for rcv, mine in private.items():
+            inboxes[rcv] = {**base, **mine}
+        for rcv in ids:
+            received[rcv] += shared_bytes
+            self.participants[rcv].deliver(round_no, inboxes[rcv])
 
         self.round += 1
         return inboxes

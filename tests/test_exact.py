@@ -154,9 +154,10 @@ class TestAdversaries:
             assert result.views[op][4] is CONFLICT
 
     def test_equivocator_relays_nothing(self):
-        # a relay goes to one peer and an equivocator keeps the lower half of
-        # its recipients, which for one peer is nobody: it sends its own split
-        # broadcast in round 0 and is silent for the f relay rounds
+        # a relay goes to a group of peers, and an equivocator withholds it
+        # destination by destination, keeping the lower half of each one peer,
+        # which is nobody: it sends its own split broadcast in round 0 and is
+        # silent for the f relay rounds
         params = make_params(7, 2)
         adversary = AdversaryStrategy(netsim.EQUIVOCATE, frozenset({1, 2}))
         values = {op: float(op) for op in params.operator_ids()}
@@ -167,6 +168,30 @@ class TestAdversaries:
         assert result.rounds == 3
         assert {key: n for key, n in sent.items() if key[1] in (1, 2)} == {(0, 1): 7, (0, 2): 7}
         assert sent[(1, 3)] > 0 and sent[(2, 3)] > 0  # honest operators do relay
+
+    @pytest.mark.parametrize("rotate", [False, True])
+    @pytest.mark.parametrize("behavior", netsim.BEHAVIORS)
+    def test_group_relays_act_as_one_relay_per_destination(self, behavior, rotate,
+                                                           monkeypatch):
+        # an adversary withholds a relay addressed to a group exactly as it
+        # withholds the same relay sent to each peer as its own entry
+        params = make_params(7, 2)
+        values = {op: float(op) for op in params.operator_ids()}
+        adversary = AdversaryStrategy(behavior, frozenset({1, 2}), rotate=rotate)
+
+        def run():
+            result = exact.run_exact(params, values, seed=3, adversary=adversary,
+                                     record_transcript=True)
+            bus = result.bus
+            return (result.views, result.outputs, result.accepted_chain_lengths,
+                    bus.transcript_rows(), bus.originated, bus.delivered, bus.received)
+
+        grouped = run()
+        outgoing = exact.ExactOperator.outgoing
+        monkeypatch.setattr(exact.ExactOperator, "outgoing", lambda self, round_no: [
+            (one, msg) for dest, msg in outgoing(self, round_no)
+            for one in (dest if isinstance(dest, tuple) else (dest,))])
+        assert run() == grouped
 
 
 class TestSignatureDiscipline:

@@ -52,18 +52,23 @@ def reference_round(ids, outboxes, frame_bytes, round_no):
     """One round delivered recipient by recipient into fresh lists.
 
     Returns (inboxes, originated, delivered, received, transcript rows) for
-    outboxes mapping each operator to its (destination, message) pairs.
+    outboxes mapping each operator to its (destination, message) pairs. A
+    tuple destination is one copy per listed id, each originating its size.
     """
     inboxes = {rcv: {snd: [] for snd in ids} for rcv in ids}
     originated, delivered, received = ({op: 0 for op in ids} for _ in range(3))
     rows = []
     for op in ids:
         for dest, msg in outboxes[op]:
-            recipients = ids if dest == BROADCAST else [dest]
             size = msg.raw_size()
             if frame_bytes is not None:
                 size = max(size, frame_bytes)
-            originated[op] += size
+            if isinstance(dest, tuple):
+                recipients = dest
+                originated[op] += size * len(dest)
+            else:
+                recipients = ids if dest == BROADCAST else [dest]
+                originated[op] += size
             for rcv in recipients:
                 inboxes[rcv][op].append(msg)
                 if rcv != op:
@@ -78,19 +83,21 @@ def round_scripts(draw):
     """(ids, frame_bytes, {op: [outbox per round]}) over a few senders.
 
     Each sender picks from a pool of at most three messages, so a message can
-    go to one peer several times, by address and by broadcast alike; an empty
-    outbox is a silent sender.
+    go to one peer several times, by address, by group and by broadcast
+    alike. A group may repeat ids, be empty or list every id; an empty outbox
+    is a silent sender.
     """
     ids = list(range(1, draw(st.integers(1, 6)) + 1))
     frame_bytes = draw(st.none() | st.integers(0, 30))
     n_rounds = draw(st.integers(1, 3))
+    dests = (st.sampled_from([BROADCAST, tuple(ids), ()] + ids)
+             | st.lists(st.sampled_from(ids), max_size=2 * len(ids)).map(tuple))
     scripts = {}
     for op in ids:
         pool = [Message(op, kind, (value,)) for kind, value in draw(st.lists(
             st.tuples(st.sampled_from([netsim.KIND_VAL, netsim.KIND_BIT, "blob"]),
                       st.integers(-10**30, 10**30)), min_size=1, max_size=3))]
-        outbox = st.lists(st.tuples(st.sampled_from([BROADCAST] + ids),
-                                    st.sampled_from(pool)), max_size=6)
+        outbox = st.lists(st.tuples(dests, st.sampled_from(pool)), max_size=6)
         scripts[op] = [draw(outbox) for _ in range(n_rounds)]
     return ids, frame_bytes, scripts
 
@@ -166,6 +173,29 @@ class TestRoundBus:
             rows += want_rows
             assert [bus.originated, bus.delivered, bus.received] == totals
             assert bus.transcript_rows() == rows
+
+    @pytest.mark.parametrize("dest", [4, (2, 4), (4,)], ids=["id", "group", "lone-group"])
+    def test_unknown_destination_rejected(self, dest):
+        bus = RoundBus([1, 2, 3])
+        bus.register(Scripted(1, [[(dest, Message(1, netsim.KIND_VAL, (1.0,)))]]))
+        bus.register(Echo(2))
+        bus.register(Echo(3))
+        with pytest.raises(netsim.HarnessError, match="not on this bus"):
+            bus.run_round()
+
+    @pytest.mark.parametrize("adversary", [
+        None, AdversaryStrategy(netsim.VALUE_LIAR, frozenset({1}), rotate=True)],
+        ids=["fault-free", "rotating-value-liar"])
+    def test_one_inbox_shared_when_every_sender_broadcasts_one_message(self, adversary):
+        # a value liar's lie goes to every operator, so it shares the inbox too
+        params = NetworkParams(4, 1, 0.05, zeta=0.1, alpha=0.5, rssi_threshold=0.5)
+        bus = RoundBus([1, 2, 3, 4])
+        for op in (1, 2, 3, 4):
+            bus.register(approx.ApproxOperator(op, params, float(op)))
+        bus.bind_adversary(adversary)
+        for _ in range(4):
+            inboxes = bus.run_round()
+            assert len({id(inbox) for inbox in inboxes.values()}) == 1
 
     def test_round_counter_advances(self):
         bus = make_bus(3)
@@ -254,6 +284,36 @@ class TestRunInstance:
                     node = parents[node]
                 builders.append((path.name, getattr(node, "name", "<module>")))
         assert builders == [("netsim.py", "run_instance")]
+
+
+class TestReadOnlyInboxes:
+    @pytest.mark.parametrize("adversary", [
+        None, AdversaryStrategy(netsim.VALUE_LIAR, frozenset({1}), rotate=True)],
+        ids=["fault-free", "rotating-value-liar"])
+    def test_no_protocol_mutates_its_inbox(self, adversary, monkeypatch):
+        # receivers may share one inbox, so a change one deliver makes to it
+        # would reach its peers
+        def snapshot(inbox):
+            return [(snd, [id(m) for m in msgs]) for snd, msgs in inbox.items()]
+
+        def guarded(deliver):
+            def wrapper(self, round_no, inbox):
+                before = snapshot(inbox)
+                deliver(self, round_no, inbox)
+                assert snapshot(inbox) == before, type(self).__name__
+                checked.append(type(self))
+            return wrapper
+
+        checked = []
+        for cls in (approx.ApproxOperator, binary.BinaryOperator, exact.ExactOperator):
+            monkeypatch.setattr(cls, "deliver", guarded(cls.deliver))
+        params = NetworkParams(4, 1, 0.05, zeta=0.1, alpha=0.5, rssi_threshold=0.5)
+        ids = range(1, 5)
+        approx.run_approx(params, {op: float(op) for op in ids}, adversary=adversary)
+        binary.run_binary(params, {op: op % 2 for op in ids}, adversary=adversary)
+        exact.run_exact(params, {op: float(op) for op in ids}, adversary=adversary)
+        assert set(checked) == {approx.ApproxOperator, binary.BinaryOperator,
+                                exact.ExactOperator}
 
 
 class TestByteAccounting:
