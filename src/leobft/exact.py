@@ -168,14 +168,15 @@ def run_exact(params: NetworkParams, initial_values: Dict[int, float], *,
               aggregation: str = "median",
               frame_bytes: Optional[int] = None,
               record_transcript: bool = False) -> ExactResult:
-    """Run the N parallel broadcasts for exactly f+1 rounds and aggregate."""
+    """Run the N parallel broadcasts until every honest operator halts, which
+    is after exactly f+1 rounds, and aggregate."""
     ids = sorted(initial_values)
     registry = registry or auth.KeyRegistry(ids, auth.derive_seed(seed, "keys"))
     bus = netsim.run_instance(
         initial_values,
         lambda op, value: ExactOperator(op, params, registry, value, instance),
         params.n_operators, adversary,
-        max_rounds=params.max_faulty + 1, rounds=params.max_faulty + 1, seed=seed,
+        max_rounds=params.max_faulty + 1, seed=seed,
         frame_bytes=frame_bytes, record_transcript=record_transcript)
 
     machines = {op: bus.participants[op] for op in ids}

@@ -283,20 +283,20 @@ class CommitOutcome:
     votes_emitted: List[Tuple[int, bytes, int, bytes]] = field(default_factory=list)
 
 
-def commit_period(params: NetworkParams, registry: auth.KeyRegistry,
-                  ledger: TensorLedger, period: int,
+def commit_period(ledger: TensorLedger, period: int,
                   locals_by_op: Dict[int, UsageTensor], mode: str,
                   adversary: Optional[netsim.AdversaryStrategy] = None) -> CommitOutcome:
     """Drive one period through proposal/vote attempts until a block commits.
 
-    mode "exact" votes on byte identity, mode "approx" on the alpha band.
-    Runs at most f+1 attempts; with at most f faulty operators the rotation
-    reaches an honest proposer whose proposal every honest operator approves.
-    The adversary's operators propose and vote by its proposal and
-    vote_policy.
+    Signs and checks with the ledger's own params and registry. mode "exact"
+    votes on byte identity, mode "approx" on the alpha band. Runs at most
+    f+1 attempts; with at most f faulty operators the rotation reaches an
+    honest proposer whose proposal every honest operator approves. The
+    adversary's operators propose and vote by its proposal and vote_policy.
     """
     if mode not in ("exact", "approx"):
         raise ValueError("mode must be 'exact' or 'approx'")
+    params, registry = ledger.params, ledger.registry
     controlled = adversary.controlled if adversary else frozenset()
     outcome = CommitOutcome(block=None, attempts_used=0)
 
@@ -305,15 +305,7 @@ def commit_period(params: NetworkParams, registry: auth.KeyRegistry,
         proposer = rotation_proposer(period, attempt, params.n_operators)
 
         local = locals_by_op[proposer]
-        style = adversary.proposal if proposer in controlled else "honest"
-        if style == "crash":
-            tensors = []
-        elif style == "corrupt":
-            tensors = [adversary.corrupt_tensor(local)]
-        elif style == "equivocate":
-            tensors = [local, adversary.corrupt_tensor(local)]
-        else:
-            tensors = [local]
+        tensors = adversary.proposal_tensors(local) if proposer in controlled else [local]
         proposals = [make_proposal(registry, proposer, period, attempt, t) for t in tensors]
 
         if len({p.payload for p in proposals}) > 1:

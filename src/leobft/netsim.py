@@ -3,11 +3,11 @@
 All protocol traffic moves in lockstep rounds: every participant hands its
 outgoing messages to the bus, the bus delivers them, and only then does the
 round counter advance, so a message sent in round r is readable in round r
-and never earlier or later. Inboxes carry an entry for every registered
-operator; an empty sequence is the explicit "absent this round" marker.
+and never earlier or later. Inboxes carry an entry for every operator on
+the bus; an empty sequence is the explicit "absent this round" marker.
 
 Adversarial operators keep an honestly-updating state machine, but whatever
-it wants to send is substituted according to the bound strategy. Strategies
+it wants to send is substituted according to the bus's strategy. Strategies
 may only sign through keys their operators own. The same strategy decides how
 its operators propose and vote in the ledger phase and answer retrieval.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import auth
 from .model import MAX_MAGNITUDE, UsageTensor
@@ -175,12 +175,23 @@ class AdversaryStrategy:
             bad.set((0, 0, 0), offset)
         return bad
 
+    def _tensors(self, style: str, local: UsageTensor) -> List[UsageTensor]:
+        """What a proposal style or retrieval answer sends of local: nothing
+        ("crash"), local ("honest"), its corruption ("corrupt") or both
+        ("equivocate")."""
+        tensors = [] if style in ("crash", "corrupt") else [local]
+        if style in ("corrupt", "equivocate"):
+            tensors.append(self.corrupt_tensor(local))
+        return tensors
+
+    def proposal_tensors(self, local: UsageTensor) -> List[UsageTensor]:
+        """The tensors a controlled proposer signs for the ledger, by its proposal."""
+        return self._tensors(self.proposal, local)
+
     def retrieval_answer(self, local: UsageTensor) -> Optional[UsageTensor]:
         """What a controlled operator returns for a retrieval request; None is silence."""
-        answer = LEDGER_ROLES[self.behavior][2]
-        if answer == "crash":
-            return None
-        return local.copy() if answer == "honest" else self.corrupt_tensor(local)
+        answers = self._tensors(LEDGER_ROLES[self.behavior][2], local)
+        return answers[0] if answers else None
 
 
 def honest_ids(operator_ids: Sequence[int],
@@ -305,31 +316,24 @@ def _substitute(strategy: AdversaryStrategy, op: int, round_no: int,
 
 
 class RoundBus:
-    """Lockstep message bus for one protocol instance."""
+    """Lockstep message bus for one protocol instance, built whole: its
+    operators are the participants' operator_ids."""
 
-    def __init__(self, operator_ids: Sequence[int], seed: int = 0,
-                 frame_bytes: Optional[int] = None, record_transcript: bool = False):
-        self.operator_ids = sorted(operator_ids)
+    def __init__(self, participants: Iterable, adversary: Optional[AdversaryStrategy] = None,
+                 *, seed: int = 0, frame_bytes: Optional[int] = None,
+                 record_transcript: bool = False):
+        self.participants: Dict[int, object] = {p.operator_id: p for p in participants}
+        self.operator_ids = tuple(sorted(self.participants))
+        self.adversary = adversary
         self.seed = seed
         self.frame_bytes = frame_bytes
         self.round = 0
-        self.participants: Dict[int, object] = {}
-        self.adversary: Optional[AdversaryStrategy] = None
         self.originated = {op: 0 for op in self.operator_ids}
         self.delivered = {op: 0 for op in self.operator_ids}
         self.received = {op: 0 for op in self.operator_ids}
         self.transcript: Optional[List[Tuple[int, int, int, str, int]]] = (
             [] if record_transcript else None
         )
-
-    def register(self, participant) -> None:
-        op = participant.operator_id
-        if op not in self.originated:
-            raise ValueError("operator %d is not on this bus" % op)
-        self.participants[op] = participant
-
-    def bind_adversary(self, strategy: Optional[AdversaryStrategy]) -> None:
-        self.adversary = strategy
 
     def run_round(self) -> Dict[int, Mapping[int, Sequence[Message]]]:
         """Run one round; return each receiver's inbox, senders in ascending id.
@@ -343,7 +347,7 @@ class RoundBus:
         """
         round_no = self.round
         frame = self.frame_bytes
-        ids = tuple(self.operator_ids)
+        ids = self.operator_ids
         originated, delivered, received = self.originated, self.delivered, self.received
         transcript = self.transcript
         controlled = (
@@ -411,11 +415,6 @@ class RoundBus:
         self.round += 1
         return inboxes
 
-    def transcript_rows(self) -> List[Tuple[int, int, int, str, int]]:
-        if self.transcript is None:
-            raise ValueError("bus was created without transcript recording")
-        return list(self.transcript)
-
 
 def run_instance(inputs: Mapping[int, object], make_operator: Callable[[int, object], object],
                  n_operators: int, adversary: Optional[AdversaryStrategy], *,
@@ -431,11 +430,8 @@ def run_instance(inputs: Mapping[int, object], make_operator: Callable[[int, obj
     ids = sorted(inputs)
     if len(ids) != n_operators:
         raise ValueError("expected %d inputs, got %d" % (n_operators, len(ids)))
-    bus = RoundBus(ids, seed=seed, frame_bytes=frame_bytes,
-                   record_transcript=record_transcript)
-    for op in ids:
-        bus.register(make_operator(op, inputs[op]))
-    bus.bind_adversary(adversary)
+    bus = RoundBus([make_operator(op, inputs[op]) for op in ids], adversary, seed=seed,
+                   frame_bytes=frame_bytes, record_transcript=record_transcript)
     honest = honest_ids(ids, adversary)
     while (bus.round < rounds if rounds is not None
            else not all(bus.participants[op].halted for op in honest)):

@@ -159,7 +159,7 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
             bytes_acc[op][1] += result.bus.delivered[op]
             bytes_acc[op][2] += result.bus.received[op]
         if record:
-            transcript = result.bus.transcript_rows()
+            transcript = result.bus.transcript
 
         key = (event.region, event.subband, event.operator - 1)
         for op in ids:
@@ -169,8 +169,7 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
 
     # ledger commit for the period
     chain = ledger.TensorLedger(params, registry)
-    commit = ledger.commit_period(params, registry, chain, sc.period,
-                                  locals_by_op, profile.mode, sc.adversary)
+    commit = ledger.commit_period(chain, sc.period, locals_by_op, profile.mode, sc.adversary)
 
     responses = _retrieval_responses(sc.adversary, locals_by_op)
     retrieved_exact = ledger.retrieve_exact(responses, params.max_faulty)
@@ -198,14 +197,10 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
 
 def _retrieval_responses(adversary: Optional[netsim.AdversaryStrategy],
                          locals_by_op: Dict[int, UsageTensor]) -> Dict[int, UsageTensor]:
-    responses = {op: tensor.copy() for op, tensor in locals_by_op.items()}
-    for op in adversary.controlled if adversary else ():
-        answer = adversary.retrieval_answer(locals_by_op[op])
-        if answer is None:
-            del responses[op]
-        else:
-            responses[op] = answer
-    return responses
+    controlled = adversary.controlled if adversary else frozenset()
+    answers = {op: adversary.retrieval_answer(local) if op in controlled else local
+               for op, local in locals_by_op.items()}
+    return {op: answer for op, answer in answers.items() if answer is not None}
 
 
 def _check_retrieval(mode: str, honest: List[int],

@@ -295,8 +295,7 @@ def test_criterion_5_ledger_safety_exhaustive(report):
 
     for mode in ("exact", "approx"):
         baseline = ledger.TensorLedger(params, registry)
-        outcome = ledger.commit_period(params, registry, baseline, 0,
-                                       make_locals(mode), mode)
+        outcome = ledger.commit_period(baseline, 0, make_locals(mode), mode)
         assert outcome.block is not None and outcome.block.attempt == 0
 
         for behavior, faulty, vote_policy in itertools.product(
@@ -309,8 +308,7 @@ def test_criterion_5_ledger_safety_exhaustive(report):
                 vote_policy=None if vote_policy == "derived" else vote_policy,
             )
             chain = ledger.TensorLedger(params, registry)
-            outcome = ledger.commit_period(params, registry, chain, 0,
-                                           locals_by_op, mode, adversary)
+            outcome = ledger.commit_period(chain, 0, locals_by_op, mode, adversary)
             combos += 1
 
             # liveness within f+1 attempts despite one faulty operator

@@ -164,7 +164,7 @@ class TestAdversaries:
         result = exact.run_exact(params, values, seed=0, adversary=adversary,
                                  record_transcript=True)
         sent = Counter((round_no, sender)
-                       for round_no, sender, *_ in result.bus.transcript_rows())
+                       for round_no, sender, *_ in result.bus.transcript)
         assert result.rounds == 3
         assert {key: n for key, n in sent.items() if key[1] in (1, 2)} == {(0, 1): 7, (0, 2): 7}
         assert sent[(1, 3)] > 0 and sent[(2, 3)] > 0  # honest operators do relay
@@ -184,7 +184,7 @@ class TestAdversaries:
                                      record_transcript=True)
             bus = result.bus
             return (result.views, result.outputs, result.accepted_chain_lengths,
-                    bus.transcript_rows(), bus.originated, bus.delivered, bus.received)
+                    bus.transcript, bus.originated, bus.delivered, bus.received)
 
         grouped = run()
         outgoing = exact.ExactOperator.outgoing

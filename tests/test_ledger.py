@@ -113,7 +113,7 @@ class TestChain:
     def _commit_one(self, registry, params, period=0, value=0.7):
         chain = TensorLedger(params, registry)
         locals_by_op = {op: make_tensor(period, value) for op in params.operator_ids()}
-        outcome = commit_period(params, registry, chain, period, locals_by_op, "exact")
+        outcome = commit_period(chain, period, locals_by_op, "exact")
         assert outcome.block is not None
         return chain, outcome
 
@@ -132,7 +132,7 @@ class TestChain:
         for period in range(3):
             locals_by_op = {op: make_tensor(period, 0.5 + period)
                             for op in params.operator_ids()}
-            commit_period(params, registry, chain, period, locals_by_op, "exact")
+            commit_period(chain, period, locals_by_op, "exact")
         assert len(chain.blocks) == 3
         assert chain.blocks[0].prev_digest == ledger.GENESIS_DIGEST
         assert chain.blocks[1].prev_digest == chain.blocks[0].digest
@@ -145,7 +145,7 @@ class TestChain:
         chain, _ = self._commit_one(registry, params, period=5)
         locals_by_op = {op: make_tensor(3) for op in params.operator_ids()}
         with pytest.raises(ValueError):
-            commit_period(params, registry, chain, 3, locals_by_op, "exact")
+            commit_period(chain, 3, locals_by_op, "exact")
 
     def test_tampered_block_detected(self, registry):
         params = make_params()
@@ -180,8 +180,7 @@ class TestCommitFlow:
         adversary = AdversaryStrategy("bad-proposer", frozenset({1}), proposal="crash",
                                       vote_policy="crash")
         locals_by_op = {op: make_tensor() for op in params.operator_ids()}
-        outcome = commit_period(params, registry, chain, 0, locals_by_op, "exact",
-                                adversary)
+        outcome = commit_period(chain, 0, locals_by_op, "exact", adversary)
         assert outcome.block is not None
         assert outcome.attempts_used == 2
         assert outcome.block.proposer == 2
@@ -192,8 +191,7 @@ class TestCommitFlow:
         adversary = AdversaryStrategy("bad-proposer", frozenset({1}), proposal="equivocate",
                                       vote_policy="honest")
         locals_by_op = {op: make_tensor() for op in params.operator_ids()}
-        outcome = commit_period(params, registry, chain, 0, locals_by_op, "exact",
-                                adversary)
+        outcome = commit_period(chain, 0, locals_by_op, "exact", adversary)
         assert outcome.block is not None and outcome.block.proposer == 2
         assert len(outcome.verdicts) == 1
         verdict = outcome.verdicts[0]
@@ -207,8 +205,7 @@ class TestCommitFlow:
         adversary = AdversaryStrategy("bad-proposer", frozenset({1}), proposal="corrupt",
                                       vote_policy="honest")
         locals_by_op = {op: make_tensor() for op in params.operator_ids()}
-        outcome = commit_period(params, registry, chain, 0, locals_by_op, "exact",
-                                adversary)
+        outcome = commit_period(chain, 0, locals_by_op, "exact", adversary)
         assert outcome.block is not None and outcome.block.proposer == 2
         kinds = [v.kind for v in outcome.verdicts]
         assert kinds == [ledger.REJECTED_PROPOSAL]
@@ -220,8 +217,7 @@ class TestCommitFlow:
         adversary = AdversaryStrategy("bad-proposer", frozenset({3}), proposal="honest",
                                       vote_policy="reject-all")
         locals_by_op = {op: make_tensor() for op in params.operator_ids()}
-        outcome = commit_period(params, registry, chain, 0, locals_by_op, "exact",
-                                adversary)
+        outcome = commit_period(chain, 0, locals_by_op, "exact", adversary)
         assert outcome.block is not None
         assert outcome.attempts_used == 1
         assert 3 not in [op for op, _ in outcome.block.certificate.votes]
@@ -231,7 +227,7 @@ class TestCommitFlow:
         chain = TensorLedger(params, registry)
         locals_by_op = {op: make_tensor(value=0.7 + 0.01 * op)
                         for op in params.operator_ids()}
-        outcome = commit_period(params, registry, chain, 0, locals_by_op, "approx")
+        outcome = commit_period(chain, 0, locals_by_op, "approx")
         assert outcome.block is not None
         assert outcome.attempts_used == 1
 
@@ -241,7 +237,7 @@ class TestCommitFlow:
         # proposer 1's tensor sits 0.4 away from everyone else's
         locals_by_op = {op: make_tensor(value=0.7) for op in params.operator_ids()}
         locals_by_op[1] = make_tensor(value=1.1)
-        outcome = commit_period(params, registry, chain, 0, locals_by_op, "approx")
+        outcome = commit_period(chain, 0, locals_by_op, "approx")
         assert outcome.block is not None
         assert outcome.block.proposer == 2
         assert [v.kind for v in outcome.verdicts] == [ledger.REJECTED_PROPOSAL]
@@ -253,8 +249,7 @@ class TestCommitFlow:
                                       vote_policy="crash")
         locals_by_op = {op: make_tensor() for op in params.operator_ids()}
         # two crashed proposers exceed f; the window can close without a block
-        outcome = commit_period(params, registry, chain, 0, locals_by_op, "exact",
-                                adversary)
+        outcome = commit_period(chain, 0, locals_by_op, "exact", adversary)
         assert outcome.attempts_used <= params.max_faulty + 1
         assert outcome.block is None
 
@@ -262,7 +257,7 @@ class TestCommitFlow:
         params = make_params()
         chain = TensorLedger(params, registry)
         locals_by_op = {op: make_tensor() for op in params.operator_ids()}
-        outcome = commit_period(params, registry, chain, 0, locals_by_op, "exact")
+        outcome = commit_period(chain, 0, locals_by_op, "exact")
         block = outcome.block
         # replaying the same certificate under another attempt must fail
         with pytest.raises(ValueError):
@@ -278,8 +273,7 @@ class TestCommitFlow:
         adversary = AdversaryStrategy("bad-proposer", frozenset({1}), proposal="equivocate",
                                       vote_policy="approve-all")
         locals_by_op = {op: make_tensor() for op in params.operator_ids()}
-        outcome = commit_period(params, registry, chain, 0, locals_by_op, "exact",
-                                adversary)
+        outcome = commit_period(chain, 0, locals_by_op, "exact", adversary)
         per_attempt = {}
         for attempt, digest, op, _ in outcome.votes_emitted:
             per_attempt.setdefault(attempt, {}).setdefault(op, set()).add(digest)
@@ -335,7 +329,7 @@ class TestExportAudit:
         for period in range(periods):
             locals_by_op = {op: make_tensor(period, 0.25 * (period + 1))
                             for op in params.operator_ids()}
-            commit_period(params, registry, chain, period, locals_by_op, "exact")
+            commit_period(chain, period, locals_by_op, "exact")
         return chain
 
     def test_roundtrip_audit_ok(self, registry):

@@ -102,12 +102,9 @@ def round_scripts(draw):
     return ids, frame_bytes, scripts
 
 
-def make_bus(n=5, frame_bytes=None, cls=Echo, seed=0, **kwargs):
-    ids = list(range(1, n + 1))
-    bus = RoundBus(ids, seed=seed, frame_bytes=frame_bytes, **kwargs)
-    for op in ids:
-        bus.register(cls(op, value=float(op)))
-    return bus
+def make_bus(n=5, frame_bytes=None, cls=Echo, seed=0, adversary=None, **kwargs):
+    return RoundBus([cls(op, value=float(op)) for op in range(1, n + 1)], adversary,
+                    seed=seed, frame_bytes=frame_bytes, **kwargs)
 
 
 class TestRoundBus:
@@ -126,21 +123,14 @@ class TestRoundBus:
         assert bus.participants[2].seen[0][2][0].body == (2.0,)
 
     def test_absent_sender_has_empty_inbox_entry(self):
-        ids = [1, 2, 3]
-        bus = RoundBus(ids)
-        bus.register(Echo(1))
-        bus.register(Silent(2))
-        bus.register(Echo(3))
+        bus = RoundBus([Echo(1), Silent(2), Echo(3)])
         bus.run_round()
         inbox = bus.participants[1].seen[0]
         assert inbox[2] == []
         assert len(inbox[3]) == 1
 
     def test_inbox_lists_senders_in_id_order_and_absence_is_falsy(self):
-        bus = RoundBus([3, 1, 2])
-        bus.register(Echo(3))
-        bus.register(Silent(2))
-        bus.register(Echo(1))
+        bus = RoundBus([Echo(3), Silent(2), Echo(1)])
         inboxes = bus.run_round()
         assert list(inboxes) == [1, 2, 3]
         for inbox in inboxes.values():
@@ -152,9 +142,8 @@ class TestRoundBus:
     @settings(max_examples=200, deadline=None)
     def test_run_round_matches_per_recipient_delivery(self, case):
         ids, frame_bytes, scripts = case
-        bus = RoundBus(ids, frame_bytes=frame_bytes, record_transcript=True)
-        for op in ids:
-            bus.register(Scripted(op, scripts[op]))
+        bus = RoundBus([Scripted(op, scripts[op]) for op in ids], frame_bytes=frame_bytes,
+                       record_transcript=True)
         totals = [{op: 0 for op in ids} for _ in range(3)]
         rows = []
         for round_no in range(len(scripts[ids[0]])):
@@ -172,14 +161,12 @@ class TestRoundBus:
                     total[op] += count[op]
             rows += want_rows
             assert [bus.originated, bus.delivered, bus.received] == totals
-            assert bus.transcript_rows() == rows
+            assert bus.transcript == rows
 
     @pytest.mark.parametrize("dest", [4, (2, 4), (4,)], ids=["id", "group", "lone-group"])
     def test_unknown_destination_rejected(self, dest):
-        bus = RoundBus([1, 2, 3])
-        bus.register(Scripted(1, [[(dest, Message(1, netsim.KIND_VAL, (1.0,)))]]))
-        bus.register(Echo(2))
-        bus.register(Echo(3))
+        bus = RoundBus([Scripted(1, [[(dest, Message(1, netsim.KIND_VAL, (1.0,)))]]),
+                        Echo(2), Echo(3)])
         with pytest.raises(netsim.HarnessError, match="not on this bus"):
             bus.run_round()
 
@@ -189,10 +176,8 @@ class TestRoundBus:
     def test_one_inbox_shared_when_every_sender_broadcasts_one_message(self, adversary):
         # a value liar's lie goes to every operator, so it shares the inbox too
         params = NetworkParams(4, 1, 0.05, zeta=0.1, alpha=0.5, rssi_threshold=0.5)
-        bus = RoundBus([1, 2, 3, 4])
-        for op in (1, 2, 3, 4):
-            bus.register(approx.ApproxOperator(op, params, float(op)))
-        bus.bind_adversary(adversary)
+        bus = RoundBus([approx.ApproxOperator(op, params, float(op)) for op in (1, 2, 3, 4)],
+                       adversary)
         for _ in range(4):
             inboxes = bus.run_round()
             assert len({id(inbox) for inbox in inboxes.values()}) == 1
@@ -209,11 +194,7 @@ class TestRoundBus:
             def outgoing(self, round_no):
                 return [(BROADCAST, Message(self.operator_id + 1, netsim.KIND_VAL, (0.0,)))]
 
-        ids = [1, 2, 3]
-        bus = RoundBus(ids)
-        bus.register(Forger(1))
-        bus.register(Echo(2))
-        bus.register(Echo(3))
+        bus = RoundBus([Forger(1), Echo(2), Echo(3)])
         with pytest.raises(netsim.HarnessError):
             bus.run_round()
 
@@ -225,10 +206,7 @@ class TestRoundBus:
                 super().__init__(operator_id, value)
                 self.halted = True
 
-        ids = [1, 2]
-        bus = RoundBus(ids)
-        bus.register(HaltedChatter(1))
-        bus.register(Echo(2))
+        bus = RoundBus([HaltedChatter(1), Echo(2)])
         with pytest.raises(netsim.HarnessError):
             bus.run_round()
 
@@ -254,19 +232,19 @@ class TestRunInstance:
 
         result = exact.run_exact(params, {op: float(op) for op in ids},
                                  record_transcript=True)
-        assert len(result.bus.transcript_rows()) == n * n + n * (n - 1) * (n - 2)
+        assert len(result.bus.transcript) == n * n + n * (n - 1) * (n - 2)
         assert result.rounds == f + 1
 
         result = approx.run_approx(params, {op: float(op) for op in ids},
                                    record_transcript=True)
         h = max(1, approx.round_count(n - 1, params.zeta, approx.shrink_factor(n, f)))
-        assert len(result.bus.transcript_rows()) == n * n * (h + 1)
+        assert len(result.bus.transcript) == n * n * (h + 1)
         assert result.rounds == h + 1
 
         for bit, rounds in ((0, 1), (1, 2)):
             result = binary.run_binary(params, {op: bit for op in ids},
                                        record_transcript=True)
-            assert len(result.bus.transcript_rows()) == rounds * n * n
+            assert len(result.bus.transcript) == rounds * n * n
             assert result.rounds == rounds
 
     def test_round_bus_built_only_by_run_instance(self):
@@ -339,19 +317,13 @@ class TestByteAccounting:
             def outgoing(self, round_no):
                 return [(BROADCAST, Message(self.operator_id, "blob", ("x" * 500,)))]
 
-        ids = [1, 2]
-        bus = RoundBus(ids, frame_bytes=200)
-        bus.register(Chatty(1))
-        bus.register(Silent(2))
+        bus = RoundBus([Chatty(1), Silent(2)], frame_bytes=200)
         bus.run_round()
         assert bus.originated[1] > 200
 
     def test_unframed_size_is_canonical_length(self):
         msg = Message(1, netsim.KIND_VAL, (2.5,))
-        ids = [1, 2]
-        bus = RoundBus(ids)
-        bus.register(Echo(1, value=2.5))
-        bus.register(Silent(2))
+        bus = RoundBus([Echo(1, value=2.5), Silent(2)])
         bus.run_round()
         assert bus.originated[1] == len(msg.canonical_bytes())
 
@@ -360,11 +332,7 @@ class TestByteAccounting:
             def outgoing(self, round_no):
                 return [(2, Message(self.operator_id, netsim.KIND_VAL, (1.0,)))]
 
-        ids = [1, 2, 3]
-        bus = RoundBus(ids, frame_bytes=100)
-        bus.register(Direct(1))
-        bus.register(Silent(2))
-        bus.register(Silent(3))
+        bus = RoundBus([Direct(1), Silent(2), Silent(3)], frame_bytes=100)
         bus.run_round()
         assert bus.originated[1] == 100
         assert bus.delivered[1] == 100
@@ -382,10 +350,7 @@ class TestByteAccounting:
         encode = Message.canonical_bytes
         monkeypatch.setattr(Message, "canonical_bytes",
                             lambda msg: encodes.append(msg) or encode(msg))
-        bus = RoundBus([1, 2, 3, 4], record_transcript=True)
-        bus.register(Fanout(1))
-        for op in (2, 3, 4):
-            bus.register(Silent(op))
+        bus = RoundBus([Fanout(1), Silent(2), Silent(3), Silent(4)], record_transcript=True)
         bus.run_round()
         bus.run_round()
         size = len(encode(Fanout.msg))
@@ -393,14 +358,13 @@ class TestByteAccounting:
         assert bus.originated == {1: 6 * size, 2: 0, 3: 0, 4: 0}
         assert bus.delivered == {1: 6 * size, 2: 0, 3: 0, 4: 0}
         assert bus.received == {1: 0, 2: 2 * size, 3: 2 * size, 4: 2 * size}
-        assert [row[2:] for row in bus.transcript_rows()] == [
+        assert [row[2:] for row in bus.transcript] == [
             (dest, netsim.KIND_VAL, size) for dest in (2, 3, 4)] * 2
 
     def test_signed_zeros_are_two_messages_of_two_sizes(self):
         # 0.0 == -0.0 but they encode to different lengths, so lies are
         # shared by recipient group, never by value equality
-        bus = make_bus(4)
-        bus.bind_adversary(AdversaryStrategy(
+        bus = make_bus(4, adversary=AdversaryStrategy(
             netsim.EQUIVOCATE, frozenset({2}), params={"values": [0.0, -0.0]}))
         bus.run_round()
         sent = [bus.participants[op].seen[0][2][0] for op in (1, 2, 3, 4)]
@@ -417,23 +381,21 @@ class TestByteAccounting:
     def test_transcript_records_every_delivery(self):
         bus = make_bus(3, record_transcript=True)
         bus.run_round()
-        rows = bus.transcript_rows()
+        rows = bus.transcript
         assert len(rows) == 9  # 3 broadcasts x 3 recipients
         assert all(row[0] == 0 for row in rows)
 
 
 class TestAdversarySubstitution:
     def test_crash_sends_nothing(self):
-        bus = make_bus(4)
-        bus.bind_adversary(AdversaryStrategy(netsim.CRASH, frozenset({2})))
+        bus = make_bus(4, adversary=AdversaryStrategy(netsim.CRASH, frozenset({2})))
         bus.run_round()
         inbox = bus.participants[1].seen[0]
         assert inbox[2] == []
         assert len(inbox[3]) == 1
 
     def test_equivocate_splits_value_recipients(self):
-        bus = make_bus(4)
-        bus.bind_adversary(AdversaryStrategy(
+        bus = make_bus(4, adversary=AdversaryStrategy(
             netsim.EQUIVOCATE, frozenset({2}), params={"values": (3.0, 9.0)}))
         bus.run_round()
         got = {op: bus.participants[op].seen[0][2][0].body[0] for op in (1, 2, 3, 4)}
@@ -442,16 +404,14 @@ class TestAdversarySubstitution:
         assert 1 <= sum(1 for v in got.values() if v == 3.0) <= 3
 
     def test_value_liar_shifts_value(self):
-        bus = make_bus(4)
-        bus.bind_adversary(AdversaryStrategy(
+        bus = make_bus(4, adversary=AdversaryStrategy(
             netsim.VALUE_LIAR, frozenset({3}), params={"offset": 10.0}))
         bus.run_round()
         for op in (1, 2, 4):
             assert bus.participants[op].seen[0][3][0].body[0] == 13.0
 
     def test_random_values_stay_in_range(self):
-        bus = make_bus(4)
-        bus.bind_adversary(AdversaryStrategy(
+        bus = make_bus(4, adversary=AdversaryStrategy(
             netsim.RANDOM_VALUES, frozenset({1}), params={"range": (-2.0, 2.0)}))
         for _ in range(10):
             bus.run_round()
@@ -460,8 +420,7 @@ class TestAdversarySubstitution:
             assert -2.0 <= value <= 2.0
 
     def test_boundary_attacker_hugs_threshold(self):
-        bus = make_bus(4)
-        bus.bind_adversary(AdversaryStrategy(
+        bus = make_bus(4, adversary=AdversaryStrategy(
             netsim.BOUNDARY_ATTACKER, frozenset({1}),
             params={"threshold": 0.5, "epsilon": 0.05}))
         for _ in range(10):
@@ -471,15 +430,13 @@ class TestAdversarySubstitution:
             assert abs(value - 0.5) <= 0.05
 
     def test_bad_proposer_leaves_protocol_traffic_alone(self):
-        bus = make_bus(4)
-        bus.bind_adversary(AdversaryStrategy(netsim.BAD_PROPOSER, frozenset({2})))
+        bus = make_bus(4, adversary=AdversaryStrategy(netsim.BAD_PROPOSER, frozenset({2})))
         bus.run_round()
         assert bus.participants[1].seen[0][2][0].body == (2.0,)
 
     def test_substitution_is_deterministic_per_seed(self):
         def run(seed):
-            bus = make_bus(4, seed=seed)
-            bus.bind_adversary(AdversaryStrategy(
+            bus = make_bus(4, seed=seed, adversary=AdversaryStrategy(
                 netsim.RANDOM_VALUES, frozenset({1}), params={"range": (0.0, 1.0)}))
             bus.run_round()
             return bus.participants[2].seen[0][1][0].body[0]
@@ -501,8 +458,7 @@ class TestAdversarySubstitution:
             AdversaryStrategy("gossip", frozenset({1}))
 
     def test_fake_halt_sends_one_notice_then_silence(self):
-        bus = make_bus(4)
-        bus.bind_adversary(AdversaryStrategy(
+        bus = make_bus(4, adversary=AdversaryStrategy(
             netsim.VALUE_LIAR, frozenset({2}), params={"fake_halt": True, "value": 42.0}))
         bus.run_round()
         bus.run_round()
