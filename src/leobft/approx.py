@@ -199,7 +199,7 @@ def run_approx(params: NetworkParams, initial_values: Dict[int, float], *,
         params.n_operators, adversary, max_rounds=max_rounds, seed=seed,
         frame_bytes=frame_bytes, record_transcript=record_transcript)
     ids = bus.operator_ids
-    machines = {op: bus.participants[op] for op in ids}
+    machines = bus.participants
     return ApproxResult(
         outputs={op: m.output for op, m in machines.items()},
         horizons={op: m.horizon for op, m in machines.items()},

@@ -159,8 +159,7 @@ def run_binary(params: NetworkParams, initial_bits: Dict[int, int], *,
     rule and runs precisely that many rounds (halted operators keep
     broadcasting certificates), which is what byte-accounting scenarios use.
     """
-    ids = sorted(initial_bits)
-    registry = registry or auth.KeyRegistry(ids, auth.derive_seed(seed, "keys"))
+    registry = registry or auth.KeyRegistry(sorted(initial_bits), auth.derive_seed(seed, "keys"))
     coin = coin or auth.CommonCoin(auth.derive_seed(seed, "coin"))
     bus = netsim.run_instance(
         initial_bits,
@@ -170,7 +169,7 @@ def run_binary(params: NetworkParams, initial_bits: Dict[int, int], *,
         rounds=exact_rounds, seed=seed, frame_bytes=frame_bytes,
         record_transcript=record_transcript)
 
-    machines = {op: bus.participants[op] for op in ids}
+    machines = bus.participants
     return BinaryResult(
         outputs={op: m.out for op, m in machines.items()},
         halt_iterations={op: m.halt_iteration for op, m in machines.items()},

@@ -168,10 +168,8 @@ def run_exact(params: NetworkParams, initial_values: Dict[int, float], *,
               aggregation: str = "median",
               frame_bytes: Optional[int] = None,
               record_transcript: bool = False) -> ExactResult:
-    """Run the N parallel broadcasts until every honest operator halts, which
-    is after exactly f+1 rounds, and aggregate."""
-    ids = sorted(initial_values)
-    registry = registry or auth.KeyRegistry(ids, auth.derive_seed(seed, "keys"))
+    """Run the N parallel broadcasts until the honest operators halt at round f+1."""
+    registry = registry or auth.KeyRegistry(sorted(initial_values), auth.derive_seed(seed, "keys"))
     bus = netsim.run_instance(
         initial_values,
         lambda op, value: ExactOperator(op, params, registry, value, instance),
@@ -179,7 +177,7 @@ def run_exact(params: NetworkParams, initial_values: Dict[int, float], *,
         max_rounds=params.max_faulty + 1, seed=seed,
         frame_bytes=frame_bytes, record_transcript=record_transcript)
 
-    machines = {op: bus.participants[op] for op in ids}
+    machines = bus.participants
     views = {op: dict(m.view) for op, m in machines.items()}
     outputs = {
         op: aggregate_view(view, params.max_faulty, aggregation)

@@ -176,9 +176,8 @@ class AdversaryStrategy:
         return bad
 
     def _tensors(self, style: str, local: UsageTensor) -> List[UsageTensor]:
-        """What a proposal style or retrieval answer sends of local: nothing
-        ("crash"), local ("honest"), its corruption ("corrupt") or both
-        ("equivocate")."""
+        """What a proposal style or retrieval answer sends of local: nothing ("crash"),
+        local ("honest"), its corruption ("corrupt") or both ("equivocate")."""
         tensors = [] if style in ("crash", "corrupt") else [local]
         if style in ("corrupt", "equivocate"):
             tensors.append(self.corrupt_tensor(local))
@@ -317,13 +316,14 @@ def _substitute(strategy: AdversaryStrategy, op: int, round_no: int,
 
 class RoundBus:
     """Lockstep message bus for one protocol instance, built whole: its
-    operators are the participants' operator_ids."""
+    operators are the participants' operator_ids, kept in id order."""
 
     def __init__(self, participants: Iterable, adversary: Optional[AdversaryStrategy] = None,
                  *, seed: int = 0, frame_bytes: Optional[int] = None,
                  record_transcript: bool = False):
-        self.participants: Dict[int, object] = {p.operator_id: p for p in participants}
-        self.operator_ids = tuple(sorted(self.participants))
+        self.participants: Dict[int, object] = {
+            p.operator_id: p for p in sorted(participants, key=lambda p: p.operator_id)}
+        self.operator_ids = tuple(self.participants)
         self.adversary = adversary
         self.seed = seed
         self.frame_bytes = frame_bytes

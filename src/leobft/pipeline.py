@@ -18,7 +18,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequenc
 
 from . import approx, auth, binary, exact, ledger, netsim
 from .model import UsageTensor, binarize, observe
-from .scenario import EventConfig, Scenario
+from .scenario import ConfigError, EventConfig, Scenario
 
 
 class PropertyViolation(AssertionError):
@@ -290,11 +290,14 @@ def summary_text(result: ScenarioResult) -> str:
 
 def write_file(out_dir: str, name: str, data: Union[str, bytes]) -> str:
     """Write text (line ends as given) or bytes to out_dir/name; the one file writer."""
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     mode = "wb" if isinstance(data, bytes) else "w"
-    with open(path, mode, newline="" if mode == "w" else None) as fh:
-        fh.write(data)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(path, mode, newline="" if mode == "w" else None) as fh:
+            fh.write(data)
+    except OSError as err:
+        raise ConfigError("cannot write %s: %s" % (path, err)) from err
     return path
 
 

@@ -162,6 +162,9 @@ def parse_scenario(obj) -> Scenario:
             if not ok(value):
                 raise ConfigError("adversary param %r must be %s" % (key, kind))
         rotate = _get(adv, "rotate", bool, "adversary", default=False)
+        if rotate and profile == "exact":
+            raise ConfigError("the exact profile needs a static adversary: Dolev-Strong "
+                              "agreement holds only for a fixed faulty set")
         try:
             adversary = netsim.AdversaryStrategy(
                 behavior=behavior,

@@ -182,6 +182,22 @@ class TestConsensusCommand:
         assert err == ("configuration error: adversary controls %d operators, "
                        "more than max_faulty 1\n" % len(operators))
 
+    def test_rotating_adversary_in_exact_profile_is_exit_1(self, config_file, tmp_path,
+                                                           capsys):
+        # Dolev-Strong holds only for a fixed faulty set; this config once ran
+        # into "view consistency violated" and exit 2
+        cfg = json.loads(config_file.read_text())
+        cfg["profile"] = "exact"
+        cfg["network"].update(operators=7, max_faulty=2)
+        cfg["adversary"] = {"behavior": "random-values", "operators": [1, 2], "rotate": True}
+        config_file.write_text(json.dumps(cfg))
+        assert main(["consensus", "--config", str(config_file),
+                     "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: the exact profile needs a static adversary")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_bad_flag_is_exit_1(self, config_file, capsys):
         assert main(["consensus", "--config", str(config_file),
                      "--frobnicate"]) == 1
@@ -254,6 +270,25 @@ class TestDetectionCommand:
         assert float(rows[1][2]) > 0.9  # density 50 per 1e4 km2 detects reliably
         assert float(rows[2][2]) > float(rows[1][2])
         capsys.readouterr()
+
+
+class TestOutDir:
+    @pytest.mark.parametrize("argv, out", [
+        (["consensus"], "file"),
+        (["consensus", "--trials", "2"], "file/x"),
+        (["constellation", "--densities", "4", "--trials", "1"], "file"),
+        (["detection", "--densities", "10", "--trials", "10"], "file/x"),
+    ], ids=["consensus", "consensus-trials", "constellation", "detection"])
+    def test_unwritable_out_dir_is_exit_1(self, config_file, tmp_path, capsys, argv, out):
+        # os.makedirs on an existing file, or below one, once raised a traceback
+        (tmp_path / "file").write_text("taken")
+        if argv[0] == "consensus":
+            argv = argv + ["--config", str(config_file)]
+        assert main(argv + ["--out-dir", str(tmp_path / out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot write %s" % (tmp_path / out))
+        assert err.count("\n") == 1
+        assert (tmp_path / "file").read_text() == "taken"
 
 
 class TestLedgerAuditCommand:

@@ -170,6 +170,21 @@ class TestAdversaries:
         assert sent[(1, 3)] > 0 and sent[(2, 3)] > 0  # honest operators do relay
 
     @pytest.mark.parametrize("rotate", [False, True])
+    @pytest.mark.parametrize("n, f", [(4, 1), (7, 2)])
+    @pytest.mark.parametrize("behavior", netsim.BEHAVIORS)
+    def test_stops_when_every_honest_operator_halts_after_f_plus_one_rounds(
+            self, behavior, n, f, rotate):
+        # run_exact stops by the rule of the other protocols, so every operator,
+        # controlled or not, must halt exactly at round f+1
+        params = make_params(n, f)
+        values = {op: float(op) for op in params.operator_ids()}
+        adversary = AdversaryStrategy(behavior, frozenset(range(1, f + 1)), rotate=rotate)
+        result = exact.run_exact(params, values, seed=5, adversary=adversary)
+        assert result.rounds == result.bus.round == f + 1
+        for machine in result.bus.participants.values():
+            assert machine.halted and machine.view is not None
+
+    @pytest.mark.parametrize("rotate", [False, True])
     @pytest.mark.parametrize("behavior", netsim.BEHAVIORS)
     def test_group_relays_act_as_one_relay_per_destination(self, behavior, rotate,
                                                            monkeypatch):

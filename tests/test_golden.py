@@ -11,9 +11,9 @@ GOLDEN_DIGEST chains the table in grid order, so a stale table cannot pass.
 `PYTHONPATH=src python tests/test_golden.py` prints the table as the code
 stands, so a deliberate re-record can be reviewed row by row.
 
-Exact agreement under a rotating adversary raises PropertyViolation by
-design (it corrupts more than f operators over the f+1 rounds); its
-message is hashed in place of the outputs.
+The exact profile rejects a rotating adversary as a configuration error
+(Dolev-Strong agreement holds only for a fixed faulty set), and a run that
+fails hashes its error message in place of the outputs.
 
 The detection digest covers `detected` and `rate` of three density-30 sensor
 fields (about 1.5M sensors each) against 2,000 incidents, so the sensor draw
@@ -26,9 +26,9 @@ import numpy as np
 
 from leobft import geo, ledger, netsim, pipeline
 from leobft.pipeline import PropertyViolation
-from leobft.scenario import PROFILES, parse_scenario
+from leobft.scenario import PROFILES, ConfigError, parse_scenario
 
-GOLDEN_DIGEST = "67eab9c48af92bc62c33269cf1dfc80ad452b0b55579bc3dd0a16c73b7101b3c"
+GOLDEN_DIGEST = "5e17a2bcb3b7960bfc3dee27a35e04b135026316f673edf40117026977f3af24"
 DETECTION_DIGEST = "c19db8c8e161d1585176a6168728f95ac6ac51633abdf5c86952232081b29caf"
 
 ADVERSARIES = [None] + [
@@ -64,6 +64,8 @@ def run_digest(profile, adversary) -> bytes:
         result = pipeline.run_scenario(scenario(profile, adversary))
     except PropertyViolation as err:
         return ("violation: %s" % err).encode()
+    except ConfigError as err:
+        return ("config error: %s" % err).encode()
     parts = [
         pipeline.results_csv(result),
         pipeline.bytes_csv(result),
@@ -163,37 +165,37 @@ GOLDEN_RUNS = {
     ("exact", "crash static 6,7"):
         "bec632f03388a3694b79717ae242b7457842aef2aea020e2ff1ec68bd6822588",
     ("exact", "crash rotating 6,7"):
-        "12d9fab433d154d48f16052d21d7a98303735cabe067a5d2e45b0e3c3df0ab74",
+        "219b0267d6d79f3f13e0efd75b92fa08b424f7006e2bb9bf8fb0e8b99290f657",
     ("exact", "crash static -"):
         "398e50c47bfb16e64adf5de8519ece4045c2a4268c4864734b00ad37d5809fd9",
     ("exact", "equivocate static 6,7"):
         "3ef2d68de7249f8a9b86e3fe46fa8c75f6a351dcb3b00455cf09ce7b6f38111a",
     ("exact", "equivocate rotating 6,7"):
-        "e4c9c49b1560aab7bce8f61efa044523a924495aa48ba41ea74e3e3d60614ef1",
+        "219b0267d6d79f3f13e0efd75b92fa08b424f7006e2bb9bf8fb0e8b99290f657",
     ("exact", "equivocate static -"):
         "dbcc384012fd4de3a3ec3877024fcaf25baffcb2ae42c9847bc8994cb7b3a3bb",
     ("exact", "random-values static 6,7"):
         "47da7c15d31fda9d37748b9fd1b0c3fcabb63543a064c1d7d92d67b34a8e62e4",
     ("exact", "random-values rotating 6,7"):
-        "e4c9c49b1560aab7bce8f61efa044523a924495aa48ba41ea74e3e3d60614ef1",
+        "219b0267d6d79f3f13e0efd75b92fa08b424f7006e2bb9bf8fb0e8b99290f657",
     ("exact", "random-values static -"):
         "f1f21e9d0a71b96a4e17970363d55413e7ec2ef1a40056654fc9dc4a147204b6",
     ("exact", "value-liar static 6,7"):
         "f73499538c7f68161fcd66f9f13d649e262ba4b15d549b9403cd09c508511e8f",
     ("exact", "value-liar rotating 6,7"):
-        "a2506508f514daa602c743cd94431dec8aab144e922aead1e5d050caf7c2afc2",
+        "219b0267d6d79f3f13e0efd75b92fa08b424f7006e2bb9bf8fb0e8b99290f657",
     ("exact", "value-liar static -"):
         "1cefc68f255f65c7ae16bfde6706afeaffc68da6022ef5c29c11c271561b8ee6",
     ("exact", "boundary-attacker static 6,7"):
         "e61d1af0bf695efae6bd19c48b0485501dd005b8e99d2f5f41e19f344ede2b18",
     ("exact", "boundary-attacker rotating 6,7"):
-        "e4c9c49b1560aab7bce8f61efa044523a924495aa48ba41ea74e3e3d60614ef1",
+        "219b0267d6d79f3f13e0efd75b92fa08b424f7006e2bb9bf8fb0e8b99290f657",
     ("exact", "boundary-attacker static -"):
         "69ecfda1773515b008075b89c6dd6949fbe0965e955bcc88aed07c9706535cf9",
     ("exact", "bad-proposer static 6,7"):
         "513159d6b17448ba009b45486f283fd3616aad0e4f178b96b6d074706b3779ef",
     ("exact", "bad-proposer rotating 6,7"):
-        "513159d6b17448ba009b45486f283fd3616aad0e4f178b96b6d074706b3779ef",
+        "219b0267d6d79f3f13e0efd75b92fa08b424f7006e2bb9bf8fb0e8b99290f657",
     ("exact", "bad-proposer static -"):
         "513159d6b17448ba009b45486f283fd3616aad0e4f178b96b6d074706b3779ef",
     ("approx", "none"):

@@ -520,6 +520,44 @@ class TestLedgerRoles:
             assert (strategy.proposal, strategy.vote_policy,
                     self._answer(strategy, local)) == roles, behavior
 
+    @staticmethod
+    def _reference_proposals(strategy, local):
+        # the proposal chain commit_period once spelled out itself
+        style = strategy.proposal
+        if style == "crash":
+            return []
+        if style == "corrupt":
+            return [strategy.corrupt_tensor(local)]
+        if style == "equivocate":
+            return [local, strategy.corrupt_tensor(local)]
+        return [local]
+
+    @staticmethod
+    def _reference_answer(strategy, local):
+        answer = netsim.LEDGER_ROLES[strategy.behavior][2]
+        if answer == "crash":
+            return None
+        return local.copy() if answer == "honest" else strategy.corrupt_tensor(local)
+
+    @pytest.mark.parametrize("proposal", netsim.PROPOSAL_STYLES + (None,))
+    @pytest.mark.parametrize("behavior", netsim.BEHAVIORS)
+    def test_one_tensor_rule_matches_the_per_phase_rules(self, behavior, proposal):
+        local = UsageTensor(0, (2, 2, 4))
+        local.set((0, 1, 3), 0.5)
+        strategy = AdversaryStrategy(behavior, frozenset({2}), params={"offset": 3.0},
+                                     proposal=proposal)
+
+        def forms(tensors):
+            return [t.canonical_bytes() for t in tensors]
+
+        assert forms(strategy.proposal_tensors(local)) == forms(
+            self._reference_proposals(strategy, local))
+        answer, want = (strategy.retrieval_answer(local),
+                        self._reference_answer(strategy, local))
+        assert (answer is None) == (want is None)
+        assert want is None or answer.canonical_bytes() == want.canonical_bytes()
+        assert local.entries == {(0, 1, 3): 0.5}  # input untouched
+
     def test_set_roles_override_the_derived_ones(self):
         strategy = AdversaryStrategy(netsim.CRASH, frozenset({2}), proposal="honest",
                                      vote_policy="approve-all")

@@ -304,6 +304,17 @@ class TestAdversaryConfig:
         cfg["adversary"]["operators"] = operators[:1]
         assert parse_scenario(cfg).adversary.controlled == frozenset(operators[:1])
 
+    @pytest.mark.parametrize("profile", ["binary", "exact", "approx"])
+    def test_rotation_rejected_only_in_exact_profile(self, profile):
+        # Dolev-Strong agreement holds only for a fixed faulty set
+        cfg = self._with_adv(rotate=True)
+        cfg["profile"] = profile
+        if profile == "exact":
+            with pytest.raises(ConfigError, match="exact profile needs a static adversary"):
+                parse_scenario(cfg)
+            cfg["adversary"]["rotate"] = False
+        assert parse_scenario(cfg).adversary.rotate is cfg["adversary"]["rotate"]
+
     def test_vote_policy_and_proposal_validated(self):
         cfg = self._with_adv(vote_policy="repeat")
         with pytest.raises(ConfigError):
