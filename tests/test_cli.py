@@ -184,8 +184,8 @@ class TestConsensusCommand:
 
     def test_rotating_adversary_in_exact_profile_is_exit_1(self, config_file, tmp_path,
                                                            capsys):
-        # Dolev-Strong holds only for a fixed faulty set; this config once ran
-        # into "view consistency violated" and exit 2
+        # Dolev-Strong holds only for a fixed faulty set; under rotation views
+        # can disagree, which would exit 2 as if the program were at fault
         cfg = json.loads(config_file.read_text())
         cfg["profile"] = "exact"
         cfg["network"].update(operators=7, max_faulty=2)
@@ -280,7 +280,7 @@ class TestOutDir:
         (["detection", "--densities", "10", "--trials", "10"], "file/x"),
     ], ids=["consensus", "consensus-trials", "constellation", "detection"])
     def test_unwritable_out_dir_is_exit_1(self, config_file, tmp_path, capsys, argv, out):
-        # os.makedirs on an existing file, or below one, once raised a traceback
+        # a directory cannot be made where a file is, or below one
         (tmp_path / "file").write_text("taken")
         if argv[0] == "consensus":
             argv = argv + ["--config", str(config_file)]

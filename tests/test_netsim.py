@@ -522,7 +522,7 @@ class TestLedgerRoles:
 
     @staticmethod
     def _reference_proposals(strategy, local):
-        # the proposal chain commit_period once spelled out itself
+        # reference: each proposal style spelled out on its own
         style = strategy.proposal
         if style == "crash":
             return []
@@ -534,6 +534,7 @@ class TestLedgerRoles:
 
     @staticmethod
     def _reference_answer(strategy, local):
+        # reference: each retrieval answer spelled out on its own
         answer = netsim.LEDGER_ROLES[strategy.behavior][2]
         if answer == "crash":
             return None
