@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import netsim
 from .model import NetworkParams
@@ -105,14 +106,49 @@ def _covers(delta: float, zeta: float, power: int) -> bool:
         return Fraction(delta) <= Fraction(zeta) * power
 
 
+class AverageMemo:
+    """One instance's round averages, computed once per (inbox object, sticky values).
+
+    The bus hands one shared inbox to every receiver whose inbox no private
+    message changed. Operators that read it holding the same sticky values
+    compute the same value list, so the first one stores (sticky values before,
+    value list, average, sticky values after) and the others reuse it. A private
+    inbox is one receiver's own object, so it never hits. Entries hold their
+    inbox, so its id() cannot be reused while they are kept, and are dropped
+    when the round changes. Sound only because inboxes are read-only.
+    """
+
+    def __init__(self) -> None:
+        self._round: Optional[int] = None
+        self._inboxes: Dict[int, tuple] = {}  # id(inbox) -> (inbox, entries)
+
+    def entries(self, round_no: int, inbox: Mapping) -> list:
+        """The results stored this round for inbox, a list to look up and append to."""
+        if round_no != self._round:
+            self._round = round_no
+            self._inboxes.clear()
+        held = self._inboxes.get(id(inbox))
+        if held is None:
+            held = self._inboxes[id(inbox)] = (inbox, [])
+        return held[1]
+
+
 class ApproxOperator:
+    """One operator's approximate-agreement state machine.
+
+    Operators built with one AverageMemo (run_approx gives every operator of
+    an instance the same one) average once per shared inbox and sticky state;
+    without one, each operator computes its own.
+    """
+
     # A halted operator keeps repeating its halt notice while peers are still
     # running: a per-round rotating adversary can swallow any single round's
     # traffic, so a one-shot notice could be lost forever and peers would fall
     # back to the default value instead of the sender's final one.
     HALT_KINDS: frozenset = frozenset({netsim.KIND_HALTED})
 
-    def __init__(self, operator_id: int, params: NetworkParams, initial_value: float):
+    def __init__(self, operator_id: int, params: NetworkParams, initial_value: float,
+                 memo: Optional[AverageMemo] = None):
         self.operator_id = operator_id
         self.params = params
         self.v = float(initial_value)
@@ -125,6 +161,7 @@ class ApproxOperator:
         # built on the first announcing round, when v stops changing
         self._halt_notice: Optional[netsim.Message] = None
         self._final_values: Dict[int, float] = {}  # sticky values of halted peers
+        self._memo = AverageMemo() if memo is None else memo
         self.history = [self.v]  # v at the start and after each bus round
 
     def outgoing(self, round_no: int) -> List[netsim.Outbound]:
@@ -146,23 +183,40 @@ class ApproxOperator:
             return float(val_msgs[0].body[0])
         return 0.0  # absent or duplicated sender, as in ledger.retrieve_approx
 
+    def _average(self, round_no: int,
+                 inbox: Mapping[int, Sequence[netsim.Message]]) -> Tuple[List[float], float]:
+        """(values, average) of this round, recording new sticky values; taken
+        from the memo when a peer already read this inbox in this state."""
+        entries = self._memo.entries(round_no, inbox)
+        final = self._final_values
+        for before, values, average, after in entries:
+            # equal is enough: 0.0 and -0.0 give the same average and spread
+            if before == final:
+                if after is not before:
+                    self._final_values = dict(after)
+                return values, average
+        before, val = dict(final), netsim.KIND_VAL
+        # a lone value from a sender with no recorded final value is read inline
+        values = [float(msgs[0].body[0])
+                  if len(msgs) == 1 and msgs[0].kind == val and s not in final
+                  else self._peer_value(s, msgs)
+                  for s, msgs in inbox.items()]
+        average = averaging_function(values, self.params.max_faulty)
+        entries.append((before, values, average,
+                        before if len(final) == len(before) else dict(final)))
+        return values, average
+
     def deliver(self, round_no: int, inbox: Mapping[int, Sequence[netsim.Message]]) -> None:
         """Take one round's values; inbox (read-only) lists senders in id order."""
         if self._announce_halt and not self.halted:
             self.halted = True
             self.output = self.v
         elif not self.halted:
-            final, val = self._final_values, netsim.KIND_VAL
-            # a lone value from a sender with no recorded final value is read inline
-            values = [float(msgs[0].body[0])
-                      if len(msgs) == 1 and msgs[0].kind == val and s not in final
-                      else self._peer_value(s, msgs)
-                      for s, msgs in inbox.items()]
-            f = self.params.max_faulty
-            self.v = averaging_function(values, f)
+            values, self.v = self._average(round_no, inbox)
             self.exchanges += 1
             if self.exchanges == 1:
                 self.first_spread = max(values) - min(values)
+                f = self.params.max_faulty
                 if f == 0:
                     self.horizon = 1
                 else:
@@ -173,18 +227,32 @@ class ApproxOperator:
         self.history.append(self.v)
 
 
+def fault_free_messages(n: int, h: int) -> int:
+    """Messages of one run_approx among n honest operators with horizon h: n
+    broadcasts to n in each of the h exchange rounds and in the halt round."""
+    return n * n * (h + 1)
+
+
 @dataclass
 class ApproxResult:
     outputs: Dict[int, Optional[float]]
     horizons: Dict[int, Optional[int]]
     first_spreads: Dict[int, Optional[float]]
     rounds: int
-    # values_by_round[r] holds every operator's state value after bus round r;
-    # index 0 is the initial state. controlled_by_round[r] is the adversary
-    # set active in bus round r.
-    values_by_round: List[Dict[int, float]]
-    controlled_by_round: List[frozenset]
     bus: netsim.RoundBus
+
+    @cached_property
+    def values_by_round(self) -> List[Dict[int, float]]:
+        """[r] holds every operator's state value after bus round r; [0] the initial state."""
+        machines = self.bus.participants
+        return [{op: m.history[r] for op, m in machines.items()} for r in range(self.rounds + 1)]
+
+    @cached_property
+    def controlled_by_round(self) -> List[frozenset]:
+        """[r] is the adversary set active in bus round r."""
+        adversary, ids = self.bus.adversary, self.bus.operator_ids
+        return [adversary.controlled_at(r, ids) if adversary else frozenset()
+                for r in range(self.rounds)]
 
 
 def run_approx(params: NetworkParams, initial_values: Dict[int, float], *,
@@ -194,20 +262,16 @@ def run_approx(params: NetworkParams, initial_values: Dict[int, float], *,
                record_transcript: bool = False,
                max_rounds: int = 10_000) -> ApproxResult:
     """Run one approximate agreement instance until all honest operators halt."""
+    memo = AverageMemo()
     bus = netsim.run_instance(
-        initial_values, lambda op, value: ApproxOperator(op, params, value),
+        initial_values, lambda op, value: ApproxOperator(op, params, value, memo),
         params.n_operators, adversary, max_rounds=max_rounds, seed=seed,
         frame_bytes=frame_bytes, record_transcript=record_transcript)
-    ids = bus.operator_ids
     machines = bus.participants
     return ApproxResult(
         outputs={op: m.output for op, m in machines.items()},
         horizons={op: m.horizon for op, m in machines.items()},
         first_spreads={op: m.first_spread for op, m in machines.items()},
         rounds=bus.round,
-        values_by_round=[{op: m.history[r] for op, m in machines.items()}
-                         for r in range(bus.round + 1)],
-        controlled_by_round=[adversary.controlled_at(r, ids) if adversary else frozenset()
-                             for r in range(bus.round)],
         bus=bus,
     )

@@ -134,6 +134,12 @@ class BinaryOperator:
         self.halt_iteration = self.iteration
 
 
+def fault_free_messages(n: int, bit: int) -> int:
+    """Messages of one run_binary among n honest operators that all hold bit:
+    0 is decided in step 1 (one round of n broadcasts to n), 1 in step 2."""
+    return (1 + bit) * n * n
+
+
 @dataclass
 class BinaryResult:
     outputs: Dict[int, Optional[int]]

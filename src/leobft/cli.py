@@ -58,6 +58,11 @@ def _parse_densities(text: str) -> List[float]:
 # most incident points one detection draw holds: a density-90 detection field
 # expects 4.6M, and memory grows with the count
 MAX_FIELD_POINTS = 1e7
+# the most points the fields of one density may expect together, as all of
+# them are held at once: three detection fields at density 90 expect 13.8M
+MAX_SWEEP_POINTS = 3e7
+# the most fields (operators) one density may draw, each an array of its own
+MAX_FIELDS = 1_000
 # the most points a start:stop:count density range may list
 MAX_DENSITY_POINTS = 10_000
 # sub-band ids are drawn as 64-bit integers
@@ -74,6 +79,20 @@ def _field_densities(text: str, per_km2: float) -> List[float]:
                               "(at most %g expected points per field)"
                               % (density, limit, per_km2, MAX_FIELD_POINTS))
     return densities
+
+
+def _check_fields(flag: str, count: int, densities: List[float], per_km2: float) -> None:
+    """count fields per density: 1 to MAX_FIELDS, expecting at most
+    MAX_SWEEP_POINTS points together at the largest density."""
+    if count < 1:
+        raise ConfigError("%s must be at least 1" % flag)
+    if count > MAX_FIELDS:
+        raise ConfigError("%s must be at most %d" % (flag, MAX_FIELDS))
+    expected = count * max(densities) * geo.EARTH_AREA_KM2 / per_km2
+    if expected > MAX_SWEEP_POINTS:
+        raise ConfigError("%s %d at %r per %g km^2 expects %.3g points, more than %g"
+                          % (flag, count, max(densities), per_km2, expected,
+                             MAX_SWEEP_POINTS))
 
 
 def _incident_count(text: str) -> int:
@@ -139,8 +158,7 @@ def _cmd_consensus(args) -> int:
 
 def _cmd_constellation(args) -> int:
     densities = _field_densities(args.densities, 1e6)
-    if args.operators < 1:
-        raise ConfigError("--operators must be at least 1")
+    _check_fields("--operators", args.operators, densities, 1e6)
     if args.subbands < 1:
         raise ConfigError("--subbands must be at least 1")
     if args.subbands > MAX_SUBBANDS:
@@ -155,8 +173,7 @@ def _cmd_constellation(args) -> int:
 
 def _cmd_detection(args) -> int:
     densities = _field_densities(args.densities, 1e4)
-    if args.honest < 1:
-        raise ConfigError("--honest must be at least 1")
+    _check_fields("--honest", args.honest, densities, 1e4)
     rows = geo.detection_sweep(
         densities, args.honest, args.trials, args.seed,
     )

@@ -152,6 +152,13 @@ class ExactOperator:
             self.halted = True
 
 
+def fault_free_messages(n: int) -> int:
+    """Messages of one run_exact among n honest operators: n broadcasts of n
+    copies in the first round, then each operator relays the n-1 other
+    originators' values to the n-2 peers not on their chains."""
+    return n * n + n * (n - 1) * (n - 2)
+
+
 @dataclass
 class ExactResult:
     views: Dict[int, Dict[int, Optional[float]]]

@@ -25,6 +25,53 @@ def make_params(n=4, f=1, zeta=0.1):
     return NetworkParams(n, f, 0.05, zeta=zeta, alpha=0.5, rssi_threshold=0.5)
 
 
+class ReferenceApproxOperator(approx.ApproxOperator):
+    """The per-operator reference: every deliver reads its own values from its
+    inbox and averages them, with no memo shared between operators."""
+
+    def deliver(self, round_no, inbox):
+        if self._announce_halt and not self.halted:
+            self.halted = True
+            self.output = self.v
+        elif not self.halted:
+            values = [self._reference_value(s, msgs) for s, msgs in inbox.items()]
+            f = self.params.max_faulty
+            self.v = approx.averaging_function(values, f)
+            self.exchanges += 1
+            if self.exchanges == 1:
+                self.first_spread = max(values) - min(values)
+                self.horizon = 1 if f == 0 else max(1, round_count(
+                    self.first_spread, self.params.zeta,
+                    shrink_factor(self.params.n_operators, f)))
+            if self.exchanges >= self.horizon:
+                self._announce_halt = True
+        self.history.append(self.v)
+
+    def _reference_value(self, sender, msgs):
+        final = self._final_values
+        for msg in msgs:
+            if msg.kind == netsim.KIND_HALTED and sender not in final:
+                final[sender] = float(msg.body[0])
+        if sender in final:
+            return final[sender]
+        vals = [m for m in msgs if m.kind == netsim.KIND_VAL]
+        return float(vals[0].body[0]) if len(vals) == 1 else 0.0
+
+
+@pytest.fixture
+def average_calls(monkeypatch):
+    """Counts of averaging_function calls made while a test runs."""
+    calls = {"average": 0}
+    original = approx.averaging_function
+
+    def counted(*args):
+        calls["average"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(approx, "averaging_function", counted)
+    return calls
+
+
 class TestReduceAndSelect:
     def test_reduce_drops_f_from_each_end(self):
         assert reduce_extremes([0.0, 1.0, 2.0, 3.0, 10.0], 1) == [1.0, 2.0, 3.0]
@@ -339,6 +386,91 @@ class TestAdversaries:
         assert r1.values_by_round == r2.values_by_round
 
 
+@st.composite
+def approx_runs(draw):
+    """(params, initial values, seed, adversary) over every approx-relevant lie."""
+    f = draw(st.integers(0, 3))
+    n = draw(st.integers(max(1, 3 * f + 1), 3 * f + 3))
+    params = make_params(n, f, zeta=draw(st.sampled_from([0.01, 0.1, 1.0])))
+    values = draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0]),
+                                     st.floats(-50.0, 50.0)), min_size=n, max_size=n))
+    adversary = None
+    if f and draw(st.booleans()):
+        controlled = draw(st.sets(st.integers(1, n), min_size=1, max_size=f))
+        adv_params = {"range": (-20.0, 20.0)}
+        if draw(st.booleans()):
+            adv_params.update(fake_halt=True, value=draw(st.floats(-50.0, 50.0)))
+        adversary = AdversaryStrategy(
+            draw(st.sampled_from([netsim.VALUE_LIAR, netsim.EQUIVOCATE, netsim.RANDOM_VALUES,
+                                  netsim.BOUNDARY_ATTACKER, netsim.CRASH])),
+            frozenset(controlled), params=adv_params, rotate=draw(st.booleans()))
+    return params, dict(zip(range(1, n + 1), values)), draw(st.integers(0, 2**16)), adversary
+
+
+class TestAverageMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(approx_runs())
+    def test_memo_matches_per_operator_averaging(self, run):
+        params, values, seed, adversary = run
+        result = run_approx(params, values, seed=seed, adversary=adversary,
+                            record_transcript=True)
+        reference = netsim.run_instance(
+            values, lambda op, value: ReferenceApproxOperator(op, params, value),
+            params.n_operators, adversary, max_rounds=10_000, seed=seed,
+            record_transcript=True)
+        machines = reference.participants
+        # repr tells 0.0 from -0.0, which == does not
+        assert repr(result.outputs) == repr({op: m.output for op, m in machines.items()})
+        assert result.horizons == {op: m.horizon for op, m in machines.items()}
+        assert repr(result.first_spreads) == repr(
+            {op: m.first_spread for op, m in machines.items()})
+        assert result.rounds == reference.round
+        assert repr([m.history for m in result.bus.participants.values()]) == repr(
+            [m.history for m in machines.values()])
+        assert result.bus.transcript == reference.transcript
+        for counter in ("originated", "delivered", "received"):
+            assert getattr(result.bus, counter) == getattr(reference, counter)
+
+    def test_shared_inbox_read_per_sticky_state(self):
+        # operator 1 records peer 4's final value from a private inbox, the
+        # others do not; all then read one shared inbox through one memo
+        params = make_params(zeta=1e-6)
+        memo = approx.AverageMemo()
+        ids = (1, 2, 3, 4)
+        machines = [approx.ApproxOperator(op, params, 0.0, memo) for op in ids]
+        references = [ReferenceApproxOperator(op, params, 0.0) for op in ids]
+
+        def val(op, value):
+            return (netsim.Message(op, netsim.KIND_VAL, (value,)),)
+
+        base = {1: val(1, 0.0), 2: val(2, 1.0), 3: val(3, 2.0), 4: val(4, 3.0)}
+        halted = {**base, 4: (netsim.Message(4, netsim.KIND_HALTED, (-9.0,)),)}
+        later = {1: val(1, 5.0), 2: val(2, 6.0), 3: val(3, 7.0), 4: val(4, 5.5)}
+        rounds = [{1: halted, 2: base, 3: base, 4: base}, dict.fromkeys(ids, later),
+                  dict.fromkeys(ids, halted)]
+        seen = []
+        for round_no, inboxes in enumerate(rounds):
+            for machine, ref in zip(machines, references):
+                machine.deliver(round_no, inboxes[machine.operator_id])
+                ref.deliver(round_no, inboxes[ref.operator_id])
+                assert machine.v == ref.v
+                assert machine._final_values == ref._final_values
+            seen.append([m.v for m in machines])
+        # in round 1 operator 1 still reads -9.0 for peer 4, the others 5.5
+        assert seen[1] == [5.5, 5.75, 5.75, 5.75]
+        # one dict each, though operators 3 and 4 took theirs from the memo
+        assert all(m._final_values == {4: -9.0} for m in machines)
+        assert len({id(m._final_values) for m in machines}) == 4
+
+    def test_memo_keeps_one_round(self):
+        memo = approx.AverageMemo()
+        inbox = {1: ()}
+        memo.entries(0, inbox).append("result")
+        assert memo.entries(0, inbox) == ["result"]
+        assert memo.entries(0, dict(inbox)) == []  # an equal but distinct inbox
+        assert memo.entries(1, inbox) == []
+
+
 class TestWorkCounts:
     def test_rotating_liar_run_encodes_each_message_once(self, work_counts):
         """Pins the work of one N=10, f=3 run under a rotating value-liar.
@@ -370,3 +502,23 @@ class TestWorkCounts:
             max_rounds=h + 6, rounds=h + 6)
         assert all(bus.participants[op].halted for op in values)
         assert work_counts == {"encode": 2 * (4 * h + 4), "sign": 0, "verify": 0}
+
+    def test_rotating_liar_run_averages_once_per_round(self, average_calls):
+        """Every honest operator reads the same shared inbox in the same sticky
+        state each round, so a round averages once. The N=10, f=3 run below
+        exchanges in 10 of its 11 rounds; averaging per operator made 100 calls.
+        """
+        params = make_params(10, 3, zeta=0.01)
+        values = {op: 1.0 + 0.1 * op for op in params.operator_ids()}
+        adversary = AdversaryStrategy(netsim.VALUE_LIAR, frozenset({1, 2, 3}), rotate=True)
+        result = run_approx(params, values, adversary=adversary)
+        assert result.rounds == 11
+        assert average_calls == {"average": 10}
+
+    def test_fault_free_run_averages_once_per_exchange(self, average_calls):
+        """A fault-free N=4, f=1 run averages once in each of its h exchange
+        rounds; averaging per operator made 4h calls."""
+        params = make_params()
+        h = run_approx(params, {op: float(op) for op in params.operator_ids()}).rounds - 1
+        assert h > 1
+        assert average_calls == {"average": h}

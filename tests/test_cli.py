@@ -8,7 +8,8 @@ import json
 import pytest
 
 from leobft import auth, ledger
-from leobft.cli import MAX_FIELD_POINTS, _field_densities, _parse_densities, main
+from leobft.cli import (MAX_FIELD_POINTS, MAX_FIELDS, MAX_SWEEP_POINTS, _check_fields,
+                        _field_densities, _parse_densities, main)
 from leobft.geo import EARTH_AREA_KM2
 from leobft.scenario import ConfigError
 
@@ -61,6 +62,19 @@ class TestDensityParsing:
         assert _field_densities(repr(limit), 1e4) == [limit]
         with pytest.raises(ConfigError, match="expected points per field"):
             _field_densities(repr(limit * 1.000001), 1e4)
+
+    def test_default_and_benchmark_field_counts_accepted(self):
+        _check_fields("--honest", 3, [10.0, 90.0], 1e4)  # 13.8M points together
+        _check_fields("--operators", 4, [17.0], 1e6)
+        _check_fields("--honest", MAX_FIELDS, [0.0], 1e4)
+
+    def test_field_bound_is_expected_points_per_density(self):
+        limit = MAX_SWEEP_POINTS * 1e4 / EARTH_AREA_KM2 / 5
+        _check_fields("--honest", 5, [limit], 1e4)
+        with pytest.raises(ConfigError, match="points, more than"):
+            _check_fields("--honest", 5, [limit * 1.000001], 1e4)
+        with pytest.raises(ConfigError, match="at most %d" % MAX_FIELDS):
+            _check_fields("--honest", MAX_FIELDS + 1, [0.0], 1e4)
 
 
 class TestConsensusCommand:
@@ -248,6 +262,16 @@ class TestGeoFlags:
          "--subbands must be at most 9223372036854775807"),
         (["detection", "--densities", "0:1:1000000000"],
          "density range needs 1 to 10000 points"),
+        (["detection", "--honest", "1000000", "--densities", "10"],
+         "--honest must be at most 1000"),
+        (["constellation", "--operators", "100000000", "--densities", "17"],
+         "--operators must be at most 1000"),
+        (["constellation", "--operators", "100000000", "--densities", "0"],
+         "--operators must be at most 1000"),
+        (["detection", "--honest", "7", "--densities", "10,90"],
+         "--honest 7 at 90.0 per 10000 km^2 expects 3.21e+07 points, more than 3e+07"),
+        (["constellation", "--operators", "1000", "--densities", "1000"],
+         "--operators 1000 at 1000.0 per 1e+06 km^2 expects 5.1e+08 points"),
     ])
     def test_bad_geo_flag_is_exit_1(self, capsys, argv, message):
         assert main(argv + ["--trials", "1"]) == 1

@@ -226,26 +226,33 @@ class TestRunInstance:
 
     @pytest.mark.parametrize("n, f", [(4, 1), (7, 2), (10, 3), (13, 4)])
     def test_fault_free_message_counts(self, n, f):
-        # closed-form transcript sizes of one fault-free instance per protocol
+        # each protocol's closed-form transcript size of one fault-free instance
         params = NetworkParams(n, f, 0.05, zeta=0.1, alpha=0.5, rssi_threshold=0.5)
         ids = range(1, n + 1)
 
         result = exact.run_exact(params, {op: float(op) for op in ids},
                                  record_transcript=True)
-        assert len(result.bus.transcript) == n * n + n * (n - 1) * (n - 2)
+        assert len(result.bus.transcript) == exact.fault_free_messages(n)
         assert result.rounds == f + 1
 
         result = approx.run_approx(params, {op: float(op) for op in ids},
                                    record_transcript=True)
         h = max(1, approx.round_count(n - 1, params.zeta, approx.shrink_factor(n, f)))
-        assert len(result.bus.transcript) == n * n * (h + 1)
+        assert len(result.bus.transcript) == approx.fault_free_messages(n, h)
         assert result.rounds == h + 1
 
         for bit, rounds in ((0, 1), (1, 2)):
             result = binary.run_binary(params, {op: bit for op in ids},
                                        record_transcript=True)
-            assert len(result.bus.transcript) == rounds * n * n
+            assert len(result.bus.transcript) == binary.fault_free_messages(n, bit)
             assert result.rounds == rounds
+
+    def test_closed_forms_by_hand(self):
+        # N=4: 16 first-round copies + 4 relayers x 3 origins x 2 peers; N=10
+        # is cubic in N against the quadratic approx and binary counts
+        assert [exact.fault_free_messages(n) for n in (4, 10)] == [40, 820]
+        assert [approx.fault_free_messages(n, h) for n, h in ((4, 1), (10, 6))] == [32, 700]
+        assert [binary.fault_free_messages(n, bit) for n, bit in ((4, 0), (4, 1))] == [16, 32]
 
     def test_round_bus_built_only_by_run_instance(self):
         # one driver: a protocol that builds its own bus bypasses run_instance
