@@ -16,7 +16,11 @@ Both kernels filter, then test exactly: a k-d tree (scipy's cKDTree) picks
 candidate points within a slightly widened chord radius (`_WIDEN`), and the
 exact predicate runs on the candidates only, so the results equal those of
 the all-pairs test. Tree queries that accept `workers` use every core
-(`workers=-1`).
+(`workers=-1`). The elementwise work of `sphere_points` (square root, cos,
+sin and the products) and the cell pass below also run on every usable CPU,
+in contiguous row spans on threads started and joined per call, once an
+array has _SPLIT_ROWS rows; the random draws stay serial on the calling
+thread, in the same order, so every output bit is the same on any CPU count.
 
 Detection filters each sensor field in three steps:
 
@@ -34,17 +38,18 @@ Detection filters each sensor field in three steps:
 Boolean masks keep row order, so step 3 sees the same sensors in the same
 order as a nearest-incident query over the whole field, and the outputs are
 bit-identical to it. On a density-90 field (4.6M sensors, 10,000 incidents,
-2-core host) the cell pass takes about 0.15 s and keeps about 7% of the
-sensors, and the query on them 0.13-0.2 s; the query over the whole field
-took 1.6-2.0 s.
+2-core host) the cell pass takes about 0.06 s on both cores (0.11 s on one)
+and keeps about 7% of the sensors, and the query on them about 0.1 s; the
+query over the whole field took 1.6-2.0 s.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -58,6 +63,10 @@ _WIDEN = 1.0 + 1e-9
 # boolean slots (16 MB), and the sensors are hashed _CELL_CHUNK rows at a time.
 _CELL_SLOTS_LOG2 = 24
 _CELL_CHUNK = 1 << 16
+# Arrays of at least this many rows are split over the usable CPUs (see
+# _on_cores): a 2**17-row draw takes as long in two spans as in one on a
+# 2-core host (about 10 ms), a 2**18-row draw 25% less.
+_SPLIT_ROWS = 1 << 17
 _NEIGHBOURS = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.int64)
 _FIBONACCI = np.uint64(0x9E3779B97F4A7C15)  # 2**64 / golden ratio
 
@@ -75,22 +84,60 @@ class BeamGeometry:
 def sphere_points(count: int, rng: np.random.Generator) -> np.ndarray:
     """Unit vectors uniform on the sphere, shape (count, 3).
 
-    Written in place: z goes to column 2, its buffer then holds
-    sqrt(max(0, 1 - z*z)), and cos and sin share one temporary.
+    The two draws (z, then phi) run on the calling thread. The rest is
+    elementwise and runs in spans on the usable CPUs (`_on_cores`), written
+    in place a chunk at a time: z goes to column 2, its buffer then holds
+    sqrt(max(0, 1 - z*z)), and cos and sin share one chunk-sized temporary.
     """
     out = np.empty((count, 3))
     z = rng.uniform(-1.0, 1.0, count)
-    out[:, 2] = z
     phi = rng.uniform(0.0, 2.0 * math.pi, count)
-    np.multiply(z, z, out=z)
-    np.subtract(1.0, z, out=z)
-    np.maximum(z, 0.0, out=z)
-    s = np.sqrt(z, out=z)
-    trig = np.cos(phi)
-    np.multiply(trig, s, out=out[:, 0])
-    np.sin(phi, out=trig)
-    np.multiply(trig, s, out=out[:, 1])
+
+    def fill(start: int, stop: int) -> None:
+        trig = np.empty(min(_CELL_CHUNK, stop - start))
+        for lo in range(start, stop, _CELL_CHUNK):
+            hi = min(lo + _CELL_CHUNK, stop)
+            s, angle, t = z[lo:hi], phi[lo:hi], trig[:hi - lo]
+            out[lo:hi, 2] = s
+            np.multiply(s, s, out=s)
+            np.subtract(1.0, s, out=s)
+            np.maximum(s, 0.0, out=s)
+            np.sqrt(s, out=s)
+            np.cos(angle, out=t)
+            np.multiply(t, s, out=out[lo:hi, 0])
+            np.sin(angle, out=t)
+            np.multiply(t, s, out=out[lo:hi, 1])
+
+    _on_cores(count, fill)
     return out
+
+
+def _on_cores(rows: int, work: Callable[[int, int], None]) -> None:
+    """Run work(start, stop) over rows [0, rows) in contiguous spans, one per
+    usable CPU, each starting at a multiple of _CELL_CHUNK.
+
+    Below _SPLIT_ROWS rows, or on one CPU, the one span runs on the calling
+    thread. Otherwise the first span runs there and the others on threads
+    started for this call (numpy's ufuncs release the GIL); every thread is
+    joined before this returns, and an exception from any span is raised.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    chunks = -(-rows // _CELL_CHUNK)
+    span = -(-chunks // cpus) * _CELL_CHUNK
+    if rows < _SPLIT_ROWS or span >= rows:
+        work(0, rows)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    starts = range(span, rows, span)
+    with ThreadPoolExecutor(len(starts)) as pool:
+        futures = [pool.submit(work, lo, min(lo + span, rows)) for lo in starts]
+        work(0, span)
+        for future in futures:
+            future.result()
 
 
 def deploy_poisson(density_per_km2: float, rng: np.random.Generator) -> np.ndarray:
@@ -267,28 +314,34 @@ def _mark_cells(incidents: np.ndarray, edge: float) -> np.ndarray:
 def _in_marked_cells(field: np.ndarray, marked: np.ndarray, edge: float) -> np.ndarray:
     """Mask of the sensors whose grid cell has a marked slot.
 
-    Runs chunk by chunk on reused buffers. The cell coordinate is
-    floor(x / edge), so negative coordinates get cells of the same width; a
-    sensor too far out for an int64 cell is far from every incident, and its
-    arbitrary slot only adds a survivor. Non-finite coordinates raise
-    ValueError, as the tree query would.
+    Runs in spans on the usable CPUs (`_on_cores`), each chunk by chunk on
+    buffers of its own. The cell coordinate is floor(x / edge), so negative
+    coordinates get cells of the same width; a sensor too far out for an
+    int64 cell is far from every incident, and its arbitrary slot only adds
+    a survivor. Non-finite coordinates raise ValueError, as the tree query
+    would.
     """
     keep = np.empty(len(field), dtype=bool)
-    scaled = np.empty((_CELL_CHUNK, 3))
-    cells = np.empty((_CELL_CHUNK, 3), dtype=np.int64)
-    keys = np.empty(_CELL_CHUNK, dtype=np.int64)
-    tmp = np.empty(_CELL_CHUNK, dtype=np.int64)
-    with np.errstate(invalid="ignore"):
-        for start in range(0, len(field), _CELL_CHUNK):
-            chunk = field[start:start + _CELL_CHUNK]
-            n = len(chunk)
-            np.divide(chunk, edge, out=scaled[:n])
-            if not np.isfinite(scaled[:n]).all():
-                raise ValueError("sensor coordinates must be finite")
-            np.floor(scaled[:n], out=scaled[:n])
-            np.copyto(cells[:n], scaled[:n], casting="unsafe")
-            np.take(marked, _cell_slots(cells[:n], keys[:n], tmp[:n]),
-                    out=keep[start:start + n])
+
+    def hash_span(start: int, stop: int) -> None:
+        scaled = np.empty((_CELL_CHUNK, 3))
+        cells = np.empty((_CELL_CHUNK, 3), dtype=np.int64)
+        keys = np.empty(_CELL_CHUNK, dtype=np.int64)
+        tmp = np.empty(_CELL_CHUNK, dtype=np.int64)
+        # numpy error state is per thread, so each span sets its own
+        with np.errstate(invalid="ignore"):
+            for lo in range(start, stop, _CELL_CHUNK):
+                chunk = field[lo:min(lo + _CELL_CHUNK, stop)]
+                n = len(chunk)
+                np.divide(chunk, edge, out=scaled[:n])
+                if not np.isfinite(scaled[:n]).all():
+                    raise ValueError("sensor coordinates must be finite")
+                np.floor(scaled[:n], out=scaled[:n])
+                np.copyto(cells[:n], scaled[:n], casting="unsafe")
+                np.take(marked, _cell_slots(cells[:n], keys[:n], tmp[:n]),
+                        out=keep[lo:lo + n])
+
+    _on_cores(len(field), hash_span)
     return keep
 
 

@@ -4,12 +4,14 @@ import csv
 import hashlib
 import io
 import json
+import math
 
 import pytest
 
-from leobft import auth, ledger
-from leobft.cli import (MAX_FIELD_POINTS, MAX_FIELDS, MAX_SWEEP_POINTS, _check_fields,
-                        _field_densities, _parse_densities, main)
+from leobft import auth, geo, ledger
+from leobft.cli import (MAX_CANDIDATE_PAIRS, MAX_FIELD_POINTS, MAX_FIELDS, MAX_SWEEP_POINTS,
+                        _check_fields, _check_pairs, _field_densities, _parse_densities,
+                        main)
 from leobft.geo import EARTH_AREA_KM2
 from leobft.scenario import ConfigError
 
@@ -75,6 +77,32 @@ class TestDensityParsing:
             _check_fields("--honest", 5, [limit * 1.000001], 1e4)
         with pytest.raises(ConfigError, match="at most %d" % MAX_FIELDS):
             _check_fields("--honest", MAX_FIELDS + 1, [0.0], 1e4)
+
+    def test_pair_bound_is_expected_candidate_pairs_per_density(self):
+        # two operators: (lambda A)^2 (1 - cos(2r/R)) / 2 candidate pairs
+        angle = 2.0 * geo.BeamGeometry().footprint_radius_km / geo.R_EARTH_KM
+        per_field = (MAX_CANDIDATE_PAIRS / ((1.0 - math.cos(angle)) / 2.0)) ** 0.5
+        limit = per_field * 1e6 / EARTH_AREA_KM2
+        _check_pairs(2, [1.0, limit * 0.999999])
+        with pytest.raises(ConfigError, match="candidate pairs, more than"):
+            _check_pairs(2, [limit * 1.000001, 1.0])
+        _check_pairs(4, [17.0])  # the default sweep's largest density
+        _check_pairs(1, [MAX_FIELD_POINTS * 1e6 / EARTH_AREA_KM2])  # one operator, no pairs
+
+    def test_too_many_candidate_pairs_exit_before_any_draw(self, monkeypatch, capsys):
+        # each field expects under 1e7 satellites, but the two expect 6.5e8
+        # candidate pairs between them
+        def no_draw(*args):
+            raise AssertionError("build_constellation called")
+
+        monkeypatch.setattr(geo, "build_constellation", no_draw)
+        assert main(["constellation", "--operators", "2", "--densities", "19000",
+                     "--trials", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("configuration error: --operators 2 at 19000.0 per 1e+06 "
+                                "km^2 expects 6.53e+08 candidate pairs, more than %g\n"
+                                % MAX_CANDIDATE_PAIRS)
+        assert captured.out == ""
 
 
 class TestConsensusCommand:

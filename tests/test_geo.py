@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -90,6 +91,9 @@ class TestSphereSampling:
         (2, 7, "d852eea075e836db244ad581db91d0050fd00baa2e86e8b6fd73857e213d9b8e"),
         (3, 1000, "8f93b33f09a2ab6eef18378921932f27b9a3dcc02a46ae95d53c7a864e22b639"),
         (4, 100003, "a26334cc800feba7e731f26d0816b9de4f598b0ac64dc2d9da148a168c2f2d8c"),
+        # above geo._SPLIT_ROWS and not a multiple of geo._CELL_CHUNK, recorded
+        # before the draw was split over the usable CPUs
+        (5, 1000003, "bd9ac7277fd6ad0feae831f49f70a8e23ecdd16f9be7d53f2db9c4c7bb771b18"),
     ])
     def test_output_bits_pinned(self, seed, count, digest):
         pts = sphere_points(count, np.random.default_rng(seed))
@@ -457,3 +461,55 @@ class TestCellPass:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 simulate_detection({1: np.array([[bad, 0.0, 0.0]])}, incidents)
+
+
+def usable_cpus(monkeypatch, count):
+    """Make geo see `count` usable CPUs, whatever the host has."""
+    monkeypatch.setattr(geo.os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+class TestSplitOverCpus:
+    # above geo._SPLIT_ROWS, and not a multiple of geo._CELL_CHUNK, so the
+    # last span is short; 3 and 7 CPUs give more spans than this host may have
+    ROWS = 300_001
+
+    @pytest.mark.parametrize("cpus", [2, 3, 7])
+    def test_sphere_points_equal_one_span(self, monkeypatch, cpus):
+        assert self.ROWS >= geo._SPLIT_ROWS
+        usable_cpus(monkeypatch, 1)
+        serial = sphere_points(self.ROWS, np.random.default_rng(18))
+        usable_cpus(monkeypatch, cpus)
+        split = sphere_points(self.ROWS, np.random.default_rng(18))
+        assert np.array_equal(serial.view(np.uint64), split.view(np.uint64))
+
+    @pytest.mark.parametrize("cpus", [2, 3, 7])
+    def test_cell_pass_equals_one_span(self, monkeypatch, cpus):
+        rng = np.random.default_rng(19)
+        field = sphere_points(self.ROWS, rng)
+        field[-5:] *= 1e30  # cells beyond int64 take arbitrary slots
+        incidents = sphere_points(2_000, rng)
+        radius = search_radius(BeamGeometry())
+        usable_cpus(monkeypatch, 1)
+        serial = cell_pass(field, incidents, radius)
+        usable_cpus(monkeypatch, cpus)
+        assert np.array_equal(cell_pass(field, incidents, radius), serial)
+
+    def test_non_finite_in_last_span_raises(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        incidents = np.array([[1.0, 0.0, 0.0]])
+        for bad in (np.nan, np.inf):
+            field = sphere_points(self.ROWS, np.random.default_rng(20))
+            field[-1, 2] = bad
+            with pytest.raises(ValueError, match="finite"):
+                simulate_detection({1: field}, incidents)
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        usable_cpus(monkeypatch, 3)
+        before = threading.active_count()
+        rng = np.random.default_rng(21)
+        fields = {1: sphere_points(self.ROWS, rng)}
+        assert threading.active_count() == before
+        fields[2] = sphere_points(self.ROWS, rng)
+        simulate_detection(fields, sphere_points(1_000, rng))
+        assert threading.active_count() == before
