@@ -106,39 +106,12 @@ def _covers(delta: float, zeta: float, power: int) -> bool:
         return Fraction(delta) <= Fraction(zeta) * power
 
 
-class AverageMemo:
-    """One instance's round averages, computed once per (inbox object, sticky values).
-
-    The bus hands one shared inbox to every receiver whose inbox no private
-    message changed. Operators that read it holding the same sticky values
-    compute the same value list, so the first one stores (sticky values before,
-    value list, average, sticky values after) and the others reuse it. A private
-    inbox is one receiver's own object, so it never hits. Entries hold their
-    inbox, so its id() cannot be reused while they are kept, and are dropped
-    when the round changes. Sound only because inboxes are read-only.
-    """
-
-    def __init__(self) -> None:
-        self._round: Optional[int] = None
-        self._inboxes: Dict[int, tuple] = {}  # id(inbox) -> (inbox, entries)
-
-    def entries(self, round_no: int, inbox: Mapping) -> list:
-        """The results stored this round for inbox, a list to look up and append to."""
-        if round_no != self._round:
-            self._round = round_no
-            self._inboxes.clear()
-        held = self._inboxes.get(id(inbox))
-        if held is None:
-            held = self._inboxes[id(inbox)] = (inbox, [])
-        return held[1]
-
-
 class ApproxOperator:
     """One operator's approximate-agreement state machine.
 
-    Operators built with one AverageMemo (run_approx gives every operator of
-    an instance the same one) average once per shared inbox and sticky state;
-    without one, each operator computes its own.
+    Operators built with one netsim.RoundMemo (run_approx gives every
+    operator of an instance the same one) average once per shared inbox and
+    sticky state; without one, each operator computes its own.
     """
 
     # A halted operator keeps repeating its halt notice while peers are still
@@ -148,7 +121,7 @@ class ApproxOperator:
     HALT_KINDS: frozenset = frozenset({netsim.KIND_HALTED})
 
     def __init__(self, operator_id: int, params: NetworkParams, initial_value: float,
-                 memo: Optional[AverageMemo] = None):
+                 memo: Optional[netsim.RoundMemo] = None):
         self.operator_id = operator_id
         self.params = params
         self.v = float(initial_value)
@@ -161,7 +134,7 @@ class ApproxOperator:
         # built on the first announcing round, when v stops changing
         self._halt_notice: Optional[netsim.Message] = None
         self._final_values: Dict[int, float] = {}  # sticky values of halted peers
-        self._memo = AverageMemo() if memo is None else memo
+        self._memo = netsim.RoundMemo() if memo is None else memo
         self.history = [self.v]  # v at the start and after each bus round
 
     def outgoing(self, round_no: int) -> List[netsim.Outbound]:
@@ -186,8 +159,16 @@ class ApproxOperator:
     def _average(self, round_no: int,
                  inbox: Mapping[int, Sequence[netsim.Message]]) -> Tuple[List[float], float]:
         """(values, average) of this round, recording new sticky values; taken
-        from the memo when a peer already read this inbox in this state."""
-        entries = self._memo.entries(round_no, inbox)
+        from the memo when a peer already read this inbox in this state.
+
+        The memo keeps, per inbox object, one (sticky values before, value
+        list, average, sticky values after) entry for each sticky state read
+        from it. A private inbox is one receiver's own object, so it never hits.
+        """
+        held = self._memo.of_round(round_no)
+        if id(inbox) not in held:
+            held[id(inbox)] = (inbox, [])
+        entries = held[id(inbox)][1]
         final = self._final_values
         for before, values, average, after in entries:
             # equal is enough: 0.0 and -0.0 give the same average and spread
@@ -262,7 +243,7 @@ def run_approx(params: NetworkParams, initial_values: Dict[int, float], *,
                record_transcript: bool = False,
                max_rounds: int = 10_000) -> ApproxResult:
     """Run one approximate agreement instance until all honest operators halt."""
-    memo = AverageMemo()
+    memo = netsim.RoundMemo()
     bus = netsim.run_instance(
         initial_values, lambda op, value: ApproxOperator(op, params, value, memo),
         params.n_operators, adversary, max_rounds=max_rounds, seed=seed,

@@ -46,6 +46,18 @@ def _field_bytes(part: Field) -> bytes:
     raise TypeError("cannot encode field of type %s" % type(part).__name__)
 
 
+def field_size(part: Field) -> int:
+    """len(_field_bytes(part)), built only for the types whose length needs it."""
+    kind = type(part)  # _field_bytes's exact-type fast paths, sized without building
+    if kind is int:
+        return len(b"%d" % part)
+    if kind is float:
+        return len(repr(part))
+    if kind is bytes:
+        return 2 * len(part)
+    return len(_field_bytes(part))
+
+
 def encode(*parts: Field) -> bytes:
     """Canonical payload encoding of a field sequence."""
     return b"|".join(map(_field_bytes, parts))
@@ -111,22 +123,45 @@ class SignedMessage:
             parts.extend([op, tag])
         return encode(*parts)
 
+    def encoded_size(self) -> int:
+        """len(canonical_bytes()), summed from the field sizes; kept once summed."""
+        size = self.__dict__.get("_size")
+        if size is None:  # frozen: the cache goes straight into the instance dict
+            size = field_size(self.payload)
+            for op, tag in zip(self.signers, self.tags):
+                size += field_size(op) + field_size(tag) + 2  # two "|" separators
+            self.__dict__["_size"] = size
+        return size
 
-def _chain_payload(payload: bytes, signers: Sequence[int]) -> bytes:
-    return encode(payload, *signers)
+    def chain_payload(self) -> bytes:
+        """encode(payload, *signers): what the last tag covers, kept once built."""
+        chain = self.__dict__.get("_chain")
+        if chain is None:
+            chain = self.__dict__["_chain"] = encode(self.payload, *self.signers)
+        return chain
 
 
 def make_signed(registry: KeyRegistry, signer: int, payload: bytes) -> SignedMessage:
-    tag = registry.sign(signer, _chain_payload(payload, [signer]))
-    return SignedMessage(payload, (signer,), (tag,))
+    """payload signed by signer, keeping its chain payload and encoded size."""
+    chain = encode(payload, signer)
+    tag = registry.sign(signer, chain)
+    size = field_size(payload) + field_size(signer) + field_size(tag) + 2
+    signed = SignedMessage(payload, (signer,), (tag,))
+    signed.__dict__.update(_chain=chain, _size=size)
+    return signed
 
 
 def extend_signed(registry: KeyRegistry, msg: SignedMessage, signer: int) -> SignedMessage:
+    """msg with signer's tag appended, keeping its chain payload and encoded
+    size: msg's plus the new fields'."""
     if signer in msg.signers:
         raise ValueError("operator %d already signed this message" % signer)
-    signers = msg.signers + (signer,)
-    tag = registry.sign(signer, _chain_payload(msg.payload, signers))
-    return SignedMessage(msg.payload, signers, msg.tags + (tag,))
+    chain = msg.chain_payload() + b"|" + _field_bytes(signer)
+    tag = registry.sign(signer, chain)
+    size = msg.encoded_size() + field_size(signer) + field_size(tag) + 2
+    signed = SignedMessage(msg.payload, msg.signers + (signer,), msg.tags + (tag,))
+    signed.__dict__.update(_chain=chain, _size=size)
+    return signed
 
 
 def verify_signed(registry: KeyRegistry, msg: SignedMessage) -> bool:
@@ -142,14 +177,17 @@ def verify_signed(registry: KeyRegistry, msg: SignedMessage) -> bool:
     if len(set(signers)) != len(signers):
         return False
     verified = registry._verified_prefixes
-    cached = len(signers)
+    n = cached = len(signers)
     while cached and (payload, signers[:cached], tags[:cached]) not in verified:
         cached -= 1
-    for k in range(cached + 1, len(signers) + 1):
-        prefix = signers[:k]
-        if not registry.verify(prefix[-1], _chain_payload(payload, prefix), tags[k - 1]):
+    # the last tag covers chain_payload(), which make_signed and extend_signed
+    # keep; an earlier tag's payload grows from the cached prefix's
+    chain = encode(payload, *signers[:cached]) if cached < n - 1 else b""
+    for k in range(cached, n):
+        chain = msg.chain_payload() if k == n - 1 else chain + b"|" + _field_bytes(signers[k])
+        if not registry.verify(signers[k], chain, tags[k]):
             return False
-        verified.add((payload, prefix, tags[:k]))
+        verified.add((payload, signers[:k + 1], tags[:k + 1]))
     return True
 
 

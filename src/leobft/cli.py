@@ -86,6 +86,14 @@ def _field_densities(text: str, per_km2: float) -> List[float]:
     return densities
 
 
+def _over(expected: float, bound: float) -> str:
+    """expected in %g, with enough digits (3 at least) to read as more than bound."""
+    digits = 3
+    while float("%.*g" % (digits, expected)) <= bound:
+        digits += 1
+    return "%.*g" % (digits, expected)
+
+
 def _check_fields(flag: str, count: int, densities: List[float], per_km2: float) -> None:
     """count fields per density: 1 to MAX_FIELDS, expecting at most
     MAX_SWEEP_POINTS points together at the largest density."""
@@ -95,9 +103,9 @@ def _check_fields(flag: str, count: int, densities: List[float], per_km2: float)
         raise ConfigError("%s must be at most %d" % (flag, MAX_FIELDS))
     expected = count * max(densities) * geo.EARTH_AREA_KM2 / per_km2
     if expected > MAX_SWEEP_POINTS:
-        raise ConfigError("%s %d at %r per %g km^2 expects %.3g points, more than %g"
-                          % (flag, count, max(densities), per_km2, expected,
-                             MAX_SWEEP_POINTS))
+        raise ConfigError("%s %d at %r per %g km^2 expects %s points, more than %g"
+                          % (flag, count, max(densities), per_km2,
+                             _over(expected, MAX_SWEEP_POINTS), MAX_SWEEP_POINTS))
 
 
 def _check_pairs(operators: int, densities: List[float]) -> None:
@@ -107,9 +115,10 @@ def _check_pairs(operators: int, densities: List[float]) -> None:
     angle = 2.0 * geo.BeamGeometry().footprint_radius_km / geo.R_EARTH_KM
     expected = math.comb(operators, 2) * per_field**2 * (1.0 - math.cos(angle)) / 2.0
     if expected > MAX_CANDIDATE_PAIRS:
-        raise ConfigError("--operators %d at %r per %g km^2 expects %.3g candidate "
+        raise ConfigError("--operators %d at %r per %g km^2 expects %s candidate "
                           "pairs, more than %g"
-                          % (operators, max(densities), 1e6, expected, MAX_CANDIDATE_PAIRS))
+                          % (operators, max(densities), 1e6,
+                             _over(expected, MAX_CANDIDATE_PAIRS), MAX_CANDIDATE_PAIRS))
 
 
 def _incident_count(text: str) -> int:

@@ -57,10 +57,20 @@ def aggregate_view(view: Dict[int, Optional[float]], f: int,
 
 
 class ExactOperator:
+    """One operator's broadcasts, relays and view.
+
+    Operators built with one netsim.RoundMemo and one payload table
+    (run_exact gives every operator of an instance the same two) check each
+    relay object once per round and parse each payload once per instance;
+    without them, each operator does its own.
+    """
+
     HALT_KINDS: frozenset = frozenset()
 
     def __init__(self, operator_id: int, params: NetworkParams,
-                 registry: auth.KeyRegistry, initial_value: float, instance: str):
+                 registry: auth.KeyRegistry, initial_value: float, instance: str,
+                 memo: Optional[netsim.RoundMemo] = None,
+                 parsed: Optional[Dict[bytes, Optional[Tuple[int, float]]]] = None):
         self.operator_id = operator_id
         self.params = params
         self.registry = registry
@@ -68,15 +78,15 @@ class ExactOperator:
         self.instance = instance
         self.halted = False
         self.view: Optional[Dict[int, Optional[float]]] = None
+        self._ids = tuple(params.operator_ids())
         # recorded[origin] = set of values extracted for that originator
-        self.recorded: Dict[int, Set[float]] = {
-            op: set() for op in range(1, params.n_operators + 1)
-        }
+        self.recorded: Dict[int, Set[float]] = {op: set() for op in self._ids}
         self._relay_queue: List[auth.SignedMessage] = []
         # (protocol_round, n_signatures) for every accepted message
         self.accepted_chain_lengths: List[Tuple[int, int]] = []
+        self._memo = netsim.RoundMemo() if memo is None else memo
         # payload -> _parse_payload(payload); relays repeat a few payloads
-        self._parsed: Dict[bytes, Optional[Tuple[int, float]]] = {}
+        self._parsed = {} if parsed is None else parsed
 
     def _payload(self, origin: int, value: float) -> bytes:
         return auth.encode("usage", self.instance, origin, float(value))
@@ -92,6 +102,29 @@ class ExactOperator:
         except ValueError:
             return None
 
+    def _relay(self, msg: netsim.Message,
+               k: int) -> Optional[Tuple[auth.SignedMessage, int, float]]:
+        """(signed, origin, value) of a round-k relay that passes every check
+        but the receiver's own ones, else None."""
+        if msg.kind != netsim.KIND_BCAST or len(msg.body) != 1:
+            return None
+        signed = msg.body[0]
+        if not isinstance(signed, auth.SignedMessage):
+            return None
+        if len(signed.signers) != k:  # round-k messages carry k signatures
+            return None
+        payload = signed.payload
+        try:
+            parsed = self._parsed[payload]
+        except KeyError:
+            parsed = self._parsed[payload] = self._parse_payload(payload)
+        if parsed is None:
+            return None
+        origin, value = parsed
+        if origin not in self.recorded or signed.signers[0] != origin:
+            return None
+        return signed, origin, value
+
     def make_own_broadcast(self, value: float) -> netsim.Message:
         signed = auth.make_signed(self.registry, self.operator_id,
                                   self._payload(self.operator_id, value))
@@ -102,7 +135,7 @@ class ExactOperator:
             return [(netsim.BROADCAST, self.make_own_broadcast(self.initial_value))]
         # one entry per relay, addressed to every peer not yet on its chain
         out: List[netsim.Outbound] = [
-            (tuple(dest for dest in self.params.operator_ids() if dest not in signed.signers),
+            (tuple([dest for dest in self._ids if dest not in signed.signers]),
              netsim.Message(self.operator_id, netsim.KIND_BCAST, (signed,)))
             for signed in self._relay_queue]
         self._relay_queue = []
@@ -114,36 +147,27 @@ class ExactOperator:
             return
         k = round_no + 1  # protocol rounds are 1-based
         f = self.params.max_faulty
+        me = self.operator_id
+        checked = self._memo.of_round(round_no)  # id(msg) -> (msg, _relay(msg, k))
         for msgs in inbox.values():
             for msg in msgs:
-                if msg.kind != netsim.KIND_BCAST or len(msg.body) != 1:
+                held = checked.get(id(msg))
+                if held is None:
+                    held = checked[id(msg)] = (msg, self._relay(msg, k))
+                relay = held[1]
+                if relay is None:
                     continue
-                signed = msg.body[0]
-                if not isinstance(signed, auth.SignedMessage):
-                    continue
-                if len(signed.signers) != k:  # round-k messages carry k signatures
-                    continue
-                payload = signed.payload
-                try:
-                    parsed = self._parsed[payload]
-                except KeyError:
-                    parsed = self._parsed[payload] = self._parse_payload(payload)
-                if parsed is None:
-                    continue
-                origin, value = parsed
-                if origin not in self.recorded or signed.signers[0] != origin:
-                    continue
+                signed, origin, value = relay
+                known = self.recorded[origin]
                 # a known value is dropped whatever its chain, so check it first
-                if value in self.recorded[origin]:
+                if value in known:
                     continue
                 if not auth.verify_signed(self.registry, signed):
                     continue
-                self.recorded[origin].add(value)
+                known.add(value)
                 self.accepted_chain_lengths.append((k, len(signed.signers)))
-                if k <= f and self.operator_id not in signed.signers:
-                    self._relay_queue.append(
-                        auth.extend_signed(self.registry, signed, self.operator_id)
-                    )
+                if k <= f and me not in signed.signers:
+                    self._relay_queue.append(auth.extend_signed(self.registry, signed, me))
         if k == f + 1:
             self.view = {
                 op: (next(iter(vals)) if len(vals) == 1 else CONFLICT)
@@ -177,9 +201,10 @@ def run_exact(params: NetworkParams, initial_values: Dict[int, float], *,
               record_transcript: bool = False) -> ExactResult:
     """Run the N parallel broadcasts until the honest operators halt at round f+1."""
     registry = registry or auth.KeyRegistry(sorted(initial_values), auth.derive_seed(seed, "keys"))
+    memo, parsed = netsim.RoundMemo(), {}
     bus = netsim.run_instance(
         initial_values,
-        lambda op, value: ExactOperator(op, params, registry, value, instance),
+        lambda op, value: ExactOperator(op, params, registry, value, instance, memo, parsed),
         params.n_operators, adversary,
         max_rounds=params.max_faulty + 1, seed=seed,
         frame_bytes=frame_bytes, record_transcript=record_transcript)

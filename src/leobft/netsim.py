@@ -15,8 +15,10 @@ its operators propose and vote in the ledger phase and answer retrieval.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Callable, DefaultDict, Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from . import auth
 from .model import MAX_MAGNITUDE, UsageTensor
@@ -110,10 +112,19 @@ class Message:
         return auth.encode(*parts)
 
     def raw_size(self) -> int:
-        """len(canonical_bytes()), encoded on the first call only."""
+        """len(canonical_bytes()), summed from field sizes on the first call only.
+
+        A part with canonical_bytes goes into the encoding as those bytes,
+        hexed, so it adds twice its encoded_size().
+        """
         size = self.__dict__.get("_raw_size")
         if size is None:  # frozen: the cache goes straight into the instance dict
-            size = self.__dict__["_raw_size"] = len(self.canonical_bytes())
+            size = (auth.field_size(self.kind) + auth.field_size(self.sender)
+                    + 1 + len(self.body))  # the "|" separators
+            for part in self.body:
+                size += (2 * part.encoded_size() if hasattr(part, "encoded_size")
+                         else auth.field_size(part))
+            self.__dict__["_raw_size"] = size
         return size
 
 
@@ -238,6 +249,10 @@ def _lie_values(strategy: AdversaryStrategy, base: float, recipients: Tuple[int,
     return [(value, recipients)]
 
 
+def _unknown(op: int, rcv) -> None:
+    raise HarnessError("operator %d sent to %r, which is not on this bus" % (op, rcv))
+
+
 def _recipients(dest, ids: Tuple[int, ...]) -> Tuple[int, ...]:
     """The operators an Outbound destination names, in sending order."""
     if dest == BROADCAST:
@@ -314,6 +329,28 @@ def _substitute(strategy: AdversaryStrategy, op: int, round_no: int,
     return out
 
 
+class RoundMemo:
+    """Results that one instance's operators derive from the same object in a round.
+
+    The bus hands each message object, and each shared inbox, to many
+    receivers in the same round; since they are read-only, what the first
+    receiver derives from one can serve the others. of_round(round_no) is the
+    table id(obj) -> (obj, result) of that round. Entries hold their object,
+    so its id() cannot be reused while they are kept, and are dropped when the
+    round changes.
+    """
+
+    def __init__(self) -> None:
+        self._round: Optional[int] = None
+        self._held: Dict[int, tuple] = {}
+
+    def of_round(self, round_no: int) -> Dict[int, tuple]:
+        if round_no != self._round:
+            self._round = round_no
+            self._held = {}
+        return self._held
+
+
 class RoundBus:
     """Lockstep message bus for one protocol instance, built whole: its
     operators are the participants' operator_ids, kept in id order."""
@@ -324,6 +361,7 @@ class RoundBus:
         self.participants: Dict[int, object] = {
             p.operator_id: p for p in sorted(participants, key=lambda p: p.operator_id)}
         self.operator_ids = tuple(self.participants)
+        self._members = frozenset(self.operator_ids)
         self.adversary = adversary
         self.seed = seed
         self.frame_bytes = frame_bytes
@@ -356,7 +394,8 @@ class RoundBus:
 
         absent: List[Message] = []
         base: Dict[int, Sequence[Message]] = {}
-        private: Dict[int, Dict[int, List[Message]]] = {}
+        private: DefaultDict[int, Dict[int, List[Message]]] = defaultdict(dict)
+        members = self._members
         shared_bytes = 0  # what every operator receives of the base, its own included
 
         for op in ids:
@@ -378,15 +417,36 @@ class RoundBus:
                             )
 
             base[op] = absent
+            filed: Optional[DefaultDict[int, List[Message]]] = None  # rcv -> op's messages
             for dest, msg in outbound:
                 if msg.sender != op:
                     raise HarnessError("operator %d forged sender %d" % (op, msg.sender))
-                recipients = _recipients(dest, ids)
-                if not recipients:  # an empty group is never sized, so never encoded
-                    continue
+                if dest == BROADCAST:
+                    recipients = ids
+                elif isinstance(dest, tuple):
+                    recipients = dest
+                    if not recipients:  # an empty group is never sized
+                        continue
+                    if not members.issuperset(recipients):
+                        _unknown(op, next(r for r in recipients if r not in members))
+                elif dest in members:
+                    recipients = None
+                else:
+                    _unknown(op, dest)
                 size = msg.raw_size()
                 if frame is not None:
                     size = max(size, frame)
+                if recipients is None:  # one operator id
+                    originated[op] += size
+                    if transcript is not None:
+                        transcript.append((round_no, op, dest, msg.kind, size))
+                    if filed is None:
+                        filed = defaultdict(list)
+                    filed[dest].append(msg)
+                    if dest != op:
+                        delivered[op] += size
+                        received[dest] += size
+                    continue
                 originated[op] += size if dest == BROADCAST else size * len(recipients)
                 if transcript is not None:
                     transcript.extend((round_no, op, rcv, msg.kind, size) for rcv in recipients)
@@ -396,14 +456,18 @@ class RoundBus:
                     received[op] -= size  # its own copy is not received
                     shared_bytes += size
                     continue
+                own = recipients.count(op)  # copies to itself are neither delivered nor received
+                delivered[op] += size * (len(recipients) - own)
+                if own:
+                    received[op] -= size * own
+                if filed is None:
+                    filed = defaultdict(list)
                 for rcv in recipients:
-                    if rcv not in received:
-                        raise HarnessError("operator %d sent to %r, which is not on this bus"
-                                           % (op, rcv))
-                    private.setdefault(rcv, {}).setdefault(op, []).append(msg)
-                    if rcv != op:
-                        delivered[op] += size
-                        received[rcv] += size
+                    filed[rcv].append(msg)
+                    received[rcv] += size
+            if filed is not None:
+                for rcv, msgs in filed.items():
+                    private[rcv][op] = msgs
 
         inboxes: Dict[int, Mapping[int, Sequence[Message]]] = dict.fromkeys(ids, base)
         for rcv, mine in private.items():

@@ -7,11 +7,13 @@ from leobft import auth, netsim
 
 @pytest.fixture
 def work_counts(monkeypatch):
-    """Counts of message encodes, signs and verifies made while a test runs.
+    """Counts of message sizings, signs and verifies made while a test runs.
 
-    A verify recomputes its tag through sign, so signs include verifies.
+    A sizing is the first raw_size() of a message object, the one that sums
+    its field sizes; later calls read the cached size. A verify recomputes its
+    tag through sign, so signs include verifies.
     """
-    calls = {"encode": 0, "sign": 0, "verify": 0}
+    calls = {"size": 0, "sign": 0, "verify": 0}
 
     def counted(fn, key):
         def wrapper(*args):
@@ -19,8 +21,14 @@ def work_counts(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for owner, name, key in ((netsim.Message, "canonical_bytes", "encode"),
-                             (auth.KeyRegistry, "sign", "sign"),
+    raw_size = netsim.Message.raw_size
+
+    def sized(msg):
+        calls["size"] += "_raw_size" not in msg.__dict__
+        return raw_size(msg)
+
+    monkeypatch.setattr(netsim.Message, "raw_size", sized)
+    for owner, name, key in ((auth.KeyRegistry, "sign", "sign"),
                              (auth.KeyRegistry, "verify", "verify")):
         monkeypatch.setattr(owner, name, counted(getattr(owner, name), key))
     return calls

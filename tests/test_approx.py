@@ -435,7 +435,7 @@ class TestAverageMemo:
         # operator 1 records peer 4's final value from a private inbox, the
         # others do not; all then read one shared inbox through one memo
         params = make_params(zeta=1e-6)
-        memo = approx.AverageMemo()
+        memo = netsim.RoundMemo()
         ids = (1, 2, 3, 4)
         machines = [approx.ApproxOperator(op, params, 0.0, memo) for op in ids]
         references = [ReferenceApproxOperator(op, params, 0.0) for op in ids]
@@ -463,12 +463,12 @@ class TestAverageMemo:
         assert len({id(m._final_values) for m in machines}) == 4
 
     def test_memo_keeps_one_round(self):
-        memo = approx.AverageMemo()
+        memo = netsim.RoundMemo()
         inbox = {1: ()}
-        memo.entries(0, inbox).append("result")
-        assert memo.entries(0, inbox) == ["result"]
-        assert memo.entries(0, dict(inbox)) == []  # an equal but distinct inbox
-        assert memo.entries(1, inbox) == []
+        memo.of_round(0)[id(inbox)] = (inbox, "result")
+        assert memo.of_round(0) == {id(inbox): (inbox, "result")}
+        assert id(dict(inbox)) not in memo.of_round(0)  # an equal but distinct inbox
+        assert memo.of_round(1) == {}
 
 
 class TestWorkCounts:
@@ -477,14 +477,14 @@ class TestWorkCounts:
 
         Every round each of the 10 operators sends one message object: the
         7 honest ones their value, the 3 controlled ones one lie shared by
-        all recipients. Building a lie per recipient gave 296 encodes.
+        all recipients. Building a lie per recipient gave 296 sizings.
         """
         params = make_params(10, 3)
         values = {op: 1.0 + 0.1 * op for op in params.operator_ids()}
         adversary = AdversaryStrategy(netsim.VALUE_LIAR, frozenset({1, 2, 3}), rotate=True)
         result = run_approx(params, values, adversary=adversary)
         assert result.rounds == 8
-        assert work_counts == {"encode": 8 * 10, "sign": 0, "verify": 0}
+        assert work_counts == {"size": 8 * 10, "sign": 0, "verify": 0}
 
     def test_halt_notice_encoded_once_however_long_halted(self, work_counts):
         """Pins the work of a fault-free N=4, f=1 run.
@@ -495,13 +495,13 @@ class TestWorkCounts:
         params = make_params()
         values = {op: float(op) for op in params.operator_ids()}
         h = run_approx(params, values).rounds - 1
-        assert work_counts["encode"] == 4 * h + 4
+        assert work_counts["size"] == 4 * h + 4
         # the same run kept going for 5 more rounds: every operator stays halted
         bus = netsim.run_instance(
             values, lambda op, value: approx.ApproxOperator(op, params, value), 4, None,
             max_rounds=h + 6, rounds=h + 6)
         assert all(bus.participants[op].halted for op in values)
-        assert work_counts == {"encode": 2 * (4 * h + 4), "sign": 0, "verify": 0}
+        assert work_counts == {"size": 2 * (4 * h + 4), "sign": 0, "verify": 0}
 
     def test_rotating_liar_run_averages_once_per_round(self, average_calls):
         """Every honest operator reads the same shared inbox in the same sticky

@@ -98,6 +98,12 @@ class TestEncodeParity:
         ladder = _outcome(lambda ps: b"|".join(_ladder_field_bytes(p) for p in ps), parts)
         assert _outcome(lambda ps: auth.encode(*ps), parts) == ladder
 
+    @settings(max_examples=300, deadline=None)
+    @given(_FIELDS | st.floats().map(np.float64)
+           | st.sampled_from([10**40, -10**40, np.float64(-0.0), b"", ""]))
+    def test_field_size_is_the_encoded_length(self, part):
+        assert _outcome(auth.field_size, part) == _outcome(lambda p: len(auth.encode(p)), part)
+
 
 class TestDeriveSeed:
     def test_deterministic_and_labelled(self):
@@ -195,6 +201,42 @@ class TestSignerChains:
         for op in signers[1:]:
             msg = auth.extend_signed(registry, msg, op)
         assert auth.verify_signed(registry, msg)
+
+
+class TestChainEncoding:
+    """Chain payloads and sizes built one signer at a time equal the ones
+    encoded whole, for chains built here and for bare ones built elsewhere."""
+
+    N = 10
+
+    def _check(self, registry, msg):
+        payload, signers = msg.payload, msg.signers
+        bare = auth.SignedMessage(payload, signers, msg.tags)  # nothing kept on it
+        for signed in (msg, bare):
+            assert signed.encoded_size() == len(signed.canonical_bytes())
+            assert signed.chain_payload() == auth.encode(payload, *signers)
+        assert msg.tags[-1] == registry.sign(signers[-1], auth.encode(payload, *signers))
+        fresh = auth.KeyRegistry(range(1, self.N + 1), registry.master_seed)
+        assert auth.verify_signed(fresh, bare)
+
+    def test_every_chain_length_up_to_n(self):
+        registry = auth.KeyRegistry(range(1, self.N + 1), 5)
+        msg = auth.make_signed(registry, 3, auth.encode("usage", "mv", 3, -0.0))
+        self._check(registry, msg)
+        for op in (7, 1, 10, 2, 9, 4, 8, 5, 6):
+            msg = auth.extend_signed(registry, msg, op)
+            self._check(registry, msg)
+        assert len(msg.signers) == self.N
+
+    @given(st.binary(max_size=40),
+           st.lists(st.integers(1, N), min_size=1, max_size=N, unique=True))
+    @settings(max_examples=100, deadline=None)
+    def test_any_chain(self, payload, signers):
+        registry = auth.KeyRegistry(range(1, self.N + 1), 6)
+        msg = auth.make_signed(registry, signers[0], payload)
+        for op in signers[1:]:
+            msg = auth.extend_signed(registry, msg, op)
+        self._check(registry, msg)
 
 
 def _genuine_chain(registry, signers=(2, 4, 1, 3)):

@@ -248,7 +248,7 @@ class TestWorkCounts:
         Each operator keeps one message per bit and signs its halt
         certificate once; a controlled operator draws each recipient's bit
         from one pair of messages. Building a message per recipient and
-        re-signing the certificate every round gave 148 encodes and 16
+        re-signing the certificate every round gave 148 sizings and 16
         signs (10 of them the verifies' own); halted operators that still
         checked their peers' certificates gave 12 signs and 10 verifies.
         """
@@ -257,7 +257,7 @@ class TestWorkCounts:
         adversary = AdversaryStrategy(netsim.RANDOM_VALUES, frozenset({1, 2, 3}), rotate=True)
         result = binary.run_binary(params, bits, seed=1, adversary=adversary)
         assert result.rounds == 4
-        assert work_counts == {"encode": 38, "sign": 10, "verify": 8}
+        assert work_counts == {"size": 38, "sign": 10, "verify": 8}
 
     def test_halted_operator_skips_tally_and_certificate_checks(self, work_counts):
         """Once halted, an operator verifies no peer certificate and records none."""
@@ -269,7 +269,7 @@ class TestWorkCounts:
         peer._halt(1, "2.1")
         halted._halt(1, "2.1")
         inbox = {2: [peer.make_halt_cert()]}
-        work_counts.update(encode=0, sign=0, verify=0)
+        work_counts.update(size=0, sign=0, verify=0)
         halted.deliver(6, inbox)
         assert work_counts["verify"] == 0
         assert halted._peer_certs == {}

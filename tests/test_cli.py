@@ -300,6 +300,12 @@ class TestGeoFlags:
          "--honest 7 at 90.0 per 10000 km^2 expects 3.21e+07 points, more than 3e+07"),
         (["constellation", "--operators", "1000", "--densities", "1000"],
          "--operators 1000 at 1000.0 per 1e+06 km^2 expects 5.1e+08 points"),
+        # just over a bound: as many digits as it takes to differ from it
+        (["constellation", "--operators", "2", "--densities", "2351"],
+         "--operators 2 at 2351.0 per 1e+06 km^2 expects 1.0004e+07 candidate pairs, "
+         "more than 1e+07\n"),
+        (["detection", "--honest", "4", "--densities", "147.05"],
+         "--honest 4 at 147.05 per 10000 km^2 expects 3.0002e+07 points, more than 3e+07\n"),
     ])
     def test_bad_geo_flag_is_exit_1(self, capsys, argv, message):
         assert main(argv + ["--trials", "1"]) == 1

@@ -279,7 +279,7 @@ class TestWorkCounts:
         """Pins the work of one N=10, f=3 run under a static equivocator.
 
         Verifying before the duplicate check, re-checking cached chain
-        prefixes, re-encoding a message object or signing an equivocator's
+        prefixes, re-sizing a message object or signing an equivocator's
         lie once per recipient instead of once per value raises these
         counts.
         """
@@ -288,7 +288,62 @@ class TestWorkCounts:
         adversary = AdversaryStrategy(netsim.EQUIVOCATE, frozenset({1, 2, 3}))
         result = exact.run_exact(params, values, adversary=adversary)
         assert sum(map(len, result.accepted_chain_lengths.values())) == 127
-        assert work_counts == {"verify": 19, "encode": 97, "sign": 152}
+        assert work_counts == {"verify": 19, "size": 97, "sign": 152}
+
+
+    def test_exact_run_parses_each_payload_once(self, monkeypatch):
+        """The same run parses 13 payloads: the 7 honest operators' and the
+        equivocators' two lies each. Parsing per operator parsed each payload
+        once for every operator that received it."""
+        parsed = []
+        parse = exact.ExactOperator._parse_payload
+        monkeypatch.setattr(exact.ExactOperator, "_parse_payload",
+                            lambda machine, payload: parsed.append(payload)
+                            or parse(machine, payload))
+        params = make_params(10, 3)
+        values = {op: 1.0 + 0.001 * op for op in params.operator_ids()}
+        adversary = AdversaryStrategy(netsim.EQUIVOCATE, frozenset({1, 2, 3}))
+        exact.run_exact(params, values, adversary=adversary)
+        assert len(parsed) == len(set(parsed)) == 7 + 3 * 2
+
+
+def _sharing(ids, params, registry, instance="inst"):
+    """ExactOperators that share one relay memo and payload table, as in run_exact."""
+    memo, parsed = netsim.RoundMemo(), {}
+    return [exact.ExactOperator(op, params, registry, float(op), instance, memo, parsed)
+            for op in ids]
+
+
+class TestRelayChecks:
+    """Checks made once per relay object and round, shared by its receivers."""
+
+    def test_relay_redelivered_later_is_checked_against_that_round(self):
+        params = make_params()
+        registry = auth.KeyRegistry([1, 2, 3, 4], 11)
+        first, second, origin = _sharing((1, 3, 2), params, registry)
+        own = origin.make_own_broadcast(5.0)  # one signature: a round-1 message
+        relay = netsim.Message(1, netsim.KIND_BCAST, (auth.extend_signed(
+            registry, own.body[0], 1),))  # two signatures: a round-2 message
+        first.deliver(0, {1: [relay], 2: [own]})
+        assert first.accepted_chain_lengths == [(1, 1)]
+        second.deliver(1, {1: [relay], 2: [own]})  # the same objects a round later
+        assert second.accepted_chain_lengths == [(2, 2)]
+        assert second.recorded[2] == {5.0}
+
+    def test_forged_relay_shared_by_receivers_rejected_by_each(self):
+        params = make_params()
+        registry = auth.KeyRegistry([1, 2, 3, 4], 11)
+        receivers = _sharing((1, 3, 4), params, registry)
+        origin = exact.ExactOperator(2, params, registry, 5.0, "inst")
+        signed = origin.make_own_broadcast(5.0).body[0]
+        tag = bytes([signed.tags[0][0] ^ 1]) + signed.tags[0][1:]
+        forged = netsim.Message(2, netsim.KIND_BCAST,
+                                (auth.SignedMessage(signed.payload, signed.signers, (tag,)),))
+        genuine = origin.make_own_broadcast(6.0)
+        for machine in receivers:
+            machine.deliver(0, {2: [forged, genuine]})
+        assert [m.recorded[2] for m in receivers] == [{6.0}] * 3
+        assert [m.accepted_chain_lengths for m in receivers] == [[(1, 1)]] * 3
 
 
 class TestAggregationProperties:

@@ -4,11 +4,12 @@ fault injection, round caps and closed-form message counts."""
 import ast
 import pathlib
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from leobft import approx, binary, exact, netsim
+from leobft import approx, auth, binary, exact, netsim
 from leobft.model import NetworkParams, UsageTensor
 from leobft.netsim import BROADCAST, AdversaryStrategy, Message, RoundBus
 
@@ -140,6 +141,12 @@ class TestRoundBus:
 
     @given(round_scripts())
     @settings(max_examples=200, deadline=None)
+    # groups that list their own sender twice: neither copy is delivered or received
+    @example(([1, 2, 3], None, {1: [[((1, 2, 1), Message(1, netsim.KIND_VAL, (7,)))]],
+                                2: [[]], 3: [[]]}))
+    @example(([1, 2], 30, {1: [[((1, 1, 2), Message(1, netsim.KIND_VAL, (7,))),
+                                (2, Message(1, netsim.KIND_BIT, (1,)))]],
+                           2: [[((2, 1, 2), Message(2, netsim.KIND_VAL, (-10**30,)))]]}))
     def test_run_round_matches_per_recipient_delivery(self, case):
         ids, frame_bytes, scripts = case
         bus = RoundBus([Scripted(op, scripts[op]) for op in ids], frame_bytes=frame_bytes,
@@ -301,6 +308,48 @@ class TestReadOnlyInboxes:
                                 exact.ExactOperator}
 
 
+class _Float(float):
+    pass
+
+
+@st.composite
+def signed_chains(draw, n=10):
+    """A chain of 1 to n signers over an exact-profile payload, built by
+    make_signed and extend_signed or, as a forger would, bare."""
+    registry = auth.KeyRegistry(range(1, n + 1), 3)
+    signers = draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True))
+    payload = auth.encode("usage", "mv", signers[0], draw(st.floats()))
+    msg = auth.make_signed(registry, signers[0], payload)
+    for op in signers[1:]:
+        msg = auth.extend_signed(registry, msg, op)
+    return msg if draw(st.booleans()) else auth.SignedMessage(payload, msg.signers, msg.tags)
+
+
+# every body part the protocols send: bits, values, tags and signed chains
+BODY_PARTS = st.one_of(
+    st.sampled_from([0, 1, 0.0, -0.0, 10**40, -10**40]),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats().map(np.float64),
+    st.floats().map(_Float),
+    st.binary(min_size=auth.TAG_BYTES, max_size=auth.TAG_BYTES),
+    signed_chains(),
+)
+
+
+class TestSizeParity:
+    @given(st.sampled_from([netsim.KIND_BIT, netsim.KIND_CERT, netsim.KIND_VAL,
+                            netsim.KIND_HALTED, netsim.KIND_BCAST]),
+           st.integers(1, 10**6), st.lists(BODY_PARTS, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_raw_size_is_the_encoded_length(self, kind, sender, body):
+        msg = Message(sender, kind, tuple(body))
+        assert msg.raw_size() == len(msg.canonical_bytes())
+        for part in body:
+            if isinstance(part, auth.SignedMessage):
+                assert part.encoded_size() == len(part.canonical_bytes())
+
+
 class TestByteAccounting:
     def test_framed_broadcast_delivers_frame_size_per_peer(self):
         # a 200-byte frame to 4 peers adds 800 delivered bytes per round
@@ -346,22 +395,19 @@ class TestByteAccounting:
         assert bus.received[2] == 100
         assert bus.received[3] == 0
 
-    def test_shared_message_encoded_once_per_round(self, monkeypatch):
+    def test_shared_message_encoded_once_per_round(self, work_counts):
         class Fanout(Echo):
             msg = Message(1, netsim.KIND_VAL, (2.5,))
 
             def outgoing(self, round_no):
                 return [(dest, self.msg) for dest in (2, 3, 4)]
 
-        encodes = []
-        encode = Message.canonical_bytes
-        monkeypatch.setattr(Message, "canonical_bytes",
-                            lambda msg: encodes.append(msg) or encode(msg))
         bus = RoundBus([Fanout(1), Silent(2), Silent(3), Silent(4)], record_transcript=True)
         bus.run_round()
         bus.run_round()
-        size = len(encode(Fanout.msg))
-        assert len(encodes) == 1  # once in the object's lifetime, not once a round
+        # sized once in the object's lifetime, not once a round
+        assert work_counts["size"] == 1
+        size = len(Fanout.msg.canonical_bytes())
         assert bus.originated == {1: 6 * size, 2: 0, 3: 0, 4: 0}
         assert bus.delivered == {1: 6 * size, 2: 0, 3: 0, 4: 0}
         assert bus.received == {1: 0, 2: 2 * size, 3: 2 * size, 4: 2 * size}
