@@ -8,15 +8,16 @@ no key ever leaves the process.
 
 Canonical payload encoding (frozen): a payload is built from fields joined by
 "|". ints are decimal ASCII, floats are repr() (round-trips exactly), strings
-are ASCII without "|", bytes are lowercase hex. Field order is fixed by the
-caller and is part of each message format.
+are ASCII without "|", bytes are lowercase hex, and a nested object is its
+canonical_bytes(), hexed as bytes are. Field order is fixed by the caller and
+is part of each message format.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Set, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 Field = Union[int, float, str, bytes]
 
@@ -31,22 +32,24 @@ def _field_bytes(part: Field) -> bytes:
         return repr(part).encode("ascii")
     if kind is bytes:
         return part.hex().encode("ascii")
+    if isinstance(part, str):
+        if "|" in part:
+            raise ValueError("string fields must not contain '|'")
+        return part.encode("ascii")
+    if hasattr(part, "canonical_bytes"):  # a nested object, before any subclass rule
+        return part.canonical_bytes().hex().encode("ascii")
     if isinstance(part, bool):  # bool is an int subclass; forbid to stay exact
         raise TypeError("encode bools as ints explicitly")
     if isinstance(part, int):
         return b"%d" % part
     if isinstance(part, float):  # numpy's float64 repr() is "np.float64(x)"
         return repr(float(part)).encode("ascii")
-    if isinstance(part, str):
-        if "|" in part:
-            raise ValueError("string fields must not contain '|'")
-        return part.encode("ascii")
     if isinstance(part, bytes):
         return part.hex().encode("ascii")
     raise TypeError("cannot encode field of type %s" % type(part).__name__)
 
 
-def field_size(part: Field) -> int:
+def _field_size(part: Field) -> int:
     """len(_field_bytes(part)), built only for the types whose length needs it."""
     kind = type(part)  # _field_bytes's exact-type fast paths, sized without building
     if kind is int:
@@ -55,12 +58,22 @@ def field_size(part: Field) -> int:
         return len(repr(part))
     if kind is bytes:
         return 2 * len(part)
+    if not isinstance(part, str) and hasattr(part, "canonical_bytes"):  # as in _field_bytes
+        sized = getattr(part, "encoded_size", None)
+        return 2 * (sized() if sized is not None else len(part.canonical_bytes()))
     return len(_field_bytes(part))
 
 
 def encode(*parts: Field) -> bytes:
     """Canonical payload encoding of a field sequence."""
     return b"|".join(map(_field_bytes, parts))
+
+
+def encoded_size(*parts: Field) -> int:
+    """len(encode(*parts)), summed from the field sizes without encoding them."""
+    if not parts:
+        return 0
+    return sum(map(_field_size, parts)) + len(parts) - 1  # the "|" separators
 
 
 def derive_seed(root: int, *labels: Field) -> int:
@@ -85,8 +98,9 @@ class KeyRegistry:
         self.master_seed = master_seed
         self._members = operator_ids if isinstance(operator_ids, range) else frozenset(operator_ids)
         self._keys: Dict[int, bytes] = {}
-        # (payload, signers[:k], tags[:k]) of every chain prefix that verified
-        self._verified_prefixes: Set[tuple] = set()
+        # (payload, signers[:k], tags[:k]) of every chain prefix that verified ->
+        # encode(payload, *signers[:k]), the bytes its last tag covers
+        self._verified_prefixes: Dict[tuple, bytes] = {}
 
     def _derive_key(self, operator: int) -> bytes:
         if operator not in self._members:
@@ -117,50 +131,45 @@ class SignedMessage:
     signers: Tuple[int, ...]
     tags: Tuple[bytes, ...]
 
-    def canonical_bytes(self) -> bytes:
+    def _fields(self) -> List[Field]:
         parts: List[Field] = [self.payload]
         for op, tag in zip(self.signers, self.tags):
             parts.extend([op, tag])
-        return encode(*parts)
+        return parts
+
+    def canonical_bytes(self) -> bytes:
+        return encode(*self._fields())
 
     def encoded_size(self) -> int:
         """len(canonical_bytes()), summed from the field sizes; kept once summed."""
         size = self.__dict__.get("_size")
         if size is None:  # frozen: the cache goes straight into the instance dict
-            size = field_size(self.payload)
-            for op, tag in zip(self.signers, self.tags):
-                size += field_size(op) + field_size(tag) + 2  # two "|" separators
-            self.__dict__["_size"] = size
+            size = self.__dict__["_size"] = encoded_size(*self._fields())
         return size
-
-    def chain_payload(self) -> bytes:
-        """encode(payload, *signers): what the last tag covers, kept once built."""
-        chain = self.__dict__.get("_chain")
-        if chain is None:
-            chain = self.__dict__["_chain"] = encode(self.payload, *self.signers)
-        return chain
 
 
 def make_signed(registry: KeyRegistry, signer: int, payload: bytes) -> SignedMessage:
-    """payload signed by signer, keeping its chain payload and encoded size."""
-    chain = encode(payload, signer)
-    tag = registry.sign(signer, chain)
-    size = field_size(payload) + field_size(signer) + field_size(tag) + 2
+    """payload signed by signer, keeping its encoded size."""
+    tag = registry.sign(signer, encode(payload, signer))
     signed = SignedMessage(payload, (signer,), (tag,))
-    signed.__dict__.update(_chain=chain, _size=size)
+    signed.__dict__["_size"] = (
+        _field_size(payload) + _field_size(signer) + _field_size(tag) + 2)
     return signed
 
 
 def extend_signed(registry: KeyRegistry, msg: SignedMessage, signer: int) -> SignedMessage:
-    """msg with signer's tag appended, keeping its chain payload and encoded
-    size: msg's plus the new fields'."""
+    """msg with signer's tag appended, keeping its encoded size: msg's plus the
+    new fields'. The tag's payload grows from the one msg's last tag covers
+    when this registry verified msg, and is encoded whole otherwise."""
     if signer in msg.signers:
         raise ValueError("operator %d already signed this message" % signer)
-    chain = msg.chain_payload() + b"|" + _field_bytes(signer)
+    payload, signers = msg.payload, msg.signers
+    known = registry._verified_prefixes.get((payload, signers, msg.tags))
+    chain = (known + b"|" + _field_bytes(signer) if known is not None
+             else encode(payload, *signers, signer))
     tag = registry.sign(signer, chain)
-    size = msg.encoded_size() + field_size(signer) + field_size(tag) + 2
-    signed = SignedMessage(msg.payload, msg.signers + (signer,), msg.tags + (tag,))
-    signed.__dict__.update(_chain=chain, _size=size)
+    signed = SignedMessage(payload, signers + (signer,), msg.tags + (tag,))
+    signed.__dict__["_size"] = msg.encoded_size() + _field_size(signer) + _field_size(tag) + 2
     return signed
 
 
@@ -177,17 +186,19 @@ def verify_signed(registry: KeyRegistry, msg: SignedMessage) -> bool:
     if len(set(signers)) != len(signers):
         return False
     verified = registry._verified_prefixes
-    n = cached = len(signers)
-    while cached and (payload, signers[:cached], tags[:cached]) not in verified:
-        cached -= 1
-    # the last tag covers chain_payload(), which make_signed and extend_signed
-    # keep; an earlier tag's payload grows from the cached prefix's
-    chain = encode(payload, *signers[:cached]) if cached < n - 1 else b""
-    for k in range(cached, n):
-        chain = msg.chain_payload() if k == n - 1 else chain + b"|" + _field_bytes(signers[k])
+    # each tag's payload grows by one signer from the one before it, starting
+    # from what the longest cached prefix's last tag covers
+    for cached in range(len(signers), 0, -1):
+        chain = verified.get((payload, signers[:cached], tags[:cached]))
+        if chain is not None:
+            break
+    else:
+        cached, chain = 0, _field_bytes(payload)
+    for k in range(cached, len(signers)):
+        chain += b"|" + _field_bytes(signers[k])
         if not registry.verify(signers[k], chain, tags[k]):
             return False
-        verified.add((payload, signers[:k + 1], tags[:k + 1]))
+        verified[(payload, signers[:k + 1], tags[:k + 1])] = chain
     return True
 
 

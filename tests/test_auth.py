@@ -99,10 +99,12 @@ class TestEncodeParity:
         assert _outcome(lambda ps: auth.encode(*ps), parts) == ladder
 
     @settings(max_examples=300, deadline=None)
-    @given(_FIELDS | st.floats().map(np.float64)
-           | st.sampled_from([10**40, -10**40, np.float64(-0.0), b"", ""]))
-    def test_field_size_is_the_encoded_length(self, part):
-        assert _outcome(auth.field_size, part) == _outcome(lambda p: len(auth.encode(p)), part)
+    @given(st.lists(_FIELDS | st.floats().map(np.float64)
+                    | st.sampled_from([10**40, -10**40, np.float64(-0.0), b"", ""]),
+                    max_size=4))
+    def test_encoded_size_is_the_encoded_length(self, parts):
+        assert (_outcome(lambda ps: auth.encoded_size(*ps), parts)
+                == _outcome(lambda ps: len(auth.encode(*ps)), parts))
 
 
 class TestDeriveSeed:
@@ -210,14 +212,17 @@ class TestChainEncoding:
     N = 10
 
     def _check(self, registry, msg):
-        payload, signers = msg.payload, msg.signers
-        bare = auth.SignedMessage(payload, signers, msg.tags)  # nothing kept on it
+        payload, signers, tags = msg.payload, msg.signers, msg.tags
+        bare = auth.SignedMessage(payload, signers, tags)  # nothing kept on it
         for signed in (msg, bare):
             assert signed.encoded_size() == len(signed.canonical_bytes())
-            assert signed.chain_payload() == auth.encode(payload, *signers)
-        assert msg.tags[-1] == registry.sign(signers[-1], auth.encode(payload, *signers))
+        assert tags[-1] == registry.sign(signers[-1], auth.encode(payload, *signers))
         fresh = auth.KeyRegistry(range(1, self.N + 1), registry.master_seed)
         assert auth.verify_signed(fresh, bare)
+        # what each verified prefix's last tag covers, grown one signer at a time
+        for k in range(1, len(signers) + 1):
+            assert (fresh._verified_prefixes[(payload, signers[:k], tags[:k])]
+                    == auth.encode(payload, *signers[:k]))
 
     def test_every_chain_length_up_to_n(self):
         registry = auth.KeyRegistry(range(1, self.N + 1), 5)
@@ -262,6 +267,18 @@ class TestVerifiedPrefixCache:
             for altered in range(length):
                 assert not auth.verify_signed(registry, _variant(msg, length, altered))
         assert auth.verify_signed(registry, msg)
+
+    def test_chain_payload_comes_from_the_message_fields(self, registry):
+        # a relay whose tags were made for other fields fails, whatever object
+        # carries them: the bytes checked are derived from payload and signers
+        msg = _genuine_chain(registry, (2, 4))
+        assert auth.verify_signed(registry, msg)
+        for bad in (auth.SignedMessage(b"other", msg.signers, msg.tags),
+                    auth.SignedMessage(msg.payload, (2, 3), msg.tags)):
+            assert not auth.verify_signed(registry, bad)
+            assert (bad.payload, bad.signers, bad.tags) not in registry._verified_prefixes
+        extended = auth.extend_signed(registry, msg, 1)
+        assert extended.tags[-1] == registry.sign(1, auth.encode(msg.payload, 2, 4, 1))
 
     def test_cached_chain_rejected_under_another_master_seed(self, registry):
         msg = _genuine_chain(registry)

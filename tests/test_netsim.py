@@ -325,7 +325,14 @@ def signed_chains(draw, n=10):
     return msg if draw(st.booleans()) else auth.SignedMessage(payload, msg.signers, msg.tags)
 
 
-# every body part the protocols send: bits, values, tags and signed chains
+def _tensor(value: float) -> UsageTensor:
+    tensor = UsageTensor(2, (1, 1, 1))
+    tensor.set((0, 0, 0), value)
+    return tensor
+
+
+# every body part the protocols send: bits, values, tags and signed chains; and
+# a nested part with canonical_bytes but no encoded_size of its own
 BODY_PARTS = st.one_of(
     st.sampled_from([0, 1, 0.0, -0.0, 10**40, -10**40]),
     st.integers(),
@@ -334,6 +341,7 @@ BODY_PARTS = st.one_of(
     st.floats().map(_Float),
     st.binary(min_size=auth.TAG_BYTES, max_size=auth.TAG_BYTES),
     signed_chains(),
+    st.floats(-1e6, 1e6).map(_tensor),
 )
 
 
