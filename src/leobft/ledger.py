@@ -45,7 +45,11 @@ def proposal_payload(period: int, attempt: int, payload: bytes) -> bytes:
 
 def make_proposal(registry: auth.KeyRegistry, proposer: int, period: int,
                   attempt: int, tensor: UsageTensor) -> Proposal:
-    payload = tensor.canonical_bytes()
+    return _signed_proposal(registry, proposer, period, attempt, tensor.canonical_bytes())
+
+
+def _signed_proposal(registry: auth.KeyRegistry, proposer: int, period: int,
+                     attempt: int, payload: bytes) -> Proposal:
     tag = registry.sign(proposer, proposal_payload(period, attempt, payload))
     return Proposal(period, attempt, proposer, payload, tag)
 
@@ -75,9 +79,11 @@ class Rejection:
     tag: bytes
 
 
-def make_rejection(registry: auth.KeyRegistry, operator: int,
-                   proposal: Proposal) -> Rejection:
-    digest = proposal.digest()
+def make_rejection(registry: auth.KeyRegistry, operator: int, proposal: Proposal,
+                   digest: Optional[bytes] = None) -> Rejection:
+    """operator's signed rejection of proposal; digest, when given, is proposal.digest()."""
+    if digest is None:
+        digest = proposal.digest()
     tag = registry.sign(operator, rejection_payload(proposal.period, proposal.attempt, digest))
     return Rejection(proposal.period, proposal.attempt, operator, digest, tag)
 
@@ -90,18 +96,24 @@ def verify_rejection(registry: auth.KeyRegistry, rejection: Rejection) -> bool:
     )
 
 
-def exact_vote(local: UsageTensor, proposal: Proposal) -> bool:
-    """Approve iff the proposed payload is byte-identical to the local tensor."""
-    return proposal.payload == local.canonical_bytes()
+def exact_vote(local_form: bytes, proposal: Proposal) -> bool:
+    """Approve iff the proposed payload is byte-identical to local_form, the
+    canonical bytes of the local tensor."""
+    return proposal.payload == local_form
 
 
-def approx_vote(local: UsageTensor, proposal: Proposal, alpha: float) -> bool:
-    """Approve iff every element of the proposal is within alpha of the local one."""
+def parse_proposal(proposal: Proposal) -> Optional[UsageTensor]:
+    """The tensor a proposal's payload encodes, or None if it does not parse."""
     try:
-        proposed = UsageTensor.from_canonical(proposal.payload)
+        return UsageTensor.from_canonical(proposal.payload)
     except ValueError:
-        return False
-    if proposed.period != local.period or proposed.dims != local.dims:
+        return None
+
+
+def approx_vote(local: UsageTensor, proposed: Optional[UsageTensor], alpha: float) -> bool:
+    """Approve iff every element of proposed, a proposal as parse_proposal
+    returns it, is within alpha of the local one; None is a rejection."""
+    if proposed is None or proposed.period != local.period or proposed.dims != local.dims:
         return False
     return max_deviation(proposed, local) <= alpha
 
@@ -293,12 +305,22 @@ def commit_period(ledger: TensorLedger, period: int,
     f+1 attempts; with at most f faulty operators the rotation reaches an
     honest proposer whose proposal every honest operator approves. The
     adversary's operators propose and vote by its proposal and vote_policy.
+
+    What every voter derives alike is derived once: an approx attempt parses
+    its proposal once, and each local tensor is serialized at most once a
+    period, for its operator's proposal and exact votes together.
     """
     if mode not in ("exact", "approx"):
         raise ValueError("mode must be 'exact' or 'approx'")
     params, registry = ledger.params, ledger.registry
     controlled = adversary.controlled if adversary else frozenset()
     outcome = CommitOutcome(block=None, attempts_used=0)
+    forms: Dict[int, bytes] = {}  # operator -> canonical bytes of its local tensor
+
+    def form(op: int) -> bytes:
+        if op not in forms:
+            forms[op] = locals_by_op[op].canonical_bytes()
+        return forms[op]
 
     for attempt in range(params.max_faulty + 1):
         outcome.attempts_used = attempt + 1
@@ -306,7 +328,9 @@ def commit_period(ledger: TensorLedger, period: int,
 
         local = locals_by_op[proposer]
         tensors = adversary.proposal_tensors(local) if proposer in controlled else [local]
-        proposals = [make_proposal(registry, proposer, period, attempt, t) for t in tensors]
+        proposals = [_signed_proposal(registry, proposer, period, attempt,
+                                      form(proposer) if t is local else t.canonical_bytes())
+                     for t in tensors]
 
         if len({p.payload for p in proposals}) > 1:
             verdict = Verdict(period, attempt, proposer, EQUIVOCATION,
@@ -321,6 +345,8 @@ def commit_period(ledger: TensorLedger, period: int,
             continue
 
         digest = proposal.digest()
+        vote = auth.vote_payload(digest, vote_context(period, attempt))
+        proposed = parse_proposal(proposal) if mode == "approx" else None
         approvals: Dict[int, bytes] = {}
         rejections: List[Rejection] = []
         for op in params.operator_ids():
@@ -330,15 +356,15 @@ def commit_period(ledger: TensorLedger, period: int,
             if policy in ("approve-all", "reject-all"):
                 approve = policy == "approve-all"
             elif mode == "exact":
-                approve = exact_vote(locals_by_op[op], proposal)
+                approve = exact_vote(form(op), proposal)
             else:
-                approve = approx_vote(locals_by_op[op], proposal, params.alpha)
+                approve = approx_vote(locals_by_op[op], proposed, params.alpha)
             if approve:
-                tag = registry.sign(op, auth.vote_payload(digest, vote_context(period, attempt)))
+                tag = registry.sign(op, vote)
                 approvals[op] = tag
                 outcome.votes_emitted.append((attempt, digest, op, tag))
             else:
-                rejections.append(make_rejection(registry, op, proposal))
+                rejections.append(make_rejection(registry, op, proposal, digest))
 
         if len(approvals) >= params.quorum:
             cert = auth.make_certificate(digest, approvals)

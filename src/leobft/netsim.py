@@ -14,6 +14,7 @@ its operators propose and vote in the ledger phase and answer retrieval.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -106,12 +107,26 @@ class Message:
         return auth.encode(self.kind, self.sender, *self.body)
 
     def raw_size(self) -> int:
-        """len(canonical_bytes()), summed by auth.encoded_size on the first call only."""
+        """len(canonical_bytes()), summed on the first call only: the (kind,
+        sender) header's size, then "|" and auth.encoded_size of the body."""
         size = self.__dict__.get("_raw_size")
-        if size is None:  # frozen: the cache goes straight into the instance dict
-            size = self.__dict__["_raw_size"] = auth.encoded_size(
-                self.kind, self.sender, *self.body)
+        if size is None:
+            kind, sender, body = self.kind, self.sender, self.body
+            if type(kind) is str and type(sender) is int:
+                size = _header_size(kind, sender)
+            else:  # other types bypass the table: 0.0 and -0.0 are equal keys
+                size = auth.encoded_size(kind, sender)
+            if body:
+                size += 1 + auth.encoded_size(*body)
+            self.__dict__["_raw_size"] = size  # frozen: straight into the instance dict
         return size
+
+
+@functools.lru_cache(maxsize=4096)
+def _header_size(kind: str, sender: int) -> int:
+    """auth.encoded_size(kind, sender), kept for the str kinds and int senders
+    a bus sends with: equal keys of these exact types encode alike."""
+    return auth.encoded_size(kind, sender)
 
 
 # (destination, message); the destination is BROADCAST, one operator id, or a
@@ -154,12 +169,12 @@ class AdversaryStrategy:
         self.vote_policy = self.vote_policy or vote_policy
 
     def controlled_at(self, round_no: int, all_ids: Sequence[int]) -> frozenset:
+        """The operators controlled in round_no; all_ids is in ascending order."""
         if not self.rotate or not self.controlled:
             return self.controlled
-        ids = sorted(all_ids)
-        k = len(self.controlled)
-        start = round_no % len(ids)
-        return frozenset(ids[(start + i) % len(ids)] for i in range(k))
+        k, n = len(self.controlled), len(all_ids)
+        start = round_no % n
+        return frozenset(all_ids[(start + i) % n] for i in range(k))
 
     def corrupt_tensor(self, local: UsageTensor) -> UsageTensor:
         """local with every entry shifted by params offset (or one entry set to it)."""
@@ -363,7 +378,8 @@ class RoundBus:
         order. A sender whose one message goes to every operator fills one
         entry of a shared base inbox; a receiver of any other message gets a
         copy of the base with its own entries. A BROADCAST originates its
-        size once, any other destination once per listed id.
+        size once, any other destination once per listed id. Each
+        participant's outgoing(round_no) is a sequence of Outbound pairs.
         """
         round_no = self.round
         frame = self.frame_bytes
@@ -382,7 +398,7 @@ class RoundBus:
 
         for op in ids:
             participant = self.participants[op]
-            intended = list(participant.outgoing(round_no))
+            intended = participant.outgoing(round_no)
             if op in controlled:
                 rng = (random.Random(auth.derive_seed(self.seed, "adv", op, round_no))
                        if self.adversary.behavior in _DRAWING else None)
@@ -397,6 +413,24 @@ class RoundBus:
                             raise HarnessError(
                                 "operator %d sent %r after halting" % (op, msg.kind)
                             )
+
+            if len(outbound) == 1 and (outbound[0][0] == BROADCAST or outbound[0][0] == ids):
+                # one message to every operator, listed in id order: one entry
+                # of the shared base inbox, whatever the other senders send
+                dest, msg = outbound[0]
+                if msg.sender != op:
+                    raise HarnessError("operator %d forged sender %d" % (op, msg.sender))
+                size = msg.raw_size()
+                if frame is not None:
+                    size = max(size, frame)
+                originated[op] += size if dest == BROADCAST else size * len(ids)
+                if transcript is not None:
+                    transcript.extend((round_no, op, rcv, msg.kind, size) for rcv in ids)
+                base[op] = (msg,)
+                delivered[op] += size * (len(ids) - 1)
+                received[op] -= size  # its own copy is not received
+                shared_bytes += size
+                continue
 
             base[op] = absent
             filed: Optional[DefaultDict[int, List[Message]]] = None  # rcv -> op's messages
@@ -432,12 +466,6 @@ class RoundBus:
                 originated[op] += size if dest == BROADCAST else size * len(recipients)
                 if transcript is not None:
                     transcript.extend((round_no, op, rcv, msg.kind, size) for rcv in recipients)
-                if len(outbound) == 1 and recipients == ids:
-                    base[op] = (msg,)
-                    delivered[op] += size * (len(ids) - 1)
-                    received[op] -= size  # its own copy is not received
-                    shared_bytes += size
-                    continue
                 own = recipients.count(op)  # copies to itself are neither delivered nor received
                 delivered[op] += size * (len(recipients) - own)
                 received[op] -= size * own

@@ -7,6 +7,7 @@ Unknown keys anywhere in the file are rejected so that a typo like
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -204,10 +205,17 @@ def parse_scenario(obj) -> Scenario:
 
 def load_scenario(path) -> Scenario:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as err:
         raise ConfigError("cannot read config: %s" % err) from err
+    except UnicodeDecodeError as err:
+        raise ConfigError("config is not UTF-8: %s" % err) from err
     except json.JSONDecodeError as err:
         raise ConfigError("config is not valid JSON: %s" % err) from err
+    except ValueError as err:  # what json.load raises past int's digit limit
+        raise ConfigError("config has an integer of more than %d digits"
+                          % sys.get_int_max_str_digits()) from err
+    except RecursionError as err:
+        raise ConfigError("config nests arrays or objects too deeply") from err
     return parse_scenario(obj)

@@ -3,6 +3,14 @@
 import pytest
 
 from leobft import auth, netsim
+from leobft.model import UsageTensor
+
+
+def _counted(calls, fn, key):
+    def wrapper(*args):
+        calls[key] += 1
+        return fn(*args)
+    return wrapper
 
 
 @pytest.fixture
@@ -14,13 +22,6 @@ def work_counts(monkeypatch):
     tag through sign, so signs include verifies.
     """
     calls = {"size": 0, "sign": 0, "verify": 0}
-
-    def counted(fn, key):
-        def wrapper(*args):
-            calls[key] += 1
-            return fn(*args)
-        return wrapper
-
     raw_size = netsim.Message.raw_size
 
     def sized(msg):
@@ -30,5 +31,18 @@ def work_counts(monkeypatch):
     monkeypatch.setattr(netsim.Message, "raw_size", sized)
     for owner, name, key in ((auth.KeyRegistry, "sign", "sign"),
                              (auth.KeyRegistry, "verify", "verify")):
-        monkeypatch.setattr(owner, name, counted(getattr(owner, name), key))
+        monkeypatch.setattr(owner, name, _counted(calls, getattr(owner, name), key))
+    return calls
+
+
+@pytest.fixture
+def tensor_counts(monkeypatch):
+    """Counts of tensor parses (UsageTensor.from_canonical) and serializations
+    (UsageTensor.canonical_bytes) made while a test runs."""
+    calls = {"parse": 0, "serialize": 0}
+    parse = UsageTensor.from_canonical.__func__
+    monkeypatch.setattr(UsageTensor, "from_canonical",
+                        classmethod(_counted(calls, parse, "parse")))
+    monkeypatch.setattr(UsageTensor, "canonical_bytes",
+                        _counted(calls, UsageTensor.canonical_bytes, "serialize"))
     return calls

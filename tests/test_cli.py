@@ -157,6 +157,21 @@ class TestConsensusCommand:
         path.write_text(json.dumps({"profile": "nope"}))
         assert main(["consensus", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("data, message", [
+        (b"\xff\xfe{}", "config is not UTF-8"),
+        (b'{"seed": ' + b"1" * 5000 + b"}", "config has an integer of more than"),
+        (b"[" * 100_000, "config nests arrays or objects too deeply"),
+    ], ids=["not-utf8", "long-integer", "deep-nesting"])
+    def test_unreadable_config_is_one_line_exit_1(self, tmp_path, data, message, capsys):
+        # each of these raised out of json.load as a traceback
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        assert main(["consensus", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: " + message)
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
     @pytest.mark.parametrize("params", [{"offest": 5}, {"offset": "ten"}])
     def test_bad_adversary_param_is_exit_1(self, config_file, tmp_path, params, capsys):
         cfg = json.loads(config_file.read_text())

@@ -16,6 +16,7 @@ from leobft.ledger import (
     export_chain,
     make_proposal,
     make_rejection,
+    parse_proposal,
     retrieve_approx,
     retrieve_exact,
     rotation_proposer,
@@ -73,11 +74,12 @@ class TestProposalsAndRejections:
         rej = make_rejection(registry, 3, prop)
         assert verify_rejection(registry, rej)
         assert rej.digest == prop.digest()
+        assert make_rejection(registry, 3, prop, prop.digest()) == rej
 
 
 class TestVotePredicates:
     def test_exact_vote_is_byte_identity(self):
-        local = make_tensor(value=0.7)
+        local = make_tensor(value=0.7).canonical_bytes()
         prop_same = make_proposal(auth.KeyRegistry([1], 1), 1, 0, 0, make_tensor(value=0.7))
         prop_diff = make_proposal(auth.KeyRegistry([1], 1), 1, 0, 0, make_tensor(value=0.7000001))
         assert exact_vote(local, prop_same)
@@ -86,8 +88,8 @@ class TestVotePredicates:
     def test_approx_vote_respects_alpha_band(self):
         reg = auth.KeyRegistry([1], 1)
         local = make_tensor(value=0.7)
-        inside = make_proposal(reg, 1, 0, 0, make_tensor(value=1.1))
-        outside = make_proposal(reg, 1, 0, 0, make_tensor(value=1.3))
+        inside = parse_proposal(make_proposal(reg, 1, 0, 0, make_tensor(value=1.1)))
+        outside = parse_proposal(make_proposal(reg, 1, 0, 0, make_tensor(value=1.3)))
         assert approx_vote(local, inside, alpha=0.5)
         assert not approx_vote(local, outside, alpha=0.5)
 
@@ -96,16 +98,17 @@ class TestVotePredicates:
         local = make_tensor(value=0.7)
         extra = make_tensor(value=0.7)
         extra.set((1, 1, 2), 0.6)  # a key the local tensor reads as 0.0
-        prop = make_proposal(reg, 1, 0, 0, extra)
+        prop = parse_proposal(make_proposal(reg, 1, 0, 0, extra))
         assert not approx_vote(local, prop, alpha=0.5)
         assert approx_vote(local, prop, alpha=0.6)
 
     def test_approx_vote_rejects_malformed_or_mismatched(self):
         reg = auth.KeyRegistry([1], 1)
         local = make_tensor(period=0)
-        wrong_period = make_proposal(reg, 1, 0, 0, make_tensor(period=1))
+        wrong_period = parse_proposal(make_proposal(reg, 1, 0, 0, make_tensor(period=1)))
         assert not approx_vote(local, wrong_period, alpha=10.0)
-        garbage = ledger.Proposal(0, 0, 1, b"not a tensor", b"")
+        garbage = parse_proposal(ledger.Proposal(0, 0, 1, b"not a tensor", b""))
+        assert garbage is None
         assert not approx_vote(local, garbage, alpha=10.0)
 
 
@@ -280,6 +283,63 @@ class TestCommitFlow:
         for attempt, by_op in per_attempt.items():
             for op, digests in by_op.items():
                 assert len(digests) == 1
+
+
+class _Unparsable:
+    """A proposal tensor whose canonical form is not a tensor."""
+
+    def canonical_bytes(self):
+        return b"not a tensor"
+
+
+class TestWorkCounts:
+    """What every voter derives alike is derived once per attempt or period."""
+
+    def _commit(self, mode, monkeypatch):
+        # N=10, f=3: the corrupt proposers 1-3 take attempts 0-2, operator 4 commits
+        params = make_params(n=10, f=3)
+        chain = TensorLedger(params, auth.KeyRegistry(range(1, 11), master_seed=31))
+        adversary = AdversaryStrategy("bad-proposer", frozenset({1, 2, 3}), proposal="corrupt",
+                                      vote_policy="honest")
+        locals_by_op = {op: make_tensor(value=0.7, dims=(2, 2, 10))
+                        for op in params.operator_ids()}
+        votes = {"exact": 0, "approx": 0}
+        for name in votes:
+            vote = getattr(ledger, name + "_vote")
+
+            def counted(*args, name=name, vote=vote):
+                votes[name] += 1
+                return vote(*args)
+
+            monkeypatch.setattr(ledger, name + "_vote", counted)
+        outcome = commit_period(chain, 0, locals_by_op, mode, adversary)
+        return outcome, votes
+
+    def test_approx_commit_parses_each_proposal_once(self, monkeypatch, tensor_counts):
+        outcome, votes = self._commit("approx", monkeypatch)
+        assert outcome.block is not None and outcome.attempts_used == 4
+        # one parse per attempt, shared by its 10 voters, and one more of the
+        # committed payload by the block check
+        assert tensor_counts["parse"] == 4 + 1
+        assert votes == {"exact": 0, "approx": 4 * 10}
+
+    def test_exact_commit_serializes_each_local_tensor_once(self, monkeypatch, tensor_counts):
+        outcome, votes = self._commit("exact", monkeypatch)
+        assert outcome.block is not None and outcome.attempts_used == 4
+        # each of the 10 local tensors once (operator 4's serves its proposal
+        # and its votes), the 3 corrupt proposals, and the block check's
+        # re-serialization of the parsed payload
+        assert tensor_counts["serialize"] == 10 + 3 + 1
+        assert votes == {"exact": 4 * 10, "approx": 0}
+
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    def test_unparsable_proposal_is_rejected_by_every_voter(self, mode, monkeypatch):
+        monkeypatch.setattr(AdversaryStrategy, "proposal_tensors",
+                            lambda self, local: [_Unparsable()])
+        outcome, votes = self._commit(mode, monkeypatch)
+        assert outcome.block is not None and outcome.attempts_used == 4
+        assert [len(v.rejections) for v in outcome.verdicts] == [10, 10, 10]
+        assert votes[mode] == 4 * 10
 
 
 class TestRetrieve:

@@ -147,6 +147,17 @@ class TestRoundBus:
     @example(([1, 2], 30, {1: [[((1, 1, 2), Message(1, netsim.KIND_VAL, (7,))),
                                 (2, Message(1, netsim.KIND_BIT, (1,)))]],
                            2: [[((2, 1, 2), Message(2, netsim.KIND_VAL, (-10**30,)))]]}))
+    # one message to every operator: by BROADCAST and by the id tuple share
+    # the base inbox; the ids in another order keep their listed order
+    @example(([1, 2, 3], None, {1: [[(BROADCAST, Message(1, netsim.KIND_VAL, (7,)))]],
+                                2: [[((1, 2, 3), Message(2, netsim.KIND_VAL, (8,)))]],
+                                3: [[((3, 1, 2), Message(3, netsim.KIND_VAL, (9,)))]]}))
+    # senders listing only themselves, beside whole-bus messages under a frame floor
+    @example(([1, 2, 3], 30, {
+        1: [[(1, Message(1, netsim.KIND_VAL, (7,)))], [(BROADCAST, Message(1, "blob", (1,)))]],
+        2: [[((2,), Message(2, netsim.KIND_BIT, (1,)))], [((2, 2), Message(2, "blob", (2,)))]],
+        3: [[(BROADCAST, Message(3, netsim.KIND_VAL, (-10**30,)))],
+            [((1, 2, 3), Message(3, netsim.KIND_VAL, (5,)))]]}))
     def test_run_round_matches_per_recipient_delivery(self, case):
         ids, frame_bytes, scripts = case
         bus = RoundBus([Scripted(op, scripts[op]) for op in ids], frame_bytes=frame_bytes,
@@ -345,10 +356,24 @@ BODY_PARTS = st.one_of(
 )
 
 
+KINDS = st.sampled_from([netsim.KIND_BIT, netsim.KIND_CERT, netsim.KIND_VAL,
+                         netsim.KIND_HALTED, netsim.KIND_BCAST])
+
+
+def _size_outcomes(sender, kind, body):
+    """(raw_size(), len(canonical_bytes())) of a fresh message, an exception
+    standing for its type."""
+    outcomes = []
+    for size in (lambda m: m.raw_size(), lambda m: len(m.canonical_bytes())):
+        try:
+            outcomes.append(size(Message(sender, kind, body)))
+        except Exception as err:  # the exception type is part of the contract
+            outcomes.append(type(err))
+    return tuple(outcomes)
+
+
 class TestSizeParity:
-    @given(st.sampled_from([netsim.KIND_BIT, netsim.KIND_CERT, netsim.KIND_VAL,
-                            netsim.KIND_HALTED, netsim.KIND_BCAST]),
-           st.integers(1, 10**6), st.lists(BODY_PARTS, max_size=3))
+    @given(KINDS, st.integers(1, 10**6), st.lists(BODY_PARTS, max_size=3))
     @settings(max_examples=300, deadline=None)
     def test_raw_size_is_the_encoded_length(self, kind, sender, body):
         msg = Message(sender, kind, tuple(body))
@@ -356,6 +381,39 @@ class TestSizeParity:
         for part in body:
             if isinstance(part, auth.SignedMessage):
                 assert part.encoded_size() == len(part.canonical_bytes())
+
+    @given(KINDS, st.integers(), st.lists(st.lists(BODY_PARTS, max_size=4), min_size=2,
+                                          max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_one_header_serves_bodies_of_any_type_and_length(self, kind, sender, bodies):
+        for body in bodies:
+            msg = Message(sender, kind, tuple(body))
+            assert msg.raw_size() == len(msg.canonical_bytes())
+
+    @pytest.mark.parametrize("sender", [1, 0, -7, 10**40])
+    def test_empty_body_is_the_header_alone(self, sender):
+        msg = Message(sender, netsim.KIND_VAL, ())
+        assert msg.raw_size() == len(msg.canonical_bytes()) == len(b"val|%d" % sender)
+
+    @pytest.mark.parametrize("kind", ["a|b", True, None, ["val"], 1.5],
+                             ids=["pipe", "bool", "none", "list", "float"])
+    def test_odd_kinds_size_or_raise_as_encode_does(self, kind):
+        for body in ((), (0.5,)):
+            first, second = _size_outcomes(3, kind, body), _size_outcomes(3, kind, body)
+            assert first == second
+            assert first[0] == first[1]
+        # a rejected kind leaves the sender's other headers as they were
+        assert _size_outcomes(3, netsim.KIND_VAL, (0.5,)) == (9, 9)
+
+    def test_equal_senders_of_other_types_size_apart(self):
+        # 1, 1.0, True and np.int64(1) are equal keys, as are 0.0 and -0.0,
+        # but encode differently or not at all
+        senders = [1, 1.0, True, np.int64(1), 0.0, -0.0, np.float64(-0.0), _Float(1.0)]
+        for order in (senders, senders[::-1]):
+            for sender in order:
+                for body in ((), (0.5,)):
+                    raw, encoded = _size_outcomes(sender, netsim.KIND_VAL, body)
+                    assert raw == encoded, (sender, body)
 
 
 class TestByteAccounting:
