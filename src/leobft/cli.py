@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 from typing import List, Optional
@@ -56,16 +55,12 @@ def _parse_densities(text: str) -> List[float]:
 
 
 # the most Poisson points one sensor or satellite field may expect, and the
-# most incident points one detection draw holds: a density-90 detection field
-# expects 4.6M, and memory grows with the count
+# most incident points one detection draw holds (a density-90 detection field
+# expects 4.6M): memory grows with the points, not with interference pairs
 MAX_FIELD_POINTS = 1e7
 # the most points the fields of one density may expect together, as all of
 # them are held at once: three detection fields at density 90 expect 13.8M
 MAX_SWEEP_POINTS = 3e7
-# the most candidate pairs (cross-operator satellites within the footprint
-# chord, any sub-band) the constellations of one density may expect: the
-# k-d tree lists each one in memory before the exact test
-MAX_CANDIDATE_PAIRS = 1e7
 # the most fields (operators) one density may draw, each an array of its own
 MAX_FIELDS = 1_000
 # the most points a start:stop:count density range may list
@@ -106,19 +101,6 @@ def _check_fields(flag: str, count: int, densities: List[float], per_km2: float)
         raise ConfigError("%s %d at %r per %g km^2 expects %s points, more than %g"
                           % (flag, count, max(densities), per_km2,
                              _over(expected, MAX_SWEEP_POINTS), MAX_SWEEP_POINTS))
-
-
-def _check_pairs(operators: int, densities: List[float]) -> None:
-    """At most MAX_CANDIDATE_PAIRS expected candidate pairs at the largest
-    density: C(k, 2) (lambda A)^2 (1 - cos(2r/R)) / 2 for k operators."""
-    per_field = max(densities) / 1e6 * geo.EARTH_AREA_KM2
-    angle = 2.0 * geo.BeamGeometry().footprint_radius_km / geo.R_EARTH_KM
-    expected = math.comb(operators, 2) * per_field**2 * (1.0 - math.cos(angle)) / 2.0
-    if expected > MAX_CANDIDATE_PAIRS:
-        raise ConfigError("--operators %d at %r per %g km^2 expects %s candidate "
-                          "pairs, more than %g"
-                          % (operators, max(densities), 1e6,
-                             _over(expected, MAX_CANDIDATE_PAIRS), MAX_CANDIDATE_PAIRS))
 
 
 def _incident_count(text: str) -> int:
@@ -185,7 +167,6 @@ def _cmd_consensus(args) -> int:
 def _cmd_constellation(args) -> int:
     densities = _field_densities(args.densities, 1e6)
     _check_fields("--operators", args.operators, densities, 1e6)
-    _check_pairs(args.operators, densities)
     if args.subbands < 1:
         raise ConfigError("--subbands must be at least 1")
     if args.subbands > MAX_SUBBANDS:

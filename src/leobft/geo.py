@@ -21,6 +21,8 @@ sin and the products) and the cell pass below also run on every usable CPU,
 in contiguous row spans on threads started and joined per call, once an
 array has _SPLIT_ROWS rows; the random draws stay serial on the calling
 thread, in the same order, so every output bit is the same on any CPU count.
+The interference count lists its candidates in tree-order blocks of rows, so
+its memory grows with the satellites, not with the pairs.
 
 Detection filters each sensor field in three steps:
 
@@ -63,6 +65,8 @@ _WIDEN = 1.0 + 1e-9
 # boolean slots (16 MB), and the sensors are hashed _CELL_CHUNK rows at a time.
 _CELL_SLOTS_LOG2 = 24
 _CELL_CHUNK = 1 << 16
+# count_interference lists about this many candidate pairs (~100 B each) at once
+_PAIR_BUDGET = 1 << 20
 # Arrays of at least this many rows are split over the usable CPUs (see
 # _on_cores): a 2**17-row draw takes as long in two spans as in one on a
 # 2-core host (about 10 ms), a 2**18-row draw 25% less.
@@ -179,28 +183,38 @@ def count_interference(constellation: Constellation) -> int:
     their centres is below 2r, that is when the dot product of the unit
     vectors exceeds cos(2r/R). Candidate pairs come from one k-d tree per
     operator; the dot-product and sub-band tests run on the candidates only.
+
+    Operator a's rows meet the later operators in blocks of about _PAIR_BUDGET
+    expected candidates (a row expects len(b) (1 - cos(2r/R)) / 2 of the
+    largest later b), in a's tree order (`cKDTree.indices`), so that each block
+    is a compact patch. One block, as at every benchmark size, uses a's tree.
     """
     angle = 2.0 * constellation.beam.footprint_radius_km / R_EARTH_KM
     cos_threshold = math.cos(angle)
-    # chord of the angle (2 at most, for caps of half a sphere or more), widened
-    radius = 2.0 * math.sin(min(angle, math.pi) / 2.0) * _WIDEN
+    # half the chord of the angle (1 at most); its square is (1 - cos(angle)) / 2
+    half_chord = math.sin(min(angle, math.pi) / 2.0)
+    radius = 2.0 * half_chord * _WIDEN
+    satellites, subbands = constellation.satellites, constellation.subbands
     # operators without satellites add no pairs (their arrays may be 1-D)
-    ops = [op for op in sorted(constellation.satellites)
-           if len(constellation.satellites[op])]
-    trees = {op: cKDTree(constellation.satellites[op]) for op in ops}
+    ops = [op for op in sorted(satellites) if len(satellites[op])]
+    trees = {op: cKDTree(satellites[op]) for op in ops}
     total = 0
-    for i, a in enumerate(ops):
-        pts_a = constellation.satellites[a]
-        sb_a = constellation.subbands[a]
-        for b in ops[i + 1:]:
-            pts_b = constellation.satellites[b]
-            sb_b = constellation.subbands[b]
-            pairs = trees[a].sparse_distance_matrix(trees[b], radius, output_type="ndarray")
-            ia, ib = pairs["i"], pairs["j"]
-            dots = np.einsum("ij,ij->i", pts_a[ia], pts_b[ib])
-            mask = dots > cos_threshold
-            mask &= sb_a[ia] == sb_b[ib]
-            total += int(np.count_nonzero(mask))
+    for i, a in enumerate(ops[:-1]):
+        later = ops[i + 1:]
+        n = len(satellites[a])
+        per_row = half_chord**2 * max(len(satellites[b]) for b in later)
+        step = n if per_row * n <= _PAIR_BUDGET else max(1, int(_PAIR_BUDGET / per_row))
+        for lo in range(0, n, step):
+            rows = trees[a].indices[lo:lo + step] if step < n else slice(None)
+            pts, sb = satellites[a][rows], subbands[a][rows]
+            tree = cKDTree(pts) if step < n else trees[a]
+            for b in later:
+                pairs = tree.sparse_distance_matrix(trees[b], radius, output_type="ndarray")
+                ia, ib = pairs["i"], pairs["j"]
+                dots = np.einsum("ij,ij->i", pts[ia], satellites[b][ib])
+                mask = dots > cos_threshold
+                mask &= sb[ia] == subbands[b][ib]
+                total += int(np.count_nonzero(mask))
     return total
 
 

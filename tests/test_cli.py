@@ -4,14 +4,12 @@ import csv
 import hashlib
 import io
 import json
-import math
 
 import pytest
 
 from leobft import auth, geo, ledger
-from leobft.cli import (MAX_CANDIDATE_PAIRS, MAX_FIELD_POINTS, MAX_FIELDS, MAX_SWEEP_POINTS,
-                        _check_fields, _check_pairs, _field_densities, _parse_densities,
-                        main)
+from leobft.cli import (MAX_FIELD_POINTS, MAX_FIELDS, MAX_SWEEP_POINTS, _check_fields,
+                        _field_densities, _parse_densities, main)
 from leobft.geo import EARTH_AREA_KM2
 from leobft.scenario import ConfigError
 
@@ -77,32 +75,6 @@ class TestDensityParsing:
             _check_fields("--honest", 5, [limit * 1.000001], 1e4)
         with pytest.raises(ConfigError, match="at most %d" % MAX_FIELDS):
             _check_fields("--honest", MAX_FIELDS + 1, [0.0], 1e4)
-
-    def test_pair_bound_is_expected_candidate_pairs_per_density(self):
-        # two operators: (lambda A)^2 (1 - cos(2r/R)) / 2 candidate pairs
-        angle = 2.0 * geo.BeamGeometry().footprint_radius_km / geo.R_EARTH_KM
-        per_field = (MAX_CANDIDATE_PAIRS / ((1.0 - math.cos(angle)) / 2.0)) ** 0.5
-        limit = per_field * 1e6 / EARTH_AREA_KM2
-        _check_pairs(2, [1.0, limit * 0.999999])
-        with pytest.raises(ConfigError, match="candidate pairs, more than"):
-            _check_pairs(2, [limit * 1.000001, 1.0])
-        _check_pairs(4, [17.0])  # the default sweep's largest density
-        _check_pairs(1, [MAX_FIELD_POINTS * 1e6 / EARTH_AREA_KM2])  # one operator, no pairs
-
-    def test_too_many_candidate_pairs_exit_before_any_draw(self, monkeypatch, capsys):
-        # each field expects under 1e7 satellites, but the two expect 6.5e8
-        # candidate pairs between them
-        def no_draw(*args):
-            raise AssertionError("build_constellation called")
-
-        monkeypatch.setattr(geo, "build_constellation", no_draw)
-        assert main(["constellation", "--operators", "2", "--densities", "19000",
-                     "--trials", "1"]) == 1
-        captured = capsys.readouterr()
-        assert captured.err == ("configuration error: --operators 2 at 19000.0 per 1e+06 "
-                                "km^2 expects 6.53e+08 candidate pairs, more than %g\n"
-                                % MAX_CANDIDATE_PAIRS)
-        assert captured.out == ""
 
 
 class TestConsensusCommand:
@@ -255,6 +227,16 @@ class TestConsensusCommand:
         assert err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
+    def test_too_many_network_operators_is_exit_1(self, config_file, tmp_path, capsys):
+        cfg = json.loads(config_file.read_text())
+        cfg["network"]["operators"] = 100000
+        config_file.write_text(json.dumps(cfg))
+        assert main(["consensus", "--config", str(config_file),
+                     "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == "configuration error: network operators must be at most 1000\n"
+        assert not (tmp_path / "o").exists()
+
     def test_bad_flag_is_exit_1(self, config_file, capsys):
         assert main(["consensus", "--config", str(config_file),
                      "--frobnicate"]) == 1
@@ -316,9 +298,6 @@ class TestGeoFlags:
         (["constellation", "--operators", "1000", "--densities", "1000"],
          "--operators 1000 at 1000.0 per 1e+06 km^2 expects 5.1e+08 points"),
         # just over a bound: as many digits as it takes to differ from it
-        (["constellation", "--operators", "2", "--densities", "2351"],
-         "--operators 2 at 2351.0 per 1e+06 km^2 expects 1.0004e+07 candidate pairs, "
-         "more than 1e+07\n"),
         (["detection", "--honest", "4", "--densities", "147.05"],
          "--honest 4 at 147.05 per 10000 km^2 expects 3.0002e+07 points, more than 3e+07\n"),
     ])
@@ -328,6 +307,21 @@ class TestGeoFlags:
         assert captured.err.startswith("configuration error: " + message)
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+
+    def test_many_candidate_pairs_reach_the_sweep(self, monkeypatch, capsys):
+        # two fields of 9.7M satellites expect 6.5e8 candidate pairs, which
+        # the interference count lists a block at a time
+        calls = []
+
+        def sweep(*args):
+            calls.append(args)
+            return [(args[0][0], 0.0)]
+
+        monkeypatch.setattr(geo, "interference_sweep", sweep)
+        assert main(["constellation", "--operators", "2", "--densities", "19000",
+                     "--trials", "1"]) == 0
+        assert calls == [([19000.0], 2, 1, 1, 0)]
+        assert capsys.readouterr().out == "density_per_1e6km2,mean_incidents\n19000.0,0.0\n"
 
 
 class TestDetectionCommand:

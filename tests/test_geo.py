@@ -1,6 +1,7 @@
 """Geometry tests: sphere sampling, footprints, interference, detection."""
 
 import hashlib
+import itertools
 import math
 import threading
 
@@ -111,13 +112,14 @@ class TestSphereSampling:
 
 class TestInterferenceCounting:
     def _manual(self, positions_a, positions_b, bands_a, bands_b, beam):
+        # every pair, 256 rows of a at a time against all of b
         count = 0
         threshold = 2.0 * beam.footprint_radius_km / R_EARTH_KM
-        for pa, ba in zip(positions_a, bands_a):
-            for pb, bb in zip(positions_b, bands_b):
-                angle = math.acos(min(1.0, max(-1.0, float(np.dot(pa, pb)))))
-                if angle < threshold and ba == bb:
-                    count += 1
+        for lo in range(0, len(positions_a), 256):
+            dots = positions_a[lo:lo + 256] @ positions_b.T
+            angle = np.arccos(np.clip(dots, -1.0, 1.0))
+            same = bands_a[lo:lo + 256, None] == bands_b[None, :]
+            count += int(np.count_nonzero((angle < threshold) & same))
         return count
 
     def _make(self, sats, bands, beam=None):
@@ -183,18 +185,43 @@ class TestInterferenceCounting:
         assert count_interference(c) == 3
 
     def test_chunked_count_matches_brute_force(self):
-        rng = np.random.default_rng(6)
-        beam = BeamGeometry(altitude_km=550.0, half_angle_deg=20.0)  # big caps
-        pts_a = sphere_points(120, rng)
-        pts_b = sphere_points(150, rng)
-        bands_a = rng.integers(0, 2, 120)
-        bands_b = rng.integers(0, 2, 150)
-        c = self._make({1: pts_a, 2: pts_b}, {1: bands_a, 2: bands_b}, beam)
-        manual = self._manual(pts_a, pts_b, bands_a, bands_b, beam)
-        assert count_interference(c) == manual
-        # a third operator with no satellites adds no pairs and no errors
-        c = self._make({1: pts_a, 2: [], 3: pts_b}, {1: bands_a, 2: [], 3: bands_b}, beam)
-        assert count_interference(c) == manual
+        for half_angle, sizes, seed in [
+            (20.0, (120, 150), 6),  # big caps, one block
+            (60.0, (7500, 1, 7000), 7),  # 1.17M candidates for operator 1: two blocks
+            (80.0, (4000, 3000, 1), 8),  # 2.65M candidates for operator 1: three blocks
+        ]:
+            rng = np.random.default_rng(seed)
+            beam = BeamGeometry(altitude_km=550.0, half_angle_deg=half_angle)
+            pts = [sphere_points(n, rng) for n in sizes]
+            bands = [rng.integers(0, 2, n) for n in sizes]
+            c = self._make(dict(enumerate(pts, 1)), dict(enumerate(bands, 1)), beam)
+            manual = sum(self._manual(pts[i], pts[j], bands[i], bands[j], beam)
+                         for i, j in itertools.combinations(range(len(sizes)), 2))
+            assert count_interference(c) == manual
+            # an operator with no satellites adds no pairs and no errors
+            c.satellites[0], c.subbands[0] = np.array([]), np.array([], dtype=np.int64)
+            assert count_interference(c) == manual
+
+    def test_candidate_listings_stay_within_budget(self, monkeypatch):
+        # 4,000 and 3,000 satellites under 80-degree beams expect 2.65M
+        # candidate pairs, listed a compact block of operator 1 at a time
+        listed = []
+
+        class RecordingTree(cKDTree):
+            def sparse_distance_matrix(self, other, max_distance, **kwargs):
+                pairs = super().sparse_distance_matrix(other, max_distance, **kwargs)
+                listed.append(len(pairs))
+                return pairs
+
+        monkeypatch.setattr(geo, "cKDTree", RecordingTree)
+        rng = np.random.default_rng(8)
+        beam = BeamGeometry(altitude_km=550.0, half_angle_deg=80.0)
+        c = self._make({1: sphere_points(4000, rng), 2: sphere_points(3000, rng)},
+                       {1: np.zeros(4000), 2: np.zeros(3000)}, beam)
+        count_interference(c)
+        assert len(listed) > 1
+        assert sum(listed) > 2 * geo._PAIR_BUDGET
+        assert max(listed) < 1.5 * geo._PAIR_BUDGET
 
     def test_interference_grows_with_density(self):
         rows = geo.interference_sweep([5.0, 15.0], n_operators=4, n_subbands=1,

@@ -11,6 +11,7 @@ from leobft.model import UsageTensor
 from leobft.netsim import AdversaryStrategy
 from leobft.pipeline import PropertyViolation
 from leobft.scenario import (
+    MAX_OPERATORS,
     ConfigError,
     load_scenario,
     parse_scenario,
@@ -113,6 +114,15 @@ class TestParsing:
         cfg = base_config()
         cfg["network"]["operators"] = True
         with pytest.raises(ConfigError):
+            parse_scenario(cfg)
+
+    def test_operator_count_is_bounded(self):
+        # every agreement round delivers N^2 messages
+        cfg = base_config()
+        cfg["network"]["operators"] = MAX_OPERATORS
+        assert parse_scenario(cfg).network.n_operators == 1000
+        cfg["network"]["operators"] = MAX_OPERATORS + 1
+        with pytest.raises(ConfigError, match="operators must be at most 1000"):
             parse_scenario(cfg)
 
     def test_int_promotes_to_float(self):
