@@ -61,6 +61,9 @@ MAX_FIELD_POINTS = 1e7
 # the most points the fields of one density may expect together, as all of
 # them are held at once: three detection fields at density 90 expect 13.8M
 MAX_SWEEP_POINTS = 3e7
+# the same for constellations, whose satellites also hold k-d trees: about
+# 58 B of address space each, so 2e7 peak near 1.6 GB (3e7 fail under 2 GB)
+MAX_SATELLITES = 2e7
 # the most fields (operators) one density may draw, each an array of its own
 MAX_FIELDS = 1_000
 # the most points a start:stop:count density range may list
@@ -89,18 +92,19 @@ def _over(expected: float, bound: float) -> str:
     return "%.*g" % (digits, expected)
 
 
-def _check_fields(flag: str, count: int, densities: List[float], per_km2: float) -> None:
-    """count fields per density: 1 to MAX_FIELDS, expecting at most
-    MAX_SWEEP_POINTS points together at the largest density."""
+def _check_fields(flag: str, count: int, densities: List[float], per_km2: float,
+                  bound: float = MAX_SWEEP_POINTS) -> None:
+    """count fields per density: 1 to MAX_FIELDS, expecting at most bound
+    points together at the largest density."""
     if count < 1:
         raise ConfigError("%s must be at least 1" % flag)
     if count > MAX_FIELDS:
         raise ConfigError("%s must be at most %d" % (flag, MAX_FIELDS))
     expected = count * max(densities) * geo.EARTH_AREA_KM2 / per_km2
-    if expected > MAX_SWEEP_POINTS:
+    if expected > bound:
         raise ConfigError("%s %d at %r per %g km^2 expects %s points, more than %g"
                           % (flag, count, max(densities), per_km2,
-                             _over(expected, MAX_SWEEP_POINTS), MAX_SWEEP_POINTS))
+                             _over(expected, bound), bound))
 
 
 def _incident_count(text: str) -> int:
@@ -166,7 +170,7 @@ def _cmd_consensus(args) -> int:
 
 def _cmd_constellation(args) -> int:
     densities = _field_densities(args.densities, 1e6)
-    _check_fields("--operators", args.operators, densities, 1e6)
+    _check_fields("--operators", args.operators, densities, 1e6, MAX_SATELLITES)
     if args.subbands < 1:
         raise ConfigError("--subbands must be at least 1")
     if args.subbands > MAX_SUBBANDS:

@@ -16,7 +16,6 @@ from .model import MAX_MAGNITUDE, NetworkParams
 
 PROFILES = ("binary", "exact", "approx")
 AGGREGATIONS = ("median", "trimmed-stride")
-MAX_OPERATORS = 1_000  # every agreement round delivers N^2 messages
 
 
 class ConfigError(ValueError):
@@ -89,12 +88,9 @@ def parse_scenario(obj) -> Scenario:
     net = _require_mapping(_get(root, "network", dict, "scenario"), "network")
     _check_keys(net, {"operators", "max_faulty", "epsilon", "zeta", "alpha",
                       "rssi_threshold"}, "network")
-    n_operators = _get(net, "operators", int, "network")
-    if n_operators > MAX_OPERATORS:
-        raise ConfigError("network operators must be at most %d" % MAX_OPERATORS)
     try:
         network = NetworkParams(
-            n_operators=n_operators,
+            n_operators=_get(net, "operators", int, "network"),
             max_faulty=_get(net, "max_faulty", int, "network"),
             epsilon=_get(net, "epsilon", float, "network"),
             zeta=_get(net, "zeta", float, "network", default=0.1),

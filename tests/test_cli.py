@@ -234,7 +234,7 @@ class TestConsensusCommand:
         assert main(["consensus", "--config", str(config_file),
                      "--out-dir", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert err == "configuration error: network operators must be at most 1000\n"
+        assert err == "configuration error: n_operators=100000 is more than 100\n"
         assert not (tmp_path / "o").exists()
 
     def test_bad_flag_is_exit_1(self, config_file, capsys):
@@ -297,6 +297,9 @@ class TestGeoFlags:
          "--honest 7 at 90.0 per 10000 km^2 expects 3.21e+07 points, more than 3e+07"),
         (["constellation", "--operators", "1000", "--densities", "1000"],
          "--operators 1000 at 1000.0 per 1e+06 km^2 expects 5.1e+08 points"),
+        # constellations hold k-d trees too: 2e7 satellites, not 3e7 points
+        (["constellation", "--operators", "3", "--densities", "19605"],
+         "--operators 3 at 19605.0 per 1e+06 km^2 expects 3e+07 points, more than 2e+07\n"),
         # just over a bound: as many digits as it takes to differ from it
         (["detection", "--honest", "4", "--densities", "147.05"],
          "--honest 4 at 147.05 per 10000 km^2 expects 3.0002e+07 points, more than 3e+07\n"),
@@ -309,8 +312,9 @@ class TestGeoFlags:
         assert captured.out == ""
 
     def test_many_candidate_pairs_reach_the_sweep(self, monkeypatch, capsys):
-        # two fields of 9.7M satellites expect 6.5e8 candidate pairs, which
-        # the interference count lists a block at a time
+        # two fields of 9.7M satellites (1.94e7 of MAX_SATELLITES' 2e7) expect
+        # 6.5e8 candidate pairs, which the interference count lists a block
+        # at a time
         calls = []
 
         def sweep(*args):

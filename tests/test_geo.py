@@ -198,9 +198,14 @@ class TestInterferenceCounting:
             manual = sum(self._manual(pts[i], pts[j], bands[i], bands[j], beam)
                          for i, j in itertools.combinations(range(len(sizes)), 2))
             assert count_interference(c) == manual
-            # an operator with no satellites adds no pairs and no errors
+            # an operator with no satellites adds no pairs and no errors, first
+            # as an array before the others, then as a list between two of them
             c.satellites[0], c.subbands[0] = np.array([]), np.array([], dtype=np.int64)
             assert count_interference(c) == manual
+            c = self._make({1: pts[0], 2: [], 3: pts[1]}, {1: bands[0], 2: [], 3: bands[1]},
+                           beam)
+            assert count_interference(c) == self._manual(pts[0], pts[1], bands[0],
+                                                         bands[1], beam)
 
     def test_candidate_listings_stay_within_budget(self, monkeypatch):
         # 4,000 and 3,000 satellites under 80-degree beams expect 2.65M

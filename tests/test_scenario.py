@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leobft import netsim, pipeline
-from leobft.model import UsageTensor
+from leobft.model import MAX_OPERATORS, UsageTensor
 from leobft.netsim import AdversaryStrategy
 from leobft.pipeline import PropertyViolation
 from leobft.scenario import (
-    MAX_OPERATORS,
     ConfigError,
     load_scenario,
     parse_scenario,
@@ -117,12 +116,12 @@ class TestParsing:
             parse_scenario(cfg)
 
     def test_operator_count_is_bounded(self):
-        # every agreement round delivers N^2 messages
+        # runs grow faster than N^2: see model.MAX_OPERATORS
         cfg = base_config()
         cfg["network"]["operators"] = MAX_OPERATORS
-        assert parse_scenario(cfg).network.n_operators == 1000
+        assert parse_scenario(cfg).network.n_operators == 100
         cfg["network"]["operators"] = MAX_OPERATORS + 1
-        with pytest.raises(ConfigError, match="operators must be at most 1000"):
+        with pytest.raises(ConfigError, match="n_operators=101 is more than 100"):
             parse_scenario(cfg)
 
     def test_int_promotes_to_float(self):
