@@ -16,15 +16,18 @@ Both kernels filter, then test exactly: a k-d tree (scipy's cKDTree) picks
 candidate points within a slightly widened chord radius (`_WIDEN`), and the
 exact predicate runs on the candidates only, so the results equal those of
 the all-pairs test. Tree queries that accept `workers` use every core
-(`workers=-1`). The elementwise work of `sphere_points` (square root, cos,
-sin and the products) and the cell pass below also run on every usable CPU,
-in contiguous row spans on threads started and joined per call, once an
-array has _SPLIT_ROWS rows; the random draws stay serial on the calling
-thread, in the same order, so every output bit is the same on any CPU count.
+(`workers=-1`). The rest of `sphere_points` (the random draws, square root,
+cos, sin and the products) and the cell pass below also run on every usable
+CPU, in contiguous row spans on threads started and joined per call, once an
+array has _SPLIT_ROWS rows. Each span of the draw takes its own slices of the
+one random stream from copies of the caller's PCG64 generator jumped ahead
+to its rows (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
+Statistically Good Algorithms for Random Number Generation", 2014), so every
+output bit is the same on any CPU count.
 The interference count lists its candidates in tree-order blocks of rows, so
 its memory grows with the satellites, not with the pairs.
 
-Detection filters each sensor field in three steps:
+Detection filters each sensor field in two steps:
 
 1. A cell pass (spatial hashing on a 3-D grid, Teschner et al., "Optimized
    Spatial Hashing for Collision Detection of Deformable Objects", VMV 2003).
@@ -33,16 +36,15 @@ Detection filters each sensor field in three steps:
    edge is the widened chord plus slack for rounding, so two points within
    search range lie in cells at most one apart per axis: every sensor near an
    incident survives, and a hash collision only adds survivors.
-2. The nearest-incident query on the survivors keeps the sensors within the
-   widened chord of some incident.
-3. The exact ball count on those sensors decides detection.
+2. The exact ball count, on a tree over the survivors, decides detection.
 
-Boolean masks keep row order, so step 3 sees the same sensors in the same
-order as a nearest-incident query over the whole field, and the outputs are
-bit-identical to it. On a density-90 field (4.6M sensors, 10,000 incidents,
-2-core host) the cell pass takes about 0.06 s on both cores (0.11 s on one)
-and keeps about 7% of the sensors, and the query on them about 0.1 s; the
-query over the whole field took 1.6-2.0 s.
+The count over the survivors is exact: every sensor within the chord of an
+incident survives, and a survivor beyond the chord of every incident adds to
+no count. On a density-90 field (4.6M sensors, 10,000 incidents, 2-core
+host) the draw takes about 0.19 s on both cores (0.31-0.41 s on one), the
+cell pass about 0.06 s (0.13 s on one) and keeps about 7% of the sensors,
+gathering them 0.02 s, and the tree and count on them 0.08-0.10 s; a
+nearest-incident query over the whole field took 1.6-2.0 s.
 """
 
 from __future__ import annotations
@@ -68,8 +70,8 @@ _CELL_CHUNK = 1 << 16
 # count_interference lists about this many candidate pairs (~100 B each) at once
 _PAIR_BUDGET = 1 << 20
 # Arrays of at least this many rows are split over the usable CPUs (see
-# _on_cores): a 2**17-row draw takes as long in two spans as in one on a
-# 2-core host (about 10 ms), a 2**18-row draw 25% less.
+# _on_cores): on a 2-core host a 2**17-row draw takes about 7 ms in one span
+# and 5 ms in two, a 2**18-row draw 18 ms and 11 ms.
 _SPLIT_ROWS = 1 << 17
 _NEIGHBOURS = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.int64)
 _FIBONACCI = np.uint64(0x9E3779B97F4A7C15)  # 2**64 / golden ratio
@@ -88,20 +90,44 @@ class BeamGeometry:
 def sphere_points(count: int, rng: np.random.Generator) -> np.ndarray:
     """Unit vectors uniform on the sphere, shape (count, 3).
 
-    The two draws (z, then phi) run on the calling thread. The rest is
-    elementwise and runs in spans on the usable CPUs (`_on_cores`), written
-    in place a chunk at a time: z goes to column 2, its buffer then holds
-    sqrt(max(0, 1 - z*z)), and cos and sin share one chunk-sized temporary.
+    The draws are z = uniform(-1, 1, count), then phi = uniform(0, 2 pi,
+    count), one 64-bit output of the bit generator per value. The work runs
+    in spans on the usable CPUs (`_on_cores`), a chunk at a time: z goes to
+    column 2, its buffer then holds sqrt(max(0, 1 - z*z)), and cos and sin
+    share one chunk-sized temporary. PCG64 and PCG64DXSM jump ahead in
+    O(log n) (`advance`), so from _SPLIT_ROWS rows on each span draws its own
+    z and phi slices from copies advanced to its rows, and the caller's
+    generator then jumps past both draws. Other bit generators, and shorter
+    draws, draw z and phi on the calling thread first. Either way every
+    output bit and every later draw from `rng` are those of the serial draw.
     """
     out = np.empty((count, 3))
-    z = rng.uniform(-1.0, 1.0, count)
-    phi = rng.uniform(0.0, 2.0 * math.pi, count)
+    bits = rng.bit_generator
+    jumps = count >= _SPLIT_ROWS and isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM))
+    if jumps:
+        origin = bits.state
+    else:
+        z = rng.uniform(-1.0, 1.0, count)
+        phi = rng.uniform(0.0, 2.0 * math.pi, count)
+
+    def advanced(delta: int) -> np.random.Generator:
+        clone = type(bits)()
+        clone.state = origin
+        clone.advance(delta)
+        return np.random.Generator(clone)
 
     def fill(start: int, stop: int) -> None:
+        if jumps:
+            z_rng, phi_rng = advanced(start), advanced(count + start)
         trig = np.empty(min(_CELL_CHUNK, stop - start))
         for lo in range(start, stop, _CELL_CHUNK):
             hi = min(lo + _CELL_CHUNK, stop)
-            s, angle, t = z[lo:hi], phi[lo:hi], trig[:hi - lo]
+            if jumps:
+                s = z_rng.uniform(-1.0, 1.0, hi - lo)
+                angle = phi_rng.uniform(0.0, 2.0 * math.pi, hi - lo)
+            else:
+                s, angle = z[lo:hi], phi[lo:hi]
+            t = trig[:hi - lo]
             out[lo:hi, 2] = s
             np.multiply(s, s, out=s)
             np.subtract(1.0, s, out=s)
@@ -113,6 +139,11 @@ def sphere_points(count: int, rng: np.random.Generator) -> np.ndarray:
             np.multiply(t, s, out=out[lo:hi, 1])
 
     _on_cores(count, fill)
+    if jumps:
+        # advance() also drops the 32-bit half an integer draw may have left
+        bits.advance(2 * count)
+        bits.state = {**bits.state, "has_uint32": origin["has_uint32"],
+                      "uinteger": origin["uinteger"]}
     return out
 
 
@@ -122,8 +153,9 @@ def _on_cores(rows: int, work: Callable[[int, int], None]) -> None:
 
     Below _SPLIT_ROWS rows, or on one CPU, the one span runs on the calling
     thread. Otherwise the first span runs there and the others on threads
-    started for this call (numpy's ufuncs release the GIL); every thread is
-    joined before this returns, and an exception from any span is raised.
+    started for this call (numpy's ufuncs and random draws release the GIL);
+    every thread is joined before this returns, and an exception from any
+    span is raised.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -260,14 +292,13 @@ def simulate_detection(sensor_fields: Dict[int, np.ndarray], incidents: np.ndarr
 
     Membership uses the chord radius equivalent to the great-circle footprint
     radius, so the footprint is an exact spherical cap. Each field goes
-    through the three steps of the module docstring: cell pass,
-    nearest-incident query, exact ball count.
+    through the two steps of the module docstring: cell pass, then the exact
+    ball count over its survivors.
     """
     beam = beam or BeamGeometry()
     angle = beam.footprint_radius_km / R_EARTH_KM
     chord = 2.0 * math.sin(angle / 2.0)
     radius = chord * _WIDEN
-    incident_tree = cKDTree(incidents)
     edge = _cell_edge(incidents, radius)
     marked = _mark_cells(incidents, edge)
     detected = np.ones(len(incidents), dtype=bool)
@@ -276,12 +307,13 @@ def simulate_detection(sensor_fields: Dict[int, np.ndarray], incidents: np.ndarr
         if len(field) == 0:
             detected[:] = False
             break
-        # The cell pass, then the nearest-incident query on its survivors: a
-        # sensor within `chord` of any incident is within it of its nearest
-        # one, so dropping the others leaves every per-incident count intact.
-        near = field[_in_marked_cells(field, marked, edge)]
-        nearest, _ = incident_tree.query(near, k=1, distance_upper_bound=radius, workers=-1)
-        tree = cKDTree(near[np.isfinite(nearest)])
+        # A sensor within `chord` of an incident survives the cell pass, and a
+        # survivor beyond it counts for no incident.
+        near = field.take(np.flatnonzero(_in_marked_cells(field, marked, edge)), axis=0)
+        # Sliding-midpoint splits and 64-point leaves: on the 324k survivors of
+        # a density-90 field, build and count take 78 ms, against 106 ms with
+        # 16-point leaves and 143 ms with scipy's default tree (2-core host).
+        tree = cKDTree(near, leafsize=64, balanced_tree=False, compact_nodes=False)
         counts = tree.query_ball_point(incidents, chord, return_length=True, workers=-1)
         detected &= counts > 0
     rate = float(np.count_nonzero(detected)) / len(incidents) if len(incidents) else 0.0
@@ -291,8 +323,8 @@ def simulate_detection(sensor_fields: Dict[int, np.ndarray], incidents: np.ndarr
 def _cell_edge(incidents: np.ndarray, radius: float) -> float:
     """Grid cell edge of the cell pass: `radius` plus slack for rounding.
 
-    A sensor the nearest-incident query keeps has coordinates within `radius`
-    of an incident's, so a slack relative to the largest such coordinate
+    A sensor within `radius` of an incident has coordinates within `radius`
+    of the incident's, so a slack relative to the largest such coordinate
     covers the rounding in the tree's distances and in floor(x / edge).
     """
     largest = float(np.abs(incidents).max(initial=0.0))

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -332,6 +333,30 @@ class TestDetection:
         assert 0 < np.count_nonzero(expected) < len(incidents)
         assert np.array_equal(sample.detected, expected)
 
+    def test_survivors_beyond_the_chord_count_for_nothing(self):
+        # A ring of sensors at 1.05-1.5 times the footprint around each
+        # incident mostly survives the cell pass; one more sensor sits at
+        # half the footprint of incident 7, the only one detected.
+        beam = BeamGeometry()
+        angle = beam.footprint_radius_km / R_EARTH_KM
+        rng = np.random.default_rng(25)
+        incidents = sphere_points(40, rng)
+
+        def around(centres, factors):
+            tangent = np.cross(centres, sphere_points(len(centres), rng))
+            tangent /= np.linalg.norm(tangent, axis=1)[:, None]
+            turn = factors[:, None] * angle
+            return np.cos(turn) * centres + np.sin(turn) * tangent
+
+        centres = np.repeat(incidents, 30, axis=0)
+        ring = around(centres, rng.uniform(1.05, 1.5, len(centres)))
+        field = np.vstack([ring, around(incidents[7:8], np.array([0.5]))])
+        assert cell_pass(ring, incidents, search_radius(beam)).mean() > 0.5
+        expected = (incidents @ field.T >= math.cos(angle)).any(axis=1)
+        assert np.flatnonzero(expected).tolist() == [7]
+        sample = simulate_detection({1: field}, incidents, beam)
+        assert np.array_equal(sample.detected, expected)
+
     def test_no_incidents_gives_zero_rate(self):
         fields = {1: sphere_points(100, np.random.default_rng(15))}
         sample = simulate_detection(fields, np.empty((0, 3)))
@@ -545,3 +570,75 @@ class TestSplitOverCpus:
         fields[2] = sphere_points(self.ROWS, rng)
         simulate_detection(fields, sphere_points(1_000, rng))
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 7])
+    def test_generator_hand_off(self, monkeypatch, cpus):
+        # integers(0, 10) draws 32 bits and leaves the other half pending;
+        # the points must leave the generator as the two serial draws would
+        usable_cpus(monkeypatch, cpus)
+        rng, reference = np.random.default_rng(22), np.random.default_rng(22)
+        for gen in (rng, reference):
+            gen.integers(0, 10, 1)
+        assert rng.bit_generator.state["has_uint32"]
+        sphere_points(self.ROWS, rng)
+        reference.uniform(-1.0, 1.0, self.ROWS)
+        reference.uniform(0.0, 2.0 * math.pi, self.ROWS)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_constellation_equal_on_any_cpu_count(self, monkeypatch):
+        # about 153k satellites per operator; with this seed the sub-band
+        # draws of operators 1 and 3 leave a 32-bit half pending when the
+        # next operator's points are drawn
+        seed, density = 21, 300 / 1e6
+        reference, pending = np.random.default_rng(seed), []
+        for _ in range(4):
+            count = int(reference.poisson(density * EARTH_AREA_KM2))
+            pending.append(reference.bit_generator.state["has_uint32"])
+            reference.uniform(-1.0, 1.0, 2 * count)
+            reference.integers(0, 10, count)
+        assert pending == [0, 1, 0, 1]
+
+        def build(cpus):
+            usable_cpus(monkeypatch, cpus)
+            rng = np.random.default_rng(seed)
+            constellation = build_constellation(range(1, 5), density, 10, rng)
+            assert rng.bit_generator.state == reference.bit_generator.state
+            return constellation
+
+        serial = build(1)
+        assert min(map(len, serial.satellites.values())) >= geo._SPLIT_ROWS
+        for cpus in (2, 3, 7):
+            split = build(cpus)
+            for op in serial.satellites:
+                assert np.array_equal(split.satellites[op].view(np.uint64),
+                                      serial.satellites[op].view(np.uint64))
+                assert np.array_equal(split.subbands[op], serial.subbands[op])
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64,
+                                               np.random.Philox])
+    def test_generators_that_cannot_jump_draw_serially(self, monkeypatch, bit_generator):
+        # MT19937 and SFC64 have no advance(); Philox's skips four outputs a step
+        usable_cpus(monkeypatch, 2)
+        rng, reference = (np.random.Generator(bit_generator(24)) for _ in range(2))
+        for gen in (rng, reference):
+            gen.integers(0, 10, 1)
+        pts = sphere_points(self.ROWS, rng)
+        z = reference.uniform(-1.0, 1.0, self.ROWS)
+        reference.uniform(0.0, 2.0 * math.pi, self.ROWS)
+        assert np.array_equal(pts[:, 2], z)
+        for gen in (rng, reference):
+            gen.integers(0, 10, 1)
+        assert np.array_equal(rng.integers(0, 10, 9), reference.integers(0, 10, 9))
+        assert np.array_equal(rng.random(9), reference.random(9))
+
+    def test_draw_holds_no_full_size_temporary(self, monkeypatch):
+        # the output is 24 B a row; full-size z and phi arrays would add 16
+        usable_cpus(monkeypatch, 2)
+        rows = 1 << 21
+        tracemalloc.start()
+        try:
+            sphere_points(rows, np.random.default_rng(18))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * rows + (8 << 20)
