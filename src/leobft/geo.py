@@ -12,39 +12,45 @@ lambda exactly when its footprint circle around x is empty, which has
 probability exp(-lambda * pi * r^2); detection by every honest operator is
 the product of the complements.
 
-Both kernels filter, then test exactly: a k-d tree (scipy's cKDTree) picks
-candidate points within a slightly widened chord radius (`_WIDEN`), and the
-exact predicate runs on the candidates only, so the results equal those of
-the all-pairs test. Tree queries that accept `workers` use every core
-(`workers=-1`). The rest of `sphere_points` (the random draws, square root,
-cos, sin and the products) and the cell pass below also run on every usable
-CPU, in contiguous row spans on threads started and joined per call, once an
-array has _SPLIT_ROWS rows. Each span of the draw takes its own slices of the
-one random stream from copies of the caller's PCG64 generator jumped ahead
-to its rows (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
-Statistically Good Algorithms for Random Number Generation", 2014), so every
-output bit is the same on any CPU count.
+Both kernels filter, then test exactly: candidate points within a slightly
+widened chord radius (`_WIDEN`) come from a k-d tree (scipy's cKDTree) for
+interference and from a spatial hash for detection, and the exact predicate
+runs on the candidates only, so the results equal those of the all-pairs
+test. `sphere_points` (the random draws, square root, cos, sin and the
+products) and both steps of detection below run on every usable CPU, in
+contiguous row spans on threads started and joined per call, once an array
+has _SPLIT_ROWS rows. Each span of the draw takes its own slices of the one
+random stream from copies of the caller's PCG64 generator jumped ahead to its
+rows (O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically
+Good Algorithms for Random Number Generation", 2014), so every output bit is
+the same on any CPU count.
 The interference count lists its candidates in tree-order blocks of rows, so
 its memory grows with the satellites, not with the pairs.
 
-Detection filters each sensor field in two steps:
+Detection indexes the incidents _INCIDENT_BATCH at a time, then filters each
+sensor field against each batch in two steps:
 
 1. A cell pass (spatial hashing on a 3-D grid, Teschner et al., "Optimized
    Spatial Hashing for Collision Detection of Deformable Objects", VMV 2003).
    The 27 grid cells around each incident are marked in a hashed boolean
-   table; a sensor survives when its own cell's slot is marked. The cell
-   edge is the widened chord plus slack for rounding, so two points within
-   search range lie in cells at most one apart per axis: every sensor near an
-   incident survives, and a hash collision only adds survivors.
-2. The exact ball count, on a tree over the survivors, decides detection.
+   table, and the (slot, incident) marks are listed by bucket of 64 slots;
+   a sensor survives when its own cell's slot is marked. The cell edge is the
+   widened chord plus slack for rounding, so two points within search range
+   lie in cells at most one apart per axis: every sensor near an incident
+   survives, and a hash collision only adds survivors.
+2. A join: each survivor is paired with every incident listed in its slot's
+   bucket, and the exact test of `cKDTree.query_ball_point` on each pair
+   (squared differences summed in x, y, z order, at most the squared chord)
+   decides which incidents the field detects.
 
-The count over the survivors is exact: every sensor within the chord of an
-incident survives, and a survivor beyond the chord of every incident adds to
-no count. On a density-90 field (4.6M sensors, 10,000 incidents, 2-core
-host) the draw takes about 0.19 s on both cores (0.31-0.41 s on one), the
-cell pass about 0.06 s (0.13 s on one) and keeps about 7% of the sensors,
-gathering them 0.02 s, and the tree and count on them 0.08-0.10 s; a
-nearest-incident query over the whole field took 1.6-2.0 s.
+The join is exact: a sensor within the chord of an incident lies in one of
+the incident's 27 cells, so it survives and meets that incident, and a pair
+beyond the chord detects nothing. On a density-90 field (4.6M sensors,
+10,000 incidents, 2-core host, medians of 7 over two runs) the draw takes
+about 0.18 s on both cores (0.31-0.35 s on one), the index 0.01 s, the cell
+pass 0.07 s (0.12-0.13 s on one) and keeps about 7% of the sensors, and the
+join 0.02 s more (0.02-0.03 s on one); a nearest-incident query over the
+whole field took 1.6-2.0 s.
 """
 
 from __future__ import annotations
@@ -53,20 +59,31 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 R_EARTH_KM = 6371.0
 EARTH_AREA_KM2 = 4.0 * math.pi * R_EARTH_KM**2
-# Relative slack on tree search radii: covers the rounding in the tree's
-# distances, so the filter keeps every point the exact test keeps.
+# Relative slack on search radii: covers the rounding in the filters'
+# distances, so each filter keeps every point the exact test keeps.
 _WIDEN = 1.0 + 1e-9
 # Cell pass of simulate_detection: the hashed table has 2**_CELL_SLOTS_LOG2
 # boolean slots (16 MB), and the sensors are hashed _CELL_CHUNK rows at a time.
 _CELL_SLOTS_LOG2 = 24
 _CELL_CHUNK = 1 << 16
+# Incidents indexed at once. A batch marks at most 5.3% of the table (27 slots
+# an incident). Against 300,000 incidents, one density-90 field took 3.2-3.3 s
+# in batches of 2**14, 2.4-2.5 s in 2**15 and 3.1-3.4 s in 2**16 (2-core host).
+_INCIDENT_BATCH = 1 << 15
+# The index lists its marks by bucket of 2**_BUCKET_LOG2 slots, with one
+# offset per bucket (2 MB of int64); each survivor meets its bucket's marks.
+_BUCKET_LOG2 = 6
+# Cell-pass chunks whose survivors are joined at once. Three density-90 fields
+# took 309 ms in groups of 4, 323-334 ms in groups of 1, 2 or 16, and 362 ms in
+# one group per span (2-core host, medians of 15).
+_JOIN_CHUNKS = 4
 # count_interference lists about this many candidate pairs (~100 B each) at once
 _PAIR_BUDGET = 1 << 20
 # Arrays of at least this many rows are split over the usable CPUs (see
@@ -74,6 +91,7 @@ _PAIR_BUDGET = 1 << 20
 # and 5 ms in two, a 2**18-row draw 18 ms and 11 ms.
 _SPLIT_ROWS = 1 << 17
 _NEIGHBOURS = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.int64)
+_NEIGHBOUR_KEYS = _NEIGHBOURS @ np.array([1 << 42, 1 << 21, 1])  # as _cell_keys packs them
 _FIBONACCI = np.uint64(0x9E3779B97F4A7C15)  # 2**64 / golden ratio
 
 
@@ -291,31 +309,25 @@ def simulate_detection(sensor_fields: Dict[int, np.ndarray], incidents: np.ndarr
     """Check, per incident, whether every operator has a sensor within the footprint.
 
     Membership uses the chord radius equivalent to the great-circle footprint
-    radius, so the footprint is an exact spherical cap. Each field goes
-    through the two steps of the module docstring: cell pass, then the exact
-    ball count over its survivors.
+    radius, so the footprint is an exact spherical cap. Incidents are indexed
+    _INCIDENT_BATCH at a time, and each field goes through the two steps of
+    the module docstring against each batch: cell pass, then the join of its
+    survivors to the incidents listed in their slots' buckets.
     """
     beam = beam or BeamGeometry()
     angle = beam.footprint_radius_km / R_EARTH_KM
     chord = 2.0 * math.sin(angle / 2.0)
-    radius = chord * _WIDEN
-    edge = _cell_edge(incidents, radius)
-    marked = _mark_cells(incidents, edge)
+    edge = _cell_edge(incidents, chord * _WIDEN)
+    fields = list(sensor_fields.values())
     detected = np.ones(len(incidents), dtype=bool)
-    for op in sorted(sensor_fields):
-        field = sensor_fields[op]
-        if len(field) == 0:
-            detected[:] = False
-            break
-        # A sensor within `chord` of an incident survives the cell pass, and a
-        # survivor beyond it counts for no incident.
-        near = field.take(np.flatnonzero(_in_marked_cells(field, marked, edge)), axis=0)
-        # Sliding-midpoint splits and 64-point leaves: on the 324k survivors of
-        # a density-90 field, build and count take 78 ms, against 106 ms with
-        # 16-point leaves and 143 ms with scipy's default tree (2-core host).
-        tree = cKDTree(near, leafsize=64, balanced_tree=False, compact_nodes=False)
-        counts = tree.query_ball_point(incidents, chord, return_length=True, workers=-1)
-        detected &= counts > 0
+    if not all(len(field) for field in fields):  # a field without sensors detects nothing
+        detected[:] = False
+    else:
+        for lo in range(0, len(incidents), _INCIDENT_BATCH):
+            batch = incidents[lo:lo + _INCIDENT_BATCH]
+            index = _index_cells(batch, edge)
+            for field in fields:
+                detected[lo:lo + len(batch)] &= _near_incidents(field, batch, index, edge, chord)
     rate = float(np.count_nonzero(detected)) / len(incidents) if len(incidents) else 0.0
     return DetectionSample(detected, rate)
 
@@ -325,56 +337,117 @@ def _cell_edge(incidents: np.ndarray, radius: float) -> float:
 
     A sensor within `radius` of an incident has coordinates within `radius`
     of the incident's, so a slack relative to the largest such coordinate
-    covers the rounding in the tree's distances and in floor(x / edge).
+    covers the rounding in the distances and in floor(x / edge). Non-finite
+    incident coordinates raise ValueError.
     """
-    largest = float(np.abs(incidents).max(initial=0.0))
-    return radius + (largest + 2.0 * radius) * 2.0**-40
+    low, high = float(incidents.min(initial=0.0)), float(incidents.max(initial=0.0))
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise ValueError("incident coordinates must be finite")
+    return radius + (max(high, -low) + 2.0 * radius) * 2.0**-40
 
 
-def _cell_slots(cells: np.ndarray, keys: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Table slot of each grid cell (a row of three int64 cell coordinates).
+def _cell_keys(cells: np.ndarray, keys: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Grid cells (rows of three int64 cell coordinates) packed into `keys`.
 
-    The coordinates pack into `keys` 21 bits apart, which is one-to-one below
-    2**20 per axis (beyond that two cells may share a slot, which only adds
-    survivors), and Fibonacci hashing spreads the keys over the table.
+    The coordinates go 21 bits apart, which is one-to-one below 2**20 per
+    axis (beyond that two cells may share a key, which only adds survivors).
+    The packing is linear modulo 2**64: a cell's key plus an offset's key is
+    the key of the offset cell.
     """
     np.left_shift(cells[:, 0], 42, out=keys)
     np.left_shift(cells[:, 1], 21, out=tmp)
     keys += tmp
     keys += cells[:, 2]
+    return keys
+
+
+def _slots(keys: np.ndarray) -> np.ndarray:
+    """Table slots of packed cell keys, in place: Fibonacci hashing spreads
+    them over the 2**_CELL_SLOTS_LOG2 slots."""
     slots = keys.view(np.uint64)
     slots *= _FIBONACCI
     slots >>= np.uint64(64 - _CELL_SLOTS_LOG2)
     return keys
 
 
-def _mark_cells(incidents: np.ndarray, edge: float) -> np.ndarray:
-    """Hashed table with the 27 grid cells around each incident marked."""
+class _CellIndex(NamedTuple):
+    """The 27 grid cells around each incident of a batch, by bucket of table slots."""
+
+    marked: np.ndarray   # bool per slot: some incident's cell has it
+    marks: np.ndarray    # the incident row of each (cell, incident) mark, by bucket
+    buckets: np.ndarray  # the marks of the slots b << _BUCKET_LOG2 up to
+    #                      (b + 1) << _BUCKET_LOG2 are marks[buckets[b]:buckets[b + 1]]
+
+
+def _index_cells(incidents: np.ndarray, edge: float) -> _CellIndex:
+    """The _CellIndex of one batch of incidents on the grid of cell edge `edge`."""
     home = np.floor(incidents / edge).astype(np.int64)
-    cells = (home[:, None, :] + _NEIGHBOURS).reshape(-1, 3)
+    keys = _cell_keys(home, np.empty(len(home), np.int64), np.empty(len(home), np.int64))
+    cells = keys[:, None] + _NEIGHBOUR_KEYS  # row i: the 27 cells around incident i
+    slots = _slots(cells.reshape(-1))  # a view of cells
     marked = np.zeros(1 << _CELL_SLOTS_LOG2, dtype=bool)
-    marked[_cell_slots(cells, np.empty(len(cells), np.int64),
-                       np.empty(len(cells), np.int64))] = True
-    return marked
+    marked[slots] = True
+    slots >>= _BUCKET_LOG2
+    buckets = np.zeros((1 << (_CELL_SLOTS_LOG2 - _BUCKET_LOG2)) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(slots, minlength=len(buckets) - 1), out=buckets[1:])
+    # sort the marks by bucket, kept above the incident row's 32 bits
+    slots <<= 32
+    cells += np.arange(len(cells))[:, None]  # the incident row of each mark
+    slots.sort()
+    slots &= 0xFFFFFFFF
+    return _CellIndex(marked, slots, buckets)
 
 
-def _in_marked_cells(field: np.ndarray, marked: np.ndarray, edge: float) -> np.ndarray:
-    """Mask of the sensors whose grid cell has a marked slot.
+def _near_incidents(field: np.ndarray, incidents: np.ndarray, index: _CellIndex,
+                    edge: float, chord: float) -> np.ndarray:
+    """Per incident, whether some sensor of `field` lies within `chord` of it.
 
-    Runs in spans on the usable CPUs (`_on_cores`), each chunk by chunk on
-    buffers of its own. The cell coordinate is floor(x / edge), so negative
-    coordinates get cells of the same width; a sensor too far out for an
-    int64 cell is far from every incident, and its arbitrary slot only adds
-    a survivor. Non-finite coordinates raise ValueError, as the tree query
-    would.
+    Runs in spans on the usable CPUs (`_on_cores`), each on buffers of its
+    own. A chunk's cell pass keeps the sensors whose cell has a marked slot;
+    the survivors of _JOIN_CHUNKS chunks then meet every mark in their slot's
+    bucket, and each pair takes the exact test of `cKDTree.query_ball_point`:
+    squared differences summed in x, y, z order, at most chord * chord. Each
+    span sets its own flags, and the flags are OR-ed after the spans join.
+    The cell coordinate is floor(x / edge), so negative coordinates get cells
+    of the same width; a sensor too far out for an int64 cell is far from
+    every incident, and its arbitrary slot only adds a survivor. Non-finite
+    sensor coordinates raise ValueError.
     """
-    keep = np.empty(len(field), dtype=bool)
+    bound = chord * chord
+    found: List[np.ndarray] = []
 
-    def hash_span(start: int, stop: int) -> None:
+    def join(points: np.ndarray, slots: np.ndarray, near: np.ndarray) -> None:
+        # survivor i meets the count[i] marks from first[i] on; its own slot
+        # is marked, so every count is at least 1
+        slots >>= _BUCKET_LOG2
+        first = index.buckets.take(slots)
+        count = index.buckets.take(slots + 1)
+        count -= first
+        # pair j belongs to the survivor i with ends[i - 1] <= j < ends[i]
+        ends = np.cumsum(count)
+        owner = np.zeros(count.sum(), dtype=np.intp)
+        owner[ends[:-1]] = 1
+        np.cumsum(owner, out=owner)
+        first += count - ends  # pair j is then mark first[owner[j]] + j
+        pair = first.take(owner)
+        pair += np.arange(len(pair))
+        inc = index.marks.take(pair)
+        diff = points.take(owner, axis=0)
+        diff -= incidents.take(inc, axis=0)
+        diff *= diff
+        dist = diff[:, 0] + diff[:, 1]
+        dist += diff[:, 2]
+        near[inc[dist <= bound]] = True
+
+    def join_span(start: int, stop: int) -> None:
+        near = np.zeros(len(incidents), dtype=bool)
         scaled = np.empty((_CELL_CHUNK, 3))
         cells = np.empty((_CELL_CHUNK, 3), dtype=np.int64)
         keys = np.empty(_CELL_CHUNK, dtype=np.int64)
         tmp = np.empty(_CELL_CHUNK, dtype=np.int64)
+        keep = np.empty(_CELL_CHUNK, dtype=bool)
+        points: List[np.ndarray] = []
+        slots: List[np.ndarray] = []
         # numpy error state is per thread, so each span sets its own
         with np.errstate(invalid="ignore"):
             for lo in range(start, stop, _CELL_CHUNK):
@@ -385,11 +458,18 @@ def _in_marked_cells(field: np.ndarray, marked: np.ndarray, edge: float) -> np.n
                     raise ValueError("sensor coordinates must be finite")
                 np.floor(scaled[:n], out=scaled[:n])
                 np.copyto(cells[:n], scaled[:n], casting="unsafe")
-                np.take(marked, _cell_slots(cells[:n], keys[:n], tmp[:n]),
-                        out=keep[lo:lo + n])
+                slot = _slots(_cell_keys(cells[:n], keys[:n], tmp[:n]))
+                np.take(index.marked, slot, out=keep[:n])
+                hit = np.flatnonzero(keep[:n])
+                points.append(chunk.take(hit, axis=0))
+                slots.append(slot.take(hit))
+                if len(slots) == _JOIN_CHUNKS or lo + n == stop:
+                    join(np.concatenate(points), np.concatenate(slots), near)
+                    points, slots = [], []
+        found.append(near)
 
-    _on_cores(len(field), hash_span)
-    return keep
+    _on_cores(len(field), join_span)
+    return np.logical_or.reduce(found)
 
 
 def detection_sweep(densities_per_10k_km2: Sequence[float], n_honest: int,

@@ -5,6 +5,7 @@ import itertools
 import math
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -386,9 +387,20 @@ def detection_without_cell_pass(fields, incidents, beam):
     return detected
 
 
-def cell_pass(field, incidents, radius):
+def cell_index(field, incidents, radius):
+    """The incident index and the table slot of each sensor's grid cell."""
     edge = geo._cell_edge(incidents, radius)
-    return geo._in_marked_cells(field, geo._mark_cells(incidents, edge), edge)
+    with np.errstate(invalid="ignore"):  # cells beyond int64 take arbitrary slots
+        cells = np.floor(field / edge).astype(np.int64)
+    keys = geo._cell_keys(cells, np.empty(len(cells), np.int64),
+                          np.empty(len(cells), np.int64))
+    return geo._index_cells(incidents, edge), geo._slots(keys)
+
+
+def cell_pass(field, incidents, radius):
+    """Mask of the sensors whose grid cell's slot the incident index marks."""
+    index, slots = cell_index(field, incidents, radius)
+    return index.marked[slots]
 
 
 def query_keeps(field, incidents, radius):
@@ -519,6 +531,138 @@ class TestCellPass:
             with pytest.raises(ValueError, match="finite"):
                 simulate_detection({1: np.array([[bad, 0.0, 0.0]])}, incidents)
 
+    def test_non_finite_incident_raises(self):
+        field = sphere_points(100, np.random.default_rng(27))
+        for bad in (np.nan, np.inf, -np.inf):
+            incidents = np.array([[1.0, 0.0, 0.0], [0.0, bad, 0.0]])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no RuntimeWarning on the way
+                with pytest.raises(ValueError, match="^incident coordinates must be finite$"):
+                    simulate_detection({1: field}, incidents)
+
+    def test_joins_a_bounded_number_of_pairs(self):
+        # Work guard. Density 90 per 1e4 km2 against 10,000 incidents at the
+        # default beam, as in test_keeps_a_bounded_share: each survivor of the
+        # cell pass is paired with every mark in its slot's bucket, about 2.0
+        # of them on average. Above 2.5 the buckets have grown crowded
+        # (outputs would still be right, only slower).
+        rng = np.random.default_rng(17)
+        field = sphere_points(500_000, rng)
+        incidents = sphere_points(10_000, rng)
+        index, slots = cell_index(field, incidents, search_radius(BeamGeometry()))
+        survivors = slots[index.marked[slots]]
+        pairs = np.diff(index.buckets)[survivors >> geo._BUCKET_LOG2]
+        assert pairs.min() >= 1
+        assert pairs.mean() <= 2.5
+
+    def test_index_memory_is_bounded_by_the_batch(self):
+        # 300,000 incidents index in batches: 27 cells of three int64s each
+        # would take 190 MB at once, and one batch's index takes about 26 MB
+        # (the table of slots, the marks and the bucket offsets)
+        rng = np.random.default_rng(28)
+        incidents = sphere_points(300_000, rng)
+        field = sphere_points(1_000, rng)
+        tracemalloc.start()
+        try:
+            sample = simulate_detection({1: field}, incidents)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < sample.rate < 0.01
+        assert peak <= 64 << 20  # the last batch's index lives on while the next is built
+
+
+class TestJoin:
+    """The join gives the detected flags of the tree count in
+    detection_without_cell_pass."""
+
+    def test_chord_boundary_matches_the_tree(self):
+        # One incident, at the origin or off it, and one sensor at the chord
+        # along one of the 26 grid directions, or one ulp in or out of there
+        # in each coordinate.
+        beam = BeamGeometry()
+        chord = 2.0 * math.sin(beam.footprint_radius_km / R_EARTH_KM / 2.0)
+        dirs = np.array([d for d in geo._NEIGHBOURS if d.any()], dtype=float)
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        found = {}
+        for centre in (np.zeros(3), unit([0.3, -0.5, 0.8])):
+            incidents = centre[None, :]
+            for d in dirs:
+                at = centre + chord * d
+                for step in (-1.0, 0.0, 1.0):
+                    fields = {1: np.nextafter(at, at + step * d)[None, :]}
+                    detected = simulate_detection(fields, incidents, beam).detected
+                    assert np.array_equal(
+                        detected, detection_without_cell_pass(fields, incidents, beam))
+                    found[centre.any(), tuple(d), step] = bool(detected[0])
+        # from the origin along an axis the chord is exact: in and at count, out not
+        assert [found[False, (1.0, 0.0, 0.0), step] for step in (-1.0, 0.0, 1.0)] == [
+            True, True, False]
+        assert 0.3 < np.mean(list(found.values())) < 0.9
+
+    def test_sum_order_matches_the_tree(self):
+        # Sensors about the chord away from an incident, in random directions,
+        # where summing the squared differences in x, y, z order and in z, y,
+        # x order fall on opposite sides of the squared chord: about 1 in 1,600.
+        beam = BeamGeometry()
+        chord = 2.0 * math.sin(beam.footprint_radius_km / R_EARTH_KM / 2.0)
+        incidents = unit([0.3, -0.5, 0.8])[None, :]
+        field = incidents + chord * sphere_points(20_000, np.random.default_rng(32))
+        square = (field - incidents) ** 2
+        xyz = (square[:, 0] + square[:, 1]) + square[:, 2] <= chord * chord
+        zyx = (square[:, 2] + square[:, 1]) + square[:, 0] <= chord * chord
+        for inside in (True, False):
+            row = np.flatnonzero((xyz != zyx) & (xyz == inside))[0]
+            fields = {1: field[row:row + 1]}
+            detected = simulate_detection(fields, incidents, beam).detected
+            assert detected.tolist() == [inside]
+            assert np.array_equal(detected,
+                                  detection_without_cell_pass(fields, incidents, beam))
+
+    def test_non_unit_coordinates_and_duplicates_match_the_tree(self):
+        # points on a sphere of radius 3.5 off the origin, every sensor three
+        # times and some incidents twice; about half of them detected
+        rng = np.random.default_rng(29)
+        beam = BeamGeometry(altitude_km=550.0, half_angle_deg=70.0)
+        shift = np.array([2.0, -7.0, 0.5])
+        incidents = 3.5 * sphere_points(300, rng) + shift
+        incidents = np.vstack([incidents, incidents[:40]])
+        fields = {op: np.repeat(3.5 * sphere_points(1_000, rng) + shift, 3, axis=0)
+                  for op in (1, 2)}
+        sample = simulate_detection(fields, incidents, beam)
+        assert np.array_equal(sample.detected,
+                              detection_without_cell_pass(fields, incidents, beam))
+        assert 0.1 < sample.rate < 0.9
+
+    @pytest.mark.parametrize("slots_log2, bucket_log2", [(4, 2), (6, 6)])
+    def test_slot_collisions_match_the_tree(self, monkeypatch, slots_log2, bucket_log2):
+        # 16 slots in 4 buckets, or 64 slots in one: nearly every sensor
+        # survives and meets the marks of a quarter or all of the incidents
+        monkeypatch.setattr(geo, "_CELL_SLOTS_LOG2", slots_log2)
+        monkeypatch.setattr(geo, "_BUCKET_LOG2", bucket_log2)
+        rng = np.random.default_rng(30)
+        beam = BeamGeometry(altitude_km=550.0, half_angle_deg=30.0)
+        incidents = sphere_points(60, rng)
+        fields = {op: sphere_points(1_500, rng) for op in (1, 2)}
+        radius = search_radius(beam)
+        assert cell_pass(fields[1], incidents, radius).mean() > 0.9
+        sample = simulate_detection(fields, incidents, beam)
+        assert np.array_equal(sample.detected,
+                              detection_without_cell_pass(fields, incidents, beam))
+        assert 0.1 < sample.rate < 0.9
+
+    def test_incident_batches_match_the_tree(self, monkeypatch):
+        # 100 incidents in 15 batches, the last of 2
+        monkeypatch.setattr(geo, "_INCIDENT_BATCH", 7)
+        rng = np.random.default_rng(31)
+        beam = BeamGeometry(altitude_km=550.0, half_angle_deg=30.0)
+        incidents = sphere_points(100, rng)
+        fields = {op: sphere_points(2_000, rng) for op in (1, 2)}
+        sample = simulate_detection(fields, incidents, beam)
+        assert np.array_equal(sample.detected,
+                              detection_without_cell_pass(fields, incidents, beam))
+        assert 0.1 < sample.rate < 0.9
+
 
 def usable_cpus(monkeypatch, count):
     """Make geo see `count` usable CPUs, whatever the host has."""
@@ -540,17 +684,20 @@ class TestSplitOverCpus:
         split = sphere_points(self.ROWS, np.random.default_rng(18))
         assert np.array_equal(serial.view(np.uint64), split.view(np.uint64))
 
-    @pytest.mark.parametrize("cpus", [2, 3, 7])
-    def test_cell_pass_equals_one_span(self, monkeypatch, cpus):
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 7])
+    def test_detection_equal_on_any_cpu_count(self, monkeypatch, cpus):
+        # each span joins its own survivors and sets its own flags
         rng = np.random.default_rng(19)
+        beam = BeamGeometry()
         field = sphere_points(self.ROWS, rng)
         field[-5:] *= 1e30  # cells beyond int64 take arbitrary slots
+        fields = {1: field}
         incidents = sphere_points(2_000, rng)
-        radius = search_radius(BeamGeometry())
-        usable_cpus(monkeypatch, 1)
-        serial = cell_pass(field, incidents, radius)
         usable_cpus(monkeypatch, cpus)
-        assert np.array_equal(cell_pass(field, incidents, radius), serial)
+        sample = simulate_detection(fields, incidents, beam)
+        assert np.array_equal(sample.detected,
+                              detection_without_cell_pass(fields, incidents, beam))
+        assert 0.1 < sample.rate < 0.9
 
     def test_non_finite_in_last_span_raises(self, monkeypatch):
         usable_cpus(monkeypatch, 2)
