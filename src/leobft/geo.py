@@ -57,12 +57,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
+import os  # noqa: F401  kept as geo.os: callers pin the CPUs usable_cpus sees through it
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+from .cores import usable_cpus
 
 R_EARTH_KM = 6371.0
 EARTH_AREA_KM2 = 4.0 * math.pi * R_EARTH_KM**2
@@ -175,10 +177,7 @@ def _on_cores(rows: int, work: Callable[[int, int], None]) -> None:
     every thread is joined before this returns, and an exception from any
     span is raised.
     """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
+    cpus = usable_cpus()
     chunks = -(-rows // _CELL_CHUNK)
     span = -(-chunks // cpus) * _CELL_CHUNK
     if rows < _SPLIT_ROWS or span >= rows:

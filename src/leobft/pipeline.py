@@ -6,6 +6,13 @@ otherwise) and runs the configured agreement protocol with its peers. The
 agreed values fill per-operator local tensors; the period is then committed
 to the ledger through proposal/vote rotation, and both retrieval paths are
 exercised over the operators' responses.
+
+The events are independent, so they run in contiguous spans, one per usable
+CPU: this process runs the first span and persistent forked helpers run the
+others (`cores.run_spans`); the records merge in event order, so every
+artifact is the same on any CPU count. A helper is a snapshot of the process
+at its first use: a test that monkeypatches leobft and needs every event to
+see the patch must pin one CPU (patch `os.sched_getaffinity`).
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from . import approx, auth, binary, exact, ledger, netsim
+from . import approx, auth, binary, cores, exact, ledger, netsim
 from .model import UsageTensor, binarize, observe
 from .scenario import ConfigError, EventConfig, Scenario
 
@@ -125,56 +132,91 @@ _PROFILES = {
 }
 
 
-def run_scenario(sc: Scenario) -> ScenarioResult:
+class _EventRecord(NamedTuple):
+    """What one event's agreement left, as plain values a helper can send back."""
+
+    initials: Dict[int, float]
+    outputs: Dict[int, float]
+    rounds: int
+    traffic: Dict[int, Tuple[int, int, int]]  # op -> originated, delivered, received
+    transcript: Optional[List[Tuple[int, int, int, str, int]]]
+
+
+def _profile(sc: Scenario) -> _Profile:
+    return _PROFILES[sc.profile]
+
+
+def _run_events(sc: Scenario, indices: range) -> List[_EventRecord]:
+    """Observe, agree on and check each event in indices; one span of a run.
+
+    Everything an event uses is derived from sc.seed and its index, so the
+    records are the same whichever process runs the span.
+    """
     params = sc.network
     ids = list(params.operator_ids())
     registry = auth.KeyRegistry(ids, auth.derive_seed(sc.seed, "keys"))
     coin = auth.CommonCoin(auth.derive_seed(sc.seed, "coin"))
     honest = netsim.honest_ids(ids, sc.adversary)
-    profile = _PROFILES[sc.profile]
-
-    locals_by_op = {op: UsageTensor(sc.period, sc.dims) for op in ids}
-    bytes_acc = {op: [0, 0, 0] for op in ids}
-    outcomes: List[EventOutcome] = []
-    transcript = None
-
-    for index, event in enumerate(sc.events):
+    profile = _profile(sc)
+    records = []
+    for index in indices:
         initials = {
             op: profile.protocol_input(
-                observe(event.truth, params.epsilon,
+                observe(sc.events[index].truth, params.epsilon,
                         auth.derive_seed(sc.seed, "observe", index, op)),
                 params)
             for op in ids
         }
         instance = "p%d.e%d" % (sc.period, index)
-        record = sc.record_transcript and index == 0
         bus = {"seed": auth.derive_seed(sc.seed, "bus", index), "adversary": sc.adversary,
-               "frame_bytes": sc.frame_bytes, "record_transcript": record}
+               "frame_bytes": sc.frame_bytes,
+               "record_transcript": sc.record_transcript and index == 0}
         result = profile.run(sc, initials, instance, coin, registry, bus)
         outputs = {op: profile.output(result, op) for op in ids}
         profile.check(initials, result, honest, params.zeta, instance)
+        traffic = {op: (result.bus.originated[op], result.bus.delivered[op],
+                        result.bus.received[op]) for op in ids}
+        records.append(_EventRecord({op: float(v) for op, v in initials.items()}, outputs,
+                                    result.rounds, traffic, result.bus.transcript))
+    return records
 
-        for op in ids:
-            bytes_acc[op][0] += result.bus.originated[op]
-            bytes_acc[op][1] += result.bus.delivered[op]
-            bytes_acc[op][2] += result.bus.received[op]
-        if record:
-            transcript = result.bus.transcript
 
+def run_scenario(sc: Scenario) -> ScenarioResult:
+    """Agree on every event (in spans over the usable CPUs), then commit the
+    period and retrieve it. If events fail their checks, the failure with the
+    lowest event index is raised."""
+    params = sc.network
+    ids = list(params.operator_ids())
+    registry = auth.KeyRegistry(ids, auth.derive_seed(sc.seed, "keys"))
+    honest = netsim.honest_ids(ids, sc.adversary)
+    mode = _profile(sc).mode
+
+    records = cores.run_spans(_run_events, sc, len(sc.events))
+    locals_by_op = {op: UsageTensor(sc.period, sc.dims) for op in ids}
+    outcomes: List[EventOutcome] = []
+    for index, (event, record) in enumerate(zip(sc.events, records)):
         key = (event.region, event.subband, event.operator - 1)
         for op in ids:
-            locals_by_op[op].set(key, outputs[op])
-        outcomes.append(EventOutcome(index, event, {op: float(v) for op, v in initials.items()},
-                                     outputs, result.rounds))
+            locals_by_op[op].set(key, record.outputs[op])
+        outcomes.append(EventOutcome(index, event, record.initials, record.outputs,
+                                     record.rounds))
+    bytes_by_op = {}
+    for op in ids:
+        originated, delivered, received = (sum(r.traffic[op][k] for r in records)
+                                           for k in range(3))
+        # exchanged: the canonical bytes an operator put on the wire plus the
+        # bytes it received; each originated message counts once regardless of
+        # fan-out, the per-delivery figure is `delivered`
+        bytes_by_op[op] = (originated, delivered, received, originated + received)
 
     # ledger commit for the period
     chain = ledger.TensorLedger(params, registry)
-    commit = ledger.commit_period(chain, sc.period, locals_by_op, profile.mode, sc.adversary)
+    commit = ledger.commit_period(chain, sc.period, locals_by_op, mode, sc.adversary)
 
     responses = _retrieval_responses(sc.adversary, locals_by_op)
     retrieved_exact = ledger.retrieve_exact(responses, params.max_faulty)
     retrieved_approx = ledger.retrieve_approx(responses, params, sc.period, sc.dims)
-    _check_retrieval(profile.mode, honest, locals_by_op, retrieved_exact, retrieved_approx)
+    _check_retrieval(mode, honest, locals_by_op, retrieved_exact, retrieved_approx)
 
     return ScenarioResult(
         scenario=sc,
@@ -184,14 +226,8 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
         commit=commit,
         retrieved_exact=retrieved_exact,
         retrieved_approx=retrieved_approx,
-        # exchanged: the canonical bytes an operator put on the wire plus the
-        # bytes it received; each originated message counts once regardless of
-        # fan-out, the per-delivery figure is `delivered`
-        bytes_by_op={
-            op: (acc[0], acc[1], acc[2], acc[0] + acc[2])
-            for op, acc in bytes_acc.items()
-        },
-        transcript=transcript,
+        bytes_by_op=bytes_by_op,
+        transcript=records[0].transcript if records else None,
     )
 
 

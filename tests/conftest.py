@@ -2,8 +2,16 @@
 
 import pytest
 
-from leobft import auth, netsim
+from leobft import auth, cores, netsim
 from leobft.model import UsageTensor
+
+
+@pytest.fixture(autouse=True)
+def _no_helpers_between_tests():
+    """End every run_scenario helper after each test, so that none is a
+    snapshot of an earlier test's monkeypatches."""
+    yield
+    cores.stop_helpers()
 
 
 def _counted(calls, fn, key):
