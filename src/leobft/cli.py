@@ -18,7 +18,7 @@ import os
 import sys
 from typing import List, Optional
 
-from . import geo, ledger, pipeline
+from . import ledger, pipeline
 from .scenario import ConfigError, load_scenario
 
 
@@ -54,6 +54,13 @@ def _parse_densities(text: str) -> List[float]:
     return values
 
 
+def _earth_area_km2() -> float:
+    # geo (and numpy with it) is imported by the geo commands only
+    from . import geo
+
+    return geo.EARTH_AREA_KM2
+
+
 # the most Poisson points one sensor or satellite field may expect, and the
 # most incident points one detection draw holds (a density-90 detection field
 # expects 4.6M): memory grows with the points, not with interference pairs
@@ -61,8 +68,10 @@ MAX_FIELD_POINTS = 1e7
 # the most points the fields of one density may expect together, as all of
 # them are held at once: three detection fields at density 90 expect 13.8M
 MAX_SWEEP_POINTS = 3e7
-# the same for constellations, whose satellites also hold k-d trees: about
-# 58 B of address space each, so 2e7 peak near 1.6 GB (3e7 fail under 2 GB)
+# the same for constellations, which geo.count_interference copies once more,
+# sorted by grid cell: about 30 B a satellite at the peak beside the 32 B of
+# its coordinates and sub-band, so 2e7 peak at 1.24 GB resident (3e7 fail
+# under 2 GB of address space)
 MAX_SATELLITES = 2e7
 # the most fields (operators) one density may draw, each an array of its own
 MAX_FIELDS = 1_000
@@ -75,7 +84,7 @@ MAX_SUBBANDS = 2**63 - 1
 def _field_densities(text: str, per_km2: float) -> List[float]:
     """Densities per `per_km2` square km, each finite, >= 0 and within MAX_FIELD_POINTS."""
     densities = _parse_densities(text)
-    limit = MAX_FIELD_POINTS * per_km2 / geo.EARTH_AREA_KM2
+    limit = MAX_FIELD_POINTS * per_km2 / _earth_area_km2()
     for density in densities:
         if not 0.0 <= density <= limit:  # NaN fails too
             raise ConfigError("--densities: %r is not between 0 and %.6g per %g km^2 "
@@ -100,7 +109,7 @@ def _check_fields(flag: str, count: int, densities: List[float], per_km2: float,
         raise ConfigError("%s must be at least 1" % flag)
     if count > MAX_FIELDS:
         raise ConfigError("%s must be at most %d" % (flag, MAX_FIELDS))
-    expected = count * max(densities) * geo.EARTH_AREA_KM2 / per_km2
+    expected = count * max(densities) * _earth_area_km2() / per_km2
     if expected > bound:
         raise ConfigError("%s %d at %r per %g km^2 expects %s points, more than %g"
                           % (flag, count, max(densities), per_km2,
@@ -169,6 +178,8 @@ def _cmd_consensus(args) -> int:
 
 
 def _cmd_constellation(args) -> int:
+    from . import geo
+
     densities = _field_densities(args.densities, 1e6)
     _check_fields("--operators", args.operators, densities, 1e6, MAX_SATELLITES)
     if args.subbands < 1:
@@ -184,6 +195,8 @@ def _cmd_constellation(args) -> int:
 
 
 def _cmd_detection(args) -> int:
+    from . import geo
+
     densities = _field_densities(args.densities, 1e4)
     _check_fields("--honest", args.honest, densities, 1e4)
     rows = geo.detection_sweep(

@@ -12,36 +12,40 @@ lambda exactly when its footprint circle around x is empty, which has
 probability exp(-lambda * pi * r^2); detection by every honest operator is
 the product of the complements.
 
-Both kernels filter, then test exactly: candidate points within a slightly
-widened chord radius (`_WIDEN`) come from a k-d tree (scipy's cKDTree) for
-interference and from a spatial hash for detection, and the exact predicate
-runs on the candidates only, so the results equal those of the all-pairs
-test. `sphere_points` (the random draws, square root, cos, sin and the
-products) and both steps of detection below run on every usable CPU, in
-contiguous row spans on threads started and joined per call, once an array
-has _SPLIT_ROWS rows. Each span of the draw takes its own slices of the one
-random stream from copies of the caller's PCG64 generator jumped ahead to its
-rows (O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically
-Good Algorithms for Random Number Generation", 2014), so every output bit is
-the same on any CPU count.
-The interference count lists its candidates in tree-order blocks of rows, so
-its memory grows with the satellites, not with the pairs.
+Both kernels filter on one grid, then test exactly. Space is cut into cubes
+whose edge is a slightly widened chord radius (`_WIDEN`) plus slack for
+rounding (`_cell_edge`), so two points within search range lie in cells at
+most one apart per axis, and each cell's three coordinates are packed into
+one int64 key (`_cell_keys`; spatial hashing, Teschner et al., "Optimized
+Spatial Hashing for Collision Detection of Deformable Objects", VMV 2003).
+The exact predicate runs on the candidates only, so the results equal those
+of the all-pairs test. `sphere_points` (the random draws, square root, cos,
+sin and the products) and both steps of detection below run on every usable
+CPU, in contiguous row spans on threads started and joined per call, once an
+array has _SPLIT_ROWS rows. Each span of the draw takes its own slices of the
+one random stream from copies of the caller's PCG64 generator jumped ahead to
+its rows (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
+Statistically Good Algorithms for Random Number Generation", 2014), so every
+output bit is the same on any CPU count.
+
+Interference is one cell join over every operator's satellites: sorted by
+their cell keys (with the sub-band mixed in), each group of satellites meets
+itself and the groups at the 13 forward offsets, one of each opposite pair,
+and the pairs of the meetings take the dot-product, sub-band and operator
+tests about _PAIR_BUDGET at a time, so memory grows with the satellites, not
+with the pairs, and time with the pairs, not with the operators.
 
 Detection indexes the incidents _INCIDENT_BATCH at a time, then filters each
 sensor field against each batch in two steps:
 
-1. A cell pass (spatial hashing on a 3-D grid, Teschner et al., "Optimized
-   Spatial Hashing for Collision Detection of Deformable Objects", VMV 2003).
-   The 27 grid cells around each incident are marked in a hashed boolean
-   table, and the (slot, incident) marks are listed by bucket of 64 slots;
-   a sensor survives when its own cell's slot is marked. The cell edge is the
-   widened chord plus slack for rounding, so two points within search range
-   lie in cells at most one apart per axis: every sensor near an incident
-   survives, and a hash collision only adds survivors.
+1. A cell pass. The 27 grid cells around each incident are marked in a hashed
+   boolean table, and the (slot, incident) marks are listed by bucket of 64
+   slots; a sensor survives when its own cell's slot is marked. Every sensor
+   near an incident survives, and a hash collision only adds survivors.
 2. A join: each survivor is paired with every incident listed in its slot's
-   bucket, and the exact test of `cKDTree.query_ball_point` on each pair
+   bucket, and the exact test that scipy's `cKDTree.query_ball_point` applies
    (squared differences summed in x, y, z order, at most the squared chord)
-   decides which incidents the field detects.
+   decides on each pair which incidents the field detects.
 
 The join is exact: a sensor within the chord of an incident lies in one of
 the incident's 27 cells, so it survives and meets that incident, and a pair
@@ -59,10 +63,9 @@ import itertools
 import math
 import os  # noqa: F401  kept as geo.os: callers pin the CPUs usable_cpus sees through it
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .cores import usable_cpus
 
@@ -86,14 +89,22 @@ _BUCKET_LOG2 = 6
 # took 309 ms in groups of 4, 323-334 ms in groups of 1, 2 or 16, and 362 ms in
 # one group per span (2-core host, medians of 15).
 _JOIN_CHUNKS = 4
-# count_interference lists about this many candidate pairs (~100 B each) at once
-_PAIR_BUDGET = 1 << 20
+# count_interference tests about this many candidate pairs (~20 B each) at once.
+# 2e6 satellites of 3 operators took 2.3 s in blocks of 2**16, 2.4 s in 2**18
+# and 2.7 s in 2**20; at the same density per cell with 10 times the pairs,
+# 5.9 s, 5.3 s and 5.4 s (2-core host).
+_PAIR_BUDGET = 1 << 18
+# count_interference lists the meetings of this many groups at once (up to 14
+# meetings a group, ~100 B each), so the list stays small at any density
+_JOIN_GROUPS = 1 << 14
 # Arrays of at least this many rows are split over the usable CPUs (see
 # _on_cores): on a 2-core host a 2**17-row draw takes about 7 ms in one span
 # and 5 ms in two, a 2**18-row draw 18 ms and 11 ms.
 _SPLIT_ROWS = 1 << 17
 _NEIGHBOURS = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.int64)
 _NEIGHBOUR_KEYS = _NEIGHBOURS @ np.array([1 << 42, 1 << 21, 1])  # as _cell_keys packs them
+# one of each pair of opposite offsets: the cell join meets each pair of groups once
+_FORWARD_KEYS = _NEIGHBOUR_KEYS[_NEIGHBOUR_KEYS > 0]
 _FIBONACCI = np.uint64(0x9E3779B97F4A7C15)  # 2**64 / golden ratio
 
 
@@ -230,42 +241,169 @@ def count_interference(constellation: Constellation) -> int:
 
     Footprints of radius r overlap exactly when the great-circle distance of
     their centres is below 2r, that is when the dot product of the unit
-    vectors exceeds cos(2r/R). Candidate pairs come from one k-d tree per
-    operator; the dot-product and sub-band tests run on the candidates only.
+    vectors exceeds cos(2r/R). The dot product is x x' + z z', plus y y',
+    the order in which numpy's einsum sums rows of three.
 
-    Operator a's rows meet the later operators in blocks of about _PAIR_BUDGET
-    expected candidates (a row expects len(b) (1 - cos(2r/R)) / 2 of the
-    largest later b), in a's tree order (`cKDTree.indices`), so that each block
-    is a compact patch with its own tree. At benchmark sizes one block is all of a.
+    Candidates come from one cell join over every operator's satellites, on
+    the grid of detection's cell pass (see the module docstring):
+    `_sort_by_cell` puts the satellites in group-key order, and
+    `_join_blocks` meets each group with itself and with the groups at the
+    13 forward offsets and hands out the pairs of meetings of one shape,
+    about _PAIR_BUDGET at a time. Non-finite coordinates raise ValueError.
     """
     angle = 2.0 * constellation.beam.footprint_radius_km / R_EARTH_KM
     cos_threshold = math.cos(angle)
-    # half the chord of the angle (1 at most); its square is (1 - cos(angle)) / 2
-    half_chord = math.sin(min(angle, math.pi) / 2.0)
-    radius = 2.0 * half_chord * _WIDEN
-    satellites, subbands = constellation.satellites, constellation.subbands
+    # the chord of the angle, 2 at most: beyond it every pair is a candidate
+    radius = 2.0 * math.sin(min(angle, math.pi) / 2.0) * _WIDEN
     # operators without satellites add no pairs (their arrays may be 1-D)
-    ops = [op for op in sorted(satellites) if len(satellites[op])]
-    trees = {op: cKDTree(satellites[op]) for op in ops}
+    ops = [op for op in sorted(constellation.satellites) if len(constellation.satellites[op])]
+    points = [np.asarray(constellation.satellites[op], dtype=float) for op in ops]
+    bands = [np.asarray(constellation.subbands[op]) for op in ops]
+    reach = np.array([(pts.min(), pts.max()) for pts in points]).reshape(-1, 2)
+    edge = _cell_edge(reach, radius, "satellite")
+    if len(ops) < 2:
+        return 0
+    coords, label, band, starts, groups = _sort_by_cell(points, bands, edge)
     total = 0
-    for i, a in enumerate(ops[:-1]):
-        later = ops[i + 1:]
-        n = len(satellites[a])
-        per_row = half_chord**2 * max(len(satellites[b]) for b in later)
-        step = n if per_row * n <= _PAIR_BUDGET else max(1, int(_PAIR_BUDGET / per_row))
-        for lo in range(0, n, step):
-            rows = trees[a].indices[lo:lo + step]
-            pts, sb = satellites[a][rows], subbands[a][rows]
-            # sliding-midpoint splits: listings against b's tree take half the time
-            tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
-            for b in later:
-                pairs = tree.sparse_distance_matrix(trees[b], radius, output_type="ndarray")
-                ia, ib = pairs["i"], pairs["j"]
-                dots = np.einsum("ij,ij->i", pts[ia], satellites[b][ib])
-                mask = dots > cos_threshold
-                mask &= sb[ia] == subbands[b][ib]
-                total += int(np.count_nonzero(mask))
+    for i, j, own in _join_blocks(groups, starts):
+        # the tests run on (a, b, n): row i[r, k] against column j[c, k]
+        pi, pj = coords.take(i, axis=1), coords.take(j, axis=1)
+        dot = pi[0, :, None] * pj[0, None]
+        term = pi[2, :, None] * pj[2, None]
+        dot += term
+        np.multiply(pi[1, :, None], pj[1, None], out=term)
+        dot += term
+        hit = dot > cos_threshold
+        hit &= band.take(i)[:, None] == band.take(j)[None]
+        hit &= label.take(i)[:, None] != label.take(j)[None]
+        if own:
+            hit &= i[:, None] < j[None]
+        total += int(np.count_nonzero(hit))
     return total
+
+
+def _sort_by_cell(points: List[np.ndarray], bands: List[np.ndarray], edge: float):
+    """Every operator's satellites in one array, sorted by group key.
+
+    A satellite's group key is the packed key of its grid cell (`_cell_keys`)
+    plus its sub-band id times _FIBONACCI, modulo 2**64. The sum is linear,
+    so the group at a cell offset is found by adding the offset's key, and
+    satellites of different sub-bands mostly fall into different groups; a
+    shared key only adds candidates. Returns the coordinates (3, T), the
+    operator's index and the sub-band id of each sorted satellite, the start
+    of each group (and T at the end) and the group keys.
+    """
+    keys = np.empty(sum(map(len, points)), dtype=np.int64)
+    buffers = _CellBuffers()
+    at = 0
+    with np.errstate(invalid="ignore"):
+        for pts, band in zip(points, bands):
+            for lo in range(0, len(pts), _CELL_CHUNK):
+                chunk = pts[lo:lo + _CELL_CHUNK]
+                key = buffers.keys(chunk, edge, "satellite", keys[at:at + len(chunk)])
+                mix = band[lo:lo + len(chunk)].astype(np.uint64)
+                mix *= _FIBONACCI
+                key += mix.view(np.int64)
+                at += len(chunk)
+    order = keys.argsort()
+    keys.sort()
+    starts = np.flatnonzero(keys[1:] != keys[:-1])
+    starts += 1
+    starts = np.r_[0, starts, len(keys)]
+    groups = keys.take(starts[:-1])
+    del keys
+    position = np.empty(len(order), dtype=np.min_scalar_type(len(order)))
+    position[order] = np.arange(len(order), dtype=position.dtype)
+    del order
+    coords = np.empty((3, len(position)))
+    label = np.empty(len(position), dtype=np.min_scalar_type(len(points)))
+    ids = np.concatenate([(band.min(), band.max()) for band in bands])
+    if ids.dtype.kind in "iu":
+        band_type = np.promote_types(np.min_scalar_type(ids.min()), np.min_scalar_type(ids.max()))
+    else:
+        band_type = ids.dtype
+    band_ids = np.empty(len(position), dtype=band_type)
+    at = 0
+    for index, (pts, band) in enumerate(zip(points, bands)):
+        rows = position[at:at + len(pts)]
+        coords[:, rows] = pts.T
+        label[rows] = index
+        band_ids[rows] = band
+        at += len(pts)
+    return coords, label, band_ids, starts, groups
+
+
+def _join_blocks(groups: np.ndarray, starts: np.ndarray
+                 ) -> Iterator[Tuple[np.ndarray, np.ndarray, bool]]:
+    """The candidate pairs of the cell join, about _PAIR_BUDGET at a time.
+
+    Each group of two or more satellites meets itself (row i, column j,
+    i < j), and each group meets the group at each forward offset, if there
+    is one (every row with every column). A meeting whose rows times columns
+    exceed _PAIR_BUDGET is cut into pieces of fewer rows. Meetings of the
+    same shape (rows, columns, a group with itself or not) go together:
+    each block is (i, j, own), the sorted positions of the rows (a, n) and
+    of the columns (b, n) of n meetings, with a * b * n at most _PAIR_BUDGET
+    unless one meeting is larger.
+    """
+    count = np.diff(starts)
+    for g0 in range(0, len(groups), _JOIN_GROUPS):
+        window = groups[g0:g0 + _JOIN_GROUPS]
+        first = [np.flatnonzero(count[g0:g0 + _JOIN_GROUPS] > 1)]
+        second = [first[0] + g0]
+        for offset in _FORWARD_KEYS:
+            want = window + offset
+            found = np.searchsorted(groups, want)
+            hit = np.flatnonzero(groups.take(found, mode="clip") == want)
+            first.append(hit)
+            second.append(found.take(hit))
+        own = np.zeros(sum(map(len, first)), dtype=bool)
+        own[:len(first[0])] = True
+        first, second = np.concatenate(first) + g0, np.concatenate(second)
+        yield from _shaped_blocks(starts.take(first), count.take(first),
+                                  starts.take(second), count.take(second), own)
+
+
+def _shaped_blocks(row0: np.ndarray, rows: np.ndarray, col0: np.ndarray, cols: np.ndarray,
+                   own: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray, bool]]:
+    """The blocks of `_join_blocks` from meetings of rows from row0 on with
+    columns from col0 on."""
+    if not len(rows):
+        return
+    # piece k of a meeting has rows k * per up to (k + 1) * per
+    per = np.maximum(_PAIR_BUDGET // cols, 1)
+    meeting, piece = _runs(np.zeros_like(rows), -(-rows // per))
+    per = per.take(meeting)
+    piece *= per
+    row0 = row0.take(meeting) + piece
+    rows = np.minimum(per, rows.take(meeting) - piece)
+    col0, cols, own = col0.take(meeting), cols.take(meeting), own.take(meeting)
+    shape = rows * (cols.max(initial=0) + 1) + cols
+    shape <<= 1
+    shape |= own
+    order = shape.astype(np.min_scalar_type(shape.max(initial=0))).argsort(kind="stable")
+    row0, rows, col0, cols, own = (x.take(order) for x in (row0, rows, col0, cols, own))
+    cuts = np.flatnonzero(np.diff(shape.take(order))) + 1
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(rows)]):
+        a, b = int(rows[lo]), int(cols[lo])
+        step = max(1, _PAIR_BUDGET // (a * b))
+        down, across = np.arange(a)[:, None], np.arange(b)[:, None]
+        for at in range(lo, hi, step):
+            yield row0[at:min(at + step, hi)] + down, col0[at:min(at + step, hi)] + across, own[lo]
+
+
+def _runs(first: np.ndarray, count: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Run i stands for first[i], first[i] + 1, ..., first[i] + count[i] - 1.
+
+    Returns (owner, value) over the runs in order: value[k] is the k-th
+    number and owner[k] the run it belongs to.
+    """
+    owner = np.repeat(np.arange(len(count)), count)
+    value = first - np.cumsum(count)
+    value += count  # first[i] minus the numbers before run i
+    value = value.take(owner)
+    value += np.arange(len(value))
+    return owner, value
 
 
 def interference_sweep(densities_per_million_km2: Sequence[float], n_operators: int,
@@ -331,17 +469,17 @@ def simulate_detection(sensor_fields: Dict[int, np.ndarray], incidents: np.ndarr
     return DetectionSample(detected, rate)
 
 
-def _cell_edge(incidents: np.ndarray, radius: float) -> float:
-    """Grid cell edge of the cell pass: `radius` plus slack for rounding.
+def _cell_edge(points: np.ndarray, radius: float, what: str = "incident") -> float:
+    """Grid cell edge of the cell join: `radius` plus slack for rounding.
 
-    A sensor within `radius` of an incident has coordinates within `radius`
-    of the incident's, so a slack relative to the largest such coordinate
+    A point within `radius` of another has coordinates within `radius` of
+    the other's, so a slack relative to the largest coordinate of `points`
     covers the rounding in the distances and in floor(x / edge). Non-finite
-    incident coordinates raise ValueError.
+    coordinates raise ValueError ("<what> coordinates must be finite").
     """
-    low, high = float(incidents.min(initial=0.0)), float(incidents.max(initial=0.0))
+    low, high = float(points.min(initial=0.0)), float(points.max(initial=0.0))
     if not (math.isfinite(low) and math.isfinite(high)):
-        raise ValueError("incident coordinates must be finite")
+        raise ValueError("%s coordinates must be finite" % what)
     return radius + (max(high, -low) + 2.0 * radius) * 2.0**-40
 
 
@@ -367,6 +505,31 @@ def _slots(keys: np.ndarray) -> np.ndarray:
     slots *= _FIBONACCI
     slots >>= np.uint64(64 - _CELL_SLOTS_LOG2)
     return keys
+
+
+class _CellBuffers:
+    """Scratch arrays for the grid cells of up to _CELL_CHUNK points."""
+
+    def __init__(self) -> None:
+        self.scaled = np.empty((_CELL_CHUNK, 3))
+        self.cells = np.empty((_CELL_CHUNK, 3), dtype=np.int64)
+        self.tmp = np.empty(_CELL_CHUNK, dtype=np.int64)
+
+    def keys(self, chunk: np.ndarray, edge: float, what: str, out: np.ndarray) -> np.ndarray:
+        """The packed keys of the cells floor(x / edge) of `chunk`'s points, in `out`.
+
+        Negative coordinates get cells of the same width; a point too far
+        out for an int64 cell gets an arbitrary key (callers ignore numpy's
+        invalid-cast warning). Non-finite coordinates raise ValueError.
+        """
+        n = len(chunk)
+        scaled = self.scaled[:n]
+        np.divide(chunk, edge, out=scaled)
+        if not np.isfinite(scaled).all():
+            raise ValueError("%s coordinates must be finite" % what)
+        np.floor(scaled, out=scaled)
+        np.copyto(self.cells[:n], scaled, casting="unsafe")
+        return _cell_keys(self.cells[:n], out, self.tmp[:n])
 
 
 class _CellIndex(NamedTuple):
@@ -416,20 +579,12 @@ def _near_incidents(field: np.ndarray, incidents: np.ndarray, index: _CellIndex,
     found: List[np.ndarray] = []
 
     def join(points: np.ndarray, slots: np.ndarray, near: np.ndarray) -> None:
-        # survivor i meets the count[i] marks from first[i] on; its own slot
-        # is marked, so every count is at least 1
+        # survivor i meets the count[i] marks from first[i] on
         slots >>= _BUCKET_LOG2
         first = index.buckets.take(slots)
         count = index.buckets.take(slots + 1)
         count -= first
-        # pair j belongs to the survivor i with ends[i - 1] <= j < ends[i]
-        ends = np.cumsum(count)
-        owner = np.zeros(count.sum(), dtype=np.intp)
-        owner[ends[:-1]] = 1
-        np.cumsum(owner, out=owner)
-        first += count - ends  # pair j is then mark first[owner[j]] + j
-        pair = first.take(owner)
-        pair += np.arange(len(pair))
+        owner, pair = _runs(first, count)
         inc = index.marks.take(pair)
         diff = points.take(owner, axis=0)
         diff -= incidents.take(inc, axis=0)
@@ -440,10 +595,8 @@ def _near_incidents(field: np.ndarray, incidents: np.ndarray, index: _CellIndex,
 
     def join_span(start: int, stop: int) -> None:
         near = np.zeros(len(incidents), dtype=bool)
-        scaled = np.empty((_CELL_CHUNK, 3))
-        cells = np.empty((_CELL_CHUNK, 3), dtype=np.int64)
+        buffers = _CellBuffers()
         keys = np.empty(_CELL_CHUNK, dtype=np.int64)
-        tmp = np.empty(_CELL_CHUNK, dtype=np.int64)
         keep = np.empty(_CELL_CHUNK, dtype=bool)
         points: List[np.ndarray] = []
         slots: List[np.ndarray] = []
@@ -452,12 +605,7 @@ def _near_incidents(field: np.ndarray, incidents: np.ndarray, index: _CellIndex,
             for lo in range(start, stop, _CELL_CHUNK):
                 chunk = field[lo:min(lo + _CELL_CHUNK, stop)]
                 n = len(chunk)
-                np.divide(chunk, edge, out=scaled[:n])
-                if not np.isfinite(scaled[:n]).all():
-                    raise ValueError("sensor coordinates must be finite")
-                np.floor(scaled[:n], out=scaled[:n])
-                np.copyto(cells[:n], scaled[:n], casting="unsafe")
-                slot = _slots(_cell_keys(cells[:n], keys[:n], tmp[:n]))
+                slot = _slots(buffers.keys(chunk, edge, "sensor", keys[:n]))
                 np.take(index.marked, slot, out=keep[:n])
                 hit = np.flatnonzero(keep[:n])
                 points.append(chunk.take(hit, axis=0))

@@ -209,26 +209,27 @@ class TestInterferenceCounting:
             assert count_interference(c) == self._manual(pts[0], pts[1], bands[0],
                                                          bands[1], beam)
 
-    def test_candidate_listings_stay_within_budget(self, monkeypatch):
+    def test_join_blocks_stay_within_budget(self, monkeypatch):
         # 4,000 and 3,000 satellites under 80-degree beams expect 2.65M
-        # candidate pairs, listed a compact block of operator 1 at a time
-        listed = []
-
-        class RecordingTree(cKDTree):
-            def sparse_distance_matrix(self, other, max_distance, **kwargs):
-                pairs = super().sparse_distance_matrix(other, max_distance, **kwargs)
-                listed.append(len(pairs))
-                return pairs
-
-        monkeypatch.setattr(geo, "cKDTree", RecordingTree)
+        # cross-operator candidate pairs; the join tests them a block of
+        # at most _PAIR_BUDGET at a time, in memory bounded by the block
+        blocks = record_blocks(monkeypatch)
         rng = np.random.default_rng(8)
         beam = BeamGeometry(altitude_km=550.0, half_angle_deg=80.0)
         c = self._make({1: sphere_points(4000, rng), 2: sphere_points(3000, rng)},
                        {1: np.zeros(4000), 2: np.zeros(3000)}, beam)
-        count_interference(c)
-        assert len(listed) > 1
-        assert sum(listed) > 2 * geo._PAIR_BUDGET
-        assert max(listed) < 1.5 * geo._PAIR_BUDGET
+        tracemalloc.start()
+        try:
+            count = count_interference(c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == all_pairs_count(c)
+        assert len(blocks) > 1
+        assert sum(blocks) > 2 * geo._PAIR_BUDGET
+        assert max(blocks) <= geo._PAIR_BUDGET
+        # listing every candidate at once would take about 20 B each
+        assert peak <= 40 * geo._PAIR_BUDGET
 
     def test_interference_grows_with_density(self):
         rows = geo.interference_sweep([5.0, 15.0], n_operators=4, n_subbands=1,
@@ -246,6 +247,194 @@ class TestInterferenceCounting:
         rows = geo.interference_sweep([17.0], n_operators=4, n_subbands=1,
                                       trials=3, seed=1)
         assert 0.5 * expected_total < rows[0][1] < 1.5 * expected_total
+
+
+def all_pairs_count(constellation):
+    """count_interference by testing every cross-operator pair: the dot
+    product (x x' + z z', then + y y') above cos(2r/R), on one sub-band."""
+    threshold = math.cos(2.0 * constellation.beam.footprint_radius_km / R_EARTH_KM)
+    ops = [op for op in sorted(constellation.satellites) if len(constellation.satellites[op])]
+    total = 0
+    for a, b in itertools.combinations(ops, 2):
+        pa, pb = (np.asarray(constellation.satellites[op], dtype=float) for op in (a, b))
+        ba, bb = (np.asarray(constellation.subbands[op]) for op in (a, b))
+        for lo in range(0, len(pa), 256):
+            x, y = pa[lo:lo + 256, None, :], pb[None, :, :]
+            dot = (x[..., 0] * y[..., 0] + x[..., 2] * y[..., 2]) + x[..., 1] * y[..., 1]
+            same = ba[lo:lo + 256, None] == bb[None, :]
+            total += int(np.count_nonzero((dot > threshold) & same))
+    return total
+
+
+def record_blocks(monkeypatch):
+    """A list to which count_interference's join adds the pairs each block lists."""
+    listed = []
+    join_blocks = geo._join_blocks
+
+    def recording(groups, starts):
+        for i, j, own in join_blocks(groups, starts):
+            listed.append(int(np.count_nonzero(i[:, None] < j[None])) if own
+                          else i.shape[0] * j.size)  # rows * columns * meetings
+            yield i, j, own
+
+    monkeypatch.setattr(geo, "_join_blocks", recording)
+    return listed
+
+
+def random_constellation(sizes, half_angle_deg, n_subbands, seed):
+    rng = np.random.default_rng(seed)
+    beam = BeamGeometry(altitude_km=550.0, half_angle_deg=half_angle_deg)
+    return Constellation(beam,
+                         {op: sphere_points(n, rng) for op, n in enumerate(sizes, 1)},
+                         {op: rng.integers(0, n_subbands, n) for op, n in enumerate(sizes, 1)})
+
+
+def join_radius(beam):
+    """The widened chord radius that count_interference searches with."""
+    angle = 2.0 * beam.footprint_radius_km / R_EARTH_KM
+    return 2.0 * math.sin(min(angle, math.pi) / 2.0) * geo._WIDEN
+
+
+class TestInterferenceJoin:
+    """count_interference's cell join gives the all-pairs count."""
+
+    @pytest.mark.parametrize("axes", [(0, 1), (2, 0), (1, 2)])
+    def test_threshold_and_one_ulp_either_side(self, axes):
+        # one satellite on an axis and one at dot product exactly cos(2r/R),
+        # or one ulp below or above it: only the last overlaps
+        beam = BeamGeometry()
+        threshold = math.cos(2.0 * beam.footprint_radius_km / R_EARTH_KM)
+        found = []
+        for dot in (np.nextafter(threshold, -1.0), threshold, np.nextafter(threshold, 2.0)):
+            a, b = np.zeros(3), np.zeros(3)
+            a[axes[0]] = 1.0
+            b[axes[0]], b[axes[1]] = dot, math.sqrt(1.0 - dot * dot)
+            c = Constellation(beam, {1: a[None, :], 2: b[None, :]},
+                              {1: np.zeros(1, np.int64), 2: np.zeros(1, np.int64)})
+            assert count_interference(c) == all_pairs_count(c)
+            found.append(count_interference(c))
+        assert found == [0, 0, 1]
+
+    def test_every_cell_offset_matches(self):
+        # cells of edge about 0.2, and 1,500 satellites per operator: pairs
+        # that count lie in one cell and across each of the 26 neighbouring
+        # cells, from either operator's satellite
+        c = random_constellation((1500, 1500), 49.0, 1, 33)
+        pts = list(c.satellites.values())
+        edge = geo._cell_edge(np.vstack(pts), join_radius(c.beam))
+        cells = [np.floor(p / edge).astype(np.int64) for p in pts]
+        threshold = math.cos(2.0 * c.beam.footprint_radius_km / R_EARTH_KM)
+        i, j = np.nonzero(pts[0] @ pts[1].T > threshold)
+        offsets = {tuple(d) for d in cells[1][j] - cells[0][i]}
+        assert offsets == {tuple(d) for d in geo._NEIGHBOURS}
+        assert count_interference(c) == all_pairs_count(c) > 0
+
+    def test_duplicates_in_two_operators(self):
+        # operator 1 holds 50 of its points twice, operator 2 holds 100 of
+        # operator 1's points: each copy overlaps, but not within an operator
+        rng = np.random.default_rng(34)
+        beam = BeamGeometry(altitude_km=550.0, half_angle_deg=20.0)
+        pts = sphere_points(300, rng)
+        sats = {1: np.vstack([pts, pts[:50]]), 2: np.vstack([pts[:100], sphere_points(200, rng)])}
+        bands = {op: np.zeros(len(p), np.int64) for op, p in sats.items()}
+        c = Constellation(beam, sats, bands)
+        assert count_interference(c) == all_pairs_count(c) >= 150
+        assert count_interference(Constellation(beam, {1: sats[1]}, {1: bands[1]})) == 0
+
+    @pytest.mark.parametrize("empty", [np.empty((0, 3)), np.array([]), []])
+    def test_empty_operators(self, empty):
+        c = random_constellation((400, 300), 20.0, 2, 35)
+        band = [] if isinstance(empty, list) else np.array([], dtype=np.int64)
+        expected = all_pairs_count(c)
+        for op in (0, 2, 5):  # before, between and after the others
+            sats, bands = dict(c.satellites), dict(c.subbands)
+            if op == 2:
+                sats = {1: sats[1], 2: empty, 3: sats[2]}
+                bands = {1: bands[1], 2: band, 3: bands[2]}
+            else:
+                sats[op], bands[op] = empty, band
+            assert count_interference(Constellation(c.beam, sats, bands)) == expected > 0
+        lone = Constellation(c.beam, {1: c.satellites[1], 2: empty}, {1: c.subbands[1], 2: band})
+        assert count_interference(lone) == 0
+        assert count_interference(Constellation(c.beam, {1: empty}, {1: band})) == 0
+        assert count_interference(Constellation(c.beam, {}, {})) == 0
+
+    @pytest.mark.parametrize("n_subbands", [1, 10])
+    def test_subbands(self, n_subbands):
+        c = random_constellation((2000, 1500, 1800), 25.0, n_subbands, 36)
+        assert count_interference(c) == all_pairs_count(c) > 0
+
+    def test_subbands_sharing_group_keys(self, monkeypatch):
+        # with a zero multiplier every sub-band shares its cell's group key,
+        # so the sub-band test alone keeps the pairs apart
+        blocks = record_blocks(monkeypatch)
+        c = random_constellation((2000, 1500, 1800), 25.0, 10, 36)
+        count_interference(c)
+        separate = sum(blocks)
+        monkeypatch.setattr(geo, "_FIBONACCI", np.uint64(0))
+        blocks.clear()
+        assert count_interference(c) == all_pairs_count(c) > 0
+        assert sum(blocks) > 5 * separate
+
+    def test_footprints_beyond_half_the_sphere(self, monkeypatch):
+        # 2r/R >= pi: every pair on one sub-band is a candidate, and the
+        # test alone decides
+        blocks = record_blocks(monkeypatch)
+        c = random_constellation((300, 200, 250), 89.0, 2, 37)
+        assert 2.0 * c.beam.footprint_radius_km / R_EARTH_KM >= math.pi
+        assert 0 < count_interference(c) == all_pairs_count(c) < 300 * 200 + 300 * 250 + 200 * 250
+        per_band = np.bincount(np.concatenate(list(c.subbands.values())))
+        assert sum(blocks) == sum(n * (n - 1) // 2 for n in per_band.tolist())
+
+    def test_non_finite_satellites_raise(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            for sizes, op in [((10, 10), 1), ((10, 10), 2), ((10,), 1)]:
+                c = random_constellation(sizes, 1.75, 1, 38)
+                c.satellites[op][3, 1] = bad
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # no RuntimeWarning on the way
+                    with pytest.raises(ValueError,
+                                       match="^satellite coordinates must be finite$"):
+                        count_interference(c)
+
+
+@st.composite
+def interference_inputs(draw):
+    """Small constellations of unit vectors: random points, points on the
+    axes, copies of a shared pool and points about the footprint chord from
+    a pool point; beams from tiny to beyond half the sphere."""
+    beam = BeamGeometry(altitude_km=550.0, half_angle_deg=draw(st.floats(0.05, 89.9)))
+    chord = join_radius(beam)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = sphere_points(draw(st.integers(1, 6)), rng)
+    n_subbands = draw(st.integers(1, 3))
+    sats, bands = {}, {}
+    for op in range(1, draw(st.integers(1, 4)) + 1):
+        rows = []
+        for _ in range(draw(st.integers(0, 20))):
+            kind = draw(st.sampled_from(["random", "axis", "copy", "near"]))
+            if kind == "random":
+                rows.append(sphere_points(1, rng)[0])
+            elif kind == "axis":
+                row = np.zeros(3)
+                row[draw(st.integers(0, 2))] = draw(st.sampled_from([-1.0, 1.0]))
+                rows.append(row)
+            else:
+                row = pool[draw(st.integers(0, len(pool) - 1))].copy()
+                if kind == "near":
+                    row += draw(st.floats(0.5, 1.5)) * chord * sphere_points(1, rng)[0]
+                    row /= np.linalg.norm(row)
+                rows.append(row)
+        sats[op] = np.array(rows, dtype=float).reshape(-1, 3)
+        bands[op] = rng.integers(0, n_subbands, len(rows))
+    return Constellation(beam, sats, bands)
+
+
+class TestInterferenceProperties:
+    @given(interference_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_all_pairs_count(self, c):
+        assert count_interference(c) == all_pairs_count(c)
 
 
 class TestDetection:
