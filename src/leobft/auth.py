@@ -119,17 +119,29 @@ class KeyRegistry:
         return self.sign(operator, payload) == tag
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SignedMessage:
     """A payload with a chain of relay signatures.
 
     tags[k] covers (payload, signers[:k+1]), so a relay cannot drop or reorder
     earlier signers without breaking every later tag.
+
+    Built as netsim.Message is: a frozen dataclass whose __init__ writes the
+    fields straight into the instance dict instead of calling
+    object.__setattr__ per field, with the dataclass's own equality, hash,
+    repr, pickling and dataclasses.replace.
     """
 
     payload: bytes
     signers: Tuple[int, ...]
     tags: Tuple[bytes, ...]
+
+    def __init__(self, payload: bytes, signers: Tuple[int, ...],
+                 tags: Tuple[bytes, ...]) -> None:
+        fields = self.__dict__
+        fields["payload"] = payload
+        fields["signers"] = signers
+        fields["tags"] = tags
 
     def _fields(self) -> List[Field]:
         parts: List[Field] = [self.payload]
@@ -164,12 +176,14 @@ def extend_signed(registry: KeyRegistry, msg: SignedMessage, signer: int) -> Sig
     if signer in msg.signers:
         raise ValueError("operator %d already signed this message" % signer)
     payload, signers = msg.payload, msg.signers
+    signer_bytes = _field_bytes(signer)
     known = registry._verified_prefixes.get((payload, signers, msg.tags))
-    chain = (known + b"|" + _field_bytes(signer) if known is not None
+    chain = (known + b"|" + signer_bytes if known is not None
              else encode(payload, *signers, signer))
     tag = registry.sign(signer, chain)
     signed = SignedMessage(payload, signers + (signer,), msg.tags + (tag,))
-    signed.__dict__["_size"] = msg.encoded_size() + _field_size(signer) + _field_size(tag) + 2
+    # the two new fields and their "|"s: the signer as encoded, the tag hexed
+    signed.__dict__["_size"] = msg.encoded_size() + len(signer_bytes) + 2 * len(tag) + 2
     return signed
 
 

@@ -8,11 +8,24 @@ placeholder when an equivocating originator produced several. All honest
 operators end with identical view vectors, which they collapse to one number
 with the median (placeholder slots are first replaced by the median of the
 decided slots) or, alternatively, with the trimmed-stride average.
+
+An operator records and relays at most two values per originator (Dolev &
+Strong, SIAM J. Comput. 1983): two already make the slot the placeholder in
+every honest view, so a third is dropped unverified, and a liar that signs N
+distinct values costs each honest operator at most two relays of it.
+
+The operators of one instance share one netsim.RoundMemo, in which each
+relay object's receiver-independent checks and its auth.verify_signed
+verdict are kept for the round, so each relay is verified once however many
+operators receive it. A verdict holds for the registry that gave it, so the
+operators sharing a memo must share one registry too, as run_exact builds
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from . import auth, netsim
@@ -60,9 +73,10 @@ class ExactOperator:
     """One operator's broadcasts, relays and view.
 
     Operators built with one netsim.RoundMemo and one payload table
-    (run_exact gives every operator of an instance the same two) check each
-    relay object once per round and parse each payload once per instance;
-    without them, each operator does its own.
+    (run_exact gives every operator of an instance the same two, and the
+    same registry) check and verify each relay object once per round and
+    parse each payload once per instance; without them, each operator does
+    its own.
     """
 
     HALT_KINDS: frozenset = frozenset()
@@ -135,7 +149,7 @@ class ExactOperator:
             return [(netsim.BROADCAST, self.make_own_broadcast(self.initial_value))]
         # one entry per relay, addressed to every peer not yet on its chain
         out: List[netsim.Outbound] = [
-            (tuple([dest for dest in self._ids if dest not in signed.signers]),
+            (tuple(filterfalse(signed.signers.__contains__, self._ids)),
              netsim.Message(self.operator_id, netsim.KIND_BCAST, (signed,)))
             for signed in self._relay_queue]
         self._relay_queue = []
@@ -148,21 +162,27 @@ class ExactOperator:
         k = round_no + 1  # protocol rounds are 1-based
         f = self.params.max_faulty
         me = self.operator_id
-        checked = self._memo.of_round(round_no)  # id(msg) -> (msg, _relay(msg, k))
+        recorded = self.recorded
+        # id(msg) -> [msg, _relay(msg, k), verify_signed verdict or None if not yet asked]
+        checked = self._memo.of_round(round_no)
         for msgs in inbox.values():
             for msg in msgs:
                 held = checked.get(id(msg))
                 if held is None:
-                    held = checked[id(msg)] = (msg, self._relay(msg, k))
+                    held = checked[id(msg)] = [msg, self._relay(msg, k), None]
                 relay = held[1]
                 if relay is None:
                     continue
                 signed, origin, value = relay
-                known = self.recorded[origin]
-                # a known value is dropped whatever its chain, so check it first
-                if value in known:
+                known = recorded[origin]
+                # a known value, or a third one, is dropped whatever its chain,
+                # so check it first: two values already make the slot CONFLICT
+                if value in known or len(known) >= 2:
                     continue
-                if not auth.verify_signed(self.registry, signed):
+                verdict = held[2]
+                if verdict is None:
+                    verdict = held[2] = auth.verify_signed(self.registry, signed)
+                if not verdict:
                     continue
                 known.add(value)
                 self.accepted_chain_lengths.append((k, len(signed.signers)))
@@ -171,7 +191,7 @@ class ExactOperator:
         if k == f + 1:
             self.view = {
                 op: (next(iter(vals)) if len(vals) == 1 else CONFLICT)
-                for op, vals in self.recorded.items()
+                for op, vals in recorded.items()
             }
             self.halted = True
 

@@ -383,25 +383,34 @@ def commit_period(ledger: TensorLedger, period: int,
 
 # --- export / audit -------------------------------------------------------
 
+def _header_line(n_operators: int, max_faulty: int, master_seed: int) -> str:
+    return "ledger v1 n=%d f=%d master_seed=%d" % (n_operators, max_faulty, master_seed)
+
+
+def _block_line(block: Block) -> str:
+    votes = ",".join("%d:%s" % (op, tag.hex()) for op, tag in block.certificate.votes)
+    return "|".join([
+        str(block.period),
+        str(block.attempt),
+        str(block.proposer),
+        block.payload.hex(),
+        block.prev_digest.hex(),
+        block.digest.hex(),
+        votes,
+    ])
+
+
+def _export_text(n_operators: int, max_faulty: int, master_seed: int,
+                 blocks: List[Block]) -> bytes:
+    lines = [_header_line(n_operators, max_faulty, master_seed)]
+    lines.extend(map(_block_line, blocks))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
 def export_chain(ledger: TensorLedger) -> bytes:
     """Line-oriented export: one header line, then one line per block."""
-    lines = [
-        "ledger v1 n=%d f=%d master_seed=%d"
-        % (ledger.params.n_operators, ledger.params.max_faulty,
-           ledger.registry.master_seed)
-    ]
-    for block in ledger.blocks:
-        votes = ",".join("%d:%s" % (op, tag.hex()) for op, tag in block.certificate.votes)
-        lines.append("|".join([
-            str(block.period),
-            str(block.attempt),
-            str(block.proposer),
-            block.payload.hex(),
-            block.prev_digest.hex(),
-            block.digest.hex(),
-            votes,
-        ]))
-    return ("\n".join(lines) + "\n").encode("ascii")
+    return _export_text(ledger.params.n_operators, ledger.params.max_faulty,
+                        ledger.registry.master_seed, ledger.blocks)
 
 
 @dataclass
@@ -411,6 +420,27 @@ class AuditReport:
     blocks: List[Block]
     n_operators: int
     max_faulty: int
+    master_seed: int = 0
+
+
+def _parse_block(line: str) -> Optional[Block]:
+    """The block a record line holds, or None unless the line is exactly
+    what _block_line renders for it."""
+    parts = line.split("|")
+    if len(parts) != 7:
+        return None
+    try:
+        period, attempt, proposer = int(parts[0]), int(parts[1]), int(parts[2])
+        payload = bytes.fromhex(parts[3])
+        prev_digest = bytes.fromhex(parts[4])
+        digest = bytes.fromhex(parts[5])
+        votes = tuple((int(op), bytes.fromhex(tag)) for op, tag in
+                      (v.split(":") for v in parts[6].split(",") if v))
+    except ValueError:
+        return None
+    cert = auth.QuorumCertificate(hashlib.sha256(payload).digest(), votes)
+    block = Block(period, attempt, proposer, payload, cert, prev_digest, digest)
+    return block if line == _block_line(block) else None
 
 
 def audit_chain(data: bytes) -> AuditReport:
@@ -418,49 +448,45 @@ def audit_chain(data: bytes) -> AuditReport:
 
     The export header carries the registry master seed (keys are shared
     simulation state), so signatures and certificates are re-checked too.
+    Only bytes export_chain could have written pass: each line must equal
+    the export's rendering of the values parsed from it, so a number written
+    "+10", " 10" or "1_0", upper-case hex, or a repeated, unknown or moved
+    header key is malformed, as is a blank line or a missing final newline.
     """
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError:
         return AuditReport(False, "export is not ASCII", [], 0, 0)
-    lines = [ln for ln in text.split("\n") if ln]
-    if not lines or not lines[0].startswith("ledger v1 "):
+    lines = text.split("\n")
+    if not lines[0].startswith("ledger v1 "):
         return AuditReport(False, "missing or unknown export header", [], 0, 0)
     try:
         fields = dict(part.split("=") for part in lines[0].split(" ")[2:])
         n = int(fields["n"])
         f = int(fields["f"])
         master_seed = int(fields["master_seed"])
+        well_formed = lines[0] == _header_line(n, f, master_seed)
     except (KeyError, ValueError):
+        well_formed = False
+    if not well_formed:
         return AuditReport(False, "malformed export header", [], 0, 0)
     try:
         check_fault_bound(n, f)
     except ValueError as exc:
         return AuditReport(False, "export header: %s" % exc, [], 0, 0)
+    if lines[-1]:
+        return AuditReport(False, "malformed export: no final newline", [], n, f, master_seed)
 
     registry = auth.KeyRegistry(range(1, n + 1), master_seed)
     quorum = 2 * f + 1
     blocks: List[Block] = []
     prev, last_period = GENESIS_DIGEST, -1
-    for i, line in enumerate(lines[1:]):
-        parts = line.split("|")
-        if len(parts) != 7:
-            return AuditReport(False, "block %d: malformed record" % i, blocks, n, f)
-        try:
-            period, attempt, proposer = int(parts[0]), int(parts[1]), int(parts[2])
-            payload = bytes.fromhex(parts[3])
-            prev_digest = bytes.fromhex(parts[4])
-            digest = bytes.fromhex(parts[5])
-            votes = tuple((int(op), bytes.fromhex(tag)) for op, tag in
-                          (v.split(":") for v in parts[6].split(",") if v))
-        except ValueError:
-            return AuditReport(False, "block %d: malformed record" % i, blocks, n, f)
-        cert = auth.QuorumCertificate(hashlib.sha256(payload).digest(), votes)
-        block = Block(period, attempt, proposer, payload, cert, prev_digest, digest)
-
-        problem = check_block(registry, quorum, block, prev, last_period)
+    for i, line in enumerate(lines[1:-1]):
+        block = _parse_block(line)
+        problem = ("malformed record" if block is None
+                   else check_block(registry, quorum, block, prev, last_period))
         if problem is not None:
-            return AuditReport(False, "block %d: %s" % (i, problem), blocks, n, f)
+            return AuditReport(False, "block %d: %s" % (i, problem), blocks, n, f, master_seed)
         blocks.append(block)
-        prev, last_period = digest, period
-    return AuditReport(True, None, blocks, n, f)
+        prev, last_period = block.digest, block.period
+    return AuditReport(True, None, blocks, n, f, master_seed)

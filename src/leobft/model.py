@@ -19,9 +19,11 @@ Key = Tuple[int, int, int]  # (region, subband, operator)
 # adversary number. Every spread of honest and adversarial values, every
 # value + offset and every sum the averaging function takes then stays finite.
 MAX_MAGNITUDE = 1e100
-# Most operators of one network: on a 2-core host one exact period at N = 97,
-# f = 32 under a random-values adversary takes 23 s and 460 MB.
-MAX_OPERATORS = 100
+# Most operators of one network: one exact period (2x2 tensor, f = (N-1)//3)
+# under its costliest adversary, boundary-attacker, takes 17 s and 133 MB at
+# N = 160 on one CPU, within the 23 s and 460 MB that N = 97 cost under
+# random-values before the two-value relay rule; N = 176 takes 25 s.
+MAX_OPERATORS = 160
 
 
 def check_fault_bound(n_operators: int, max_faulty: int) -> None:

@@ -97,11 +97,25 @@ class HarnessError(AssertionError):
     """An honest participant broke a harness rule (a bug, not a protocol event)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Message:
+    """One protocol message: a sender, a kind and a body of fields.
+
+    A frozen dataclass whose __init__ writes the three fields straight into
+    the instance dict, where the generated one calls object.__setattr__ once
+    per field; equality, hash, repr, pickling and dataclasses.replace are the
+    dataclass's own.
+    """
+
     sender: int
     kind: str
     body: tuple
+
+    def __init__(self, sender: int, kind: str, body: tuple) -> None:
+        fields = self.__dict__
+        fields["sender"] = sender
+        fields["kind"] = kind
+        fields["body"] = body
 
     def canonical_bytes(self) -> bytes:
         return auth.encode(self.kind, self.sender, *self.body)
@@ -332,9 +346,10 @@ class RoundMemo:
     The bus hands each message object, and each shared inbox, to many
     receivers in the same round; since they are read-only, what the first
     receiver derives from one can serve the others. of_round(round_no) is the
-    table id(obj) -> (obj, result) of that round. Entries hold their object,
-    so its id() cannot be reused while they are kept, and are dropped when the
-    round changes.
+    table id(obj) -> entry of that round, an entry being a sequence whose
+    first item is obj, then what was derived from it. Entries hold their
+    object, so its id() cannot be reused while they are kept, and are dropped
+    when the round changes.
     """
 
     def __init__(self) -> None:

@@ -11,6 +11,7 @@ from leobft import auth, geo, ledger
 from leobft.cli import (MAX_FIELD_POINTS, MAX_FIELDS, MAX_SWEEP_POINTS, _check_fields,
                         _field_densities, _parse_densities, main)
 from leobft.geo import EARTH_AREA_KM2
+from leobft.model import MAX_OPERATORS
 from leobft.scenario import ConfigError
 
 
@@ -234,7 +235,7 @@ class TestConsensusCommand:
         assert main(["consensus", "--config", str(config_file),
                      "--out-dir", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert err == "configuration error: n_operators=100000 is more than 100\n"
+        assert err == "configuration error: n_operators=100000 is more than %d\n" % MAX_OPERATORS
         assert not (tmp_path / "o").exists()
 
     def test_bad_flag_is_exit_1(self, config_file, capsys):
@@ -401,6 +402,19 @@ class TestLedgerAuditCommand:
         tampered.write_bytes(b"\n".join(lines))
         assert main(["ledger-audit", str(tampered)]) == 3
         assert "audit failed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("old, new, error", [
+        (b"\n0|0|1|", b"\n0|0|+1|", "block 0: malformed record"),
+        (b" f=1 ", b" f=1 n=4 ", "malformed export header"),
+    ], ids=["plus-proposer", "duplicate-header-key"])
+    def test_respelled_export_is_exit_3(self, config_file, tmp_path, capsys, old, new, error):
+        path = self._export(config_file, tmp_path)
+        data = path.read_bytes()
+        assert old in data
+        path.write_bytes(data.replace(old, new, 1))
+        capsys.readouterr()
+        assert main(["ledger-audit", str(path)]) == 3
+        assert capsys.readouterr().out == "audit failed: %s\n" % error
 
     def test_header_outside_fault_bound_is_exit_3(self, config_file, tmp_path, capsys):
         path = self._export(config_file, tmp_path)

@@ -290,6 +290,16 @@ class TestWorkCounts:
         assert sum(map(len, result.accepted_chain_lengths.values())) == 127
         assert work_counts == {"verify": 19, "size": 97, "sign": 152}
 
+    def test_exact_run_verifies_each_relay_object_once(self, monkeypatch):
+        """The same run asks auth.verify_signed once per relay object and
+        round, 19 times; asking once per receiver asked it 127 times, once
+        per accepted message."""
+        chains = _verified_chains(monkeypatch)
+        params = make_params(10, 3)
+        values = {op: 1.0 + 0.001 * op for op in params.operator_ids()}
+        adversary = AdversaryStrategy(netsim.EQUIVOCATE, frozenset({1, 2, 3}))
+        exact.run_exact(params, values, adversary=adversary)
+        assert len(chains) == 19
 
     def test_exact_run_parses_each_payload_once(self, monkeypatch):
         """The same run parses 13 payloads: the 7 honest operators' and the
@@ -305,6 +315,15 @@ class TestWorkCounts:
         adversary = AdversaryStrategy(netsim.EQUIVOCATE, frozenset({1, 2, 3}))
         exact.run_exact(params, values, adversary=adversary)
         assert len(parsed) == len(set(parsed)) == 7 + 3 * 2
+
+
+def _verified_chains(monkeypatch):
+    """The chains auth.verify_signed is asked about while a test runs."""
+    chains = []
+    verify_signed = auth.verify_signed
+    monkeypatch.setattr(auth, "verify_signed", lambda registry, signed: (
+        chains.append(signed) or verify_signed(registry, signed)))
+    return chains
 
 
 def _sharing(ids, params, registry, instance="inst"):
@@ -330,20 +349,95 @@ class TestRelayChecks:
         assert second.accepted_chain_lengths == [(2, 2)]
         assert second.recorded[2] == {5.0}
 
-    def test_forged_relay_shared_by_receivers_rejected_by_each(self):
-        params = make_params()
-        registry = auth.KeyRegistry([1, 2, 3, 4], 11)
-        receivers = _sharing((1, 3, 4), params, registry)
+    @staticmethod
+    def _forged_and_genuine(params, registry):
         origin = exact.ExactOperator(2, params, registry, 5.0, "inst")
         signed = origin.make_own_broadcast(5.0).body[0]
         tag = bytes([signed.tags[0][0] ^ 1]) + signed.tags[0][1:]
         forged = netsim.Message(2, netsim.KIND_BCAST,
                                 (auth.SignedMessage(signed.payload, signed.signers, (tag,)),))
-        genuine = origin.make_own_broadcast(6.0)
+        return forged, origin.make_own_broadcast(6.0)
+
+    def test_forged_relay_shared_by_receivers_rejected_by_each(self, monkeypatch):
+        params = make_params()
+        registry = auth.KeyRegistry([1, 2, 3, 4], 11)
+        receivers = _sharing((1, 3, 4), params, registry)
+        forged, genuine = self._forged_and_genuine(params, registry)
+        chains = _verified_chains(monkeypatch)
         for machine in receivers:
             machine.deliver(0, {2: [forged, genuine]})
         assert [m.recorded[2] for m in receivers] == [{6.0}] * 3
         assert [m.accepted_chain_lengths for m in receivers] == [[(1, 1)]] * 3
+        # the first receiver's two memoized verdicts serve the other two
+        assert chains == [forged.body[0], genuine.body[0]]
+
+    def test_operator_without_shared_memo_verifies_for_itself(self, monkeypatch):
+        params = make_params()
+        registry = auth.KeyRegistry([1, 2, 3, 4], 11)
+        receivers = [exact.ExactOperator(op, params, registry, float(op), "inst")
+                     for op in (1, 3, 4)]
+        forged, genuine = self._forged_and_genuine(params, registry)
+        chains = _verified_chains(monkeypatch)
+        for machine in receivers:
+            machine.deliver(0, {2: [forged, genuine]})
+        assert chains == [forged.body[0], genuine.body[0]] * 3
+        assert [m.recorded[2] for m in receivers] == [{6.0}] * 3
+
+
+class TestTwoValueRule:
+    """An originator's first two values are all any honest operator records
+    and relays (Dolev & Strong): two already make its slot CONFLICT."""
+
+    def test_liar_signing_n_values_adds_at_most_two_relays_each(self, monkeypatch):
+        params = make_params(7, 2)
+        liars = frozenset({2, 6})
+        adversary = AdversaryStrategy(netsim.RANDOM_VALUES, liars)
+        values = {op: float(op) for op in params.operator_ids()}
+        signed_by_liars = {op: set() for op in liars}
+        broadcast = exact.ExactOperator.make_own_broadcast
+
+        def spied(machine, value):
+            if machine.operator_id in liars:
+                signed_by_liars[machine.operator_id].add(value)
+            return broadcast(machine, value)
+
+        relays = Counter()
+        extend_signed = auth.extend_signed
+
+        def relayed(registry, signed, signer):
+            relays[(signer, signed.signers[0])] += 1
+            return extend_signed(registry, signed, signer)
+
+        monkeypatch.setattr(exact.ExactOperator, "make_own_broadcast", spied)
+        monkeypatch.setattr(auth, "extend_signed", relayed)
+        result = exact.run_exact(params, values, seed=0, adversary=adversary)
+
+        honest = [op for op in params.operator_ids() if op not in liars]
+        # each liar signs one distinct lie for each of the N recipients, beside
+        # the honest broadcast its state machine built and the bus replaced
+        lies = {op: len(vals - {values[op]}) for op, vals in signed_by_liars.items()}
+        assert lies == {2: 7, 6: 7}
+        forms = {tuple(sorted(result.views[op].items())) for op in honest}
+        assert len(forms) == 1
+        for op in honest:
+            assert result.views[op][2] is CONFLICT and result.views[op][6] is CONFLICT
+            for origin in liars:
+                assert len(result.bus.participants[op].recorded[origin]) == 2
+                assert relays[(op, origin)] <= 2
+            for origin in honest:
+                assert result.views[op][origin] == values[origin]
+        assert max(relays[(op, origin)] for op in honest for origin in liars) == 2
+
+    def test_third_value_is_dropped_before_verifying(self, monkeypatch):
+        params = make_params()
+        registry = auth.KeyRegistry([1, 2, 3, 4], 11)
+        machine = exact.ExactOperator(1, params, registry, 1.0, "inst")
+        origin = exact.ExactOperator(2, params, registry, 5.0, "inst")
+        chains = _verified_chains(monkeypatch)
+        inbox = [origin.make_own_broadcast(v) for v in (5.0, 6.0, 7.0, 5.0)]
+        machine.deliver(0, {2: inbox})
+        assert machine.recorded[2] == {5.0, 6.0}
+        assert chains == [inbox[0].body[0], inbox[1].body[0]]
 
 
 class TestAggregationProperties:

@@ -28,7 +28,7 @@ from leobft import geo, ledger, netsim, pipeline
 from leobft.pipeline import PropertyViolation
 from leobft.scenario import PROFILES, ConfigError, parse_scenario
 
-GOLDEN_DIGEST = "5e17a2bcb3b7960bfc3dee27a35e04b135026316f673edf40117026977f3af24"
+GOLDEN_DIGEST = "fa2269dfedc6922e0632c3d8712587cd375ad40e1a986f0c5da4ba8ac4873e82"
 DETECTION_DIGEST = "c19db8c8e161d1585176a6168728f95ac6ac51633abdf5c86952232081b29caf"
 
 ADVERSARIES = [None] + [
@@ -175,7 +175,7 @@ GOLDEN_RUNS = {
     ("exact", "equivocate static -"):
         "dbcc384012fd4de3a3ec3877024fcaf25baffcb2ae42c9847bc8994cb7b3a3bb",
     ("exact", "random-values static 6,7"):
-        "47da7c15d31fda9d37748b9fd1b0c3fcabb63543a064c1d7d92d67b34a8e62e4",
+        "16f52b7d8138ca0c85b6a0d8b6be619e54fa15707b8774fd64bc80fe1ec48c5e",
     ("exact", "random-values rotating 6,7"):
         "219b0267d6d79f3f13e0efd75b92fa08b424f7006e2bb9bf8fb0e8b99290f657",
     ("exact", "random-values static -"):
@@ -187,7 +187,7 @@ GOLDEN_RUNS = {
     ("exact", "value-liar static -"):
         "1cefc68f255f65c7ae16bfde6706afeaffc68da6022ef5c29c11c271561b8ee6",
     ("exact", "boundary-attacker static 6,7"):
-        "e61d1af0bf695efae6bd19c48b0485501dd005b8e99d2f5f41e19f344ede2b18",
+        "41ba71ff15c281916af7bee8eb7721a25460df09020194538af4dc8b22e872e6",
     ("exact", "boundary-attacker rotating 6,7"):
         "219b0267d6d79f3f13e0efd75b92fa08b424f7006e2bb9bf8fb0e8b99290f657",
     ("exact", "boundary-attacker static -"):

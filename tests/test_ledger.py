@@ -484,6 +484,43 @@ class TestExportAudit:
         assert not report.ok
         assert report.error == "block 0: malformed record"
 
+    @pytest.mark.parametrize("field, respell", [
+        (0, lambda v: "+" + v), (0, lambda v: " " + v), (1, lambda v: "0_" + v),
+        (2, lambda v: "+" + v), (3, str.upper), (6, lambda v: "0" + v)],
+        ids=["plus", "space", "underscore", "plus-proposer", "upper-hex", "vote-zero-pad"])
+    def test_field_export_never_writes_is_malformed(self, registry, field, respell):
+        # each spelling parses to the value export_chain wrote
+        data = export_chain(self._chain(registry))
+        lines = data.decode().split("\n")
+        fields = lines[1].split("|")
+        fields[field] = respell(fields[field])
+        lines[1] = "|".join(fields)
+        report = audit_chain("\n".join(lines).encode())
+        assert not report.ok
+        assert report.error == "block 0: malformed record"
+
+    @pytest.mark.parametrize("header", [
+        "ledger v1 n=4 f=1 master_seed=31 n=5",
+        "ledger v1 n=4 f=1 master_seed=31 x=0",
+        "ledger v1 f=1 n=4 master_seed=31",
+        "ledger v1 n=+4 f=1 master_seed=31",
+        "ledger v1 n=4  f=1 master_seed=31",
+    ], ids=["duplicate-key", "unknown-key", "reordered", "plus", "double-space"])
+    def test_header_export_never_writes_is_malformed(self, registry, header):
+        data = export_chain(self._chain(registry))
+        assert data.startswith(b"ledger v1 n=4 f=1 master_seed=31\n")
+        report = audit_chain(header.encode() + data[data.index(b"\n"):])
+        assert not report.ok
+        assert report.error == "malformed export header"
+
+    def test_blank_line_or_missing_final_newline_is_malformed(self, registry):
+        data = export_chain(self._chain(registry))
+        assert audit_chain(data).ok
+        assert audit_chain(data[:-1]).error == "malformed export: no final newline"
+        assert audit_chain(data + b"\n").error == "block 3: malformed record"
+        blank = data.replace(b"\n", b"\n\n", 1)
+        assert audit_chain(blank).error == "block 0: malformed record"
+
     def test_garbage_rejected(self):
         assert not audit_chain(b"\xff\xfe").ok
         assert not audit_chain(b"ledger v2 n=4 f=1 master_seed=0\n").ok
@@ -544,3 +581,11 @@ class TestAuditFuzz:
         report = audit_chain(data)
         if report.ok:
             assert len(report.blocks) <= 2
+
+    @given(st.one_of(mutated_exports(), st.binary(max_size=300)))
+    @settings(max_examples=300, deadline=None)
+    def test_audited_export_is_its_own_rendering(self, data):
+        report = audit_chain(data)
+        if report.ok:
+            assert data == ledger._export_text(report.n_operators, report.max_faulty,
+                                               report.master_seed, report.blocks)

@@ -2,7 +2,9 @@
 fault injection, round caps and closed-form message counts."""
 
 import ast
+import dataclasses
 import pathlib
+import pickle
 
 import numpy as np
 import pytest
@@ -317,6 +319,45 @@ class TestReadOnlyInboxes:
         exact.run_exact(params, {op: float(op) for op in ids}, adversary=adversary)
         assert set(checked) == {approx.ApproxOperator, binary.BinaryOperator,
                                 exact.ExactOperator}
+
+
+_MESSAGES = [
+    (Message, (3, netsim.KIND_VAL, (1.5,)), "Message(sender=3, kind='val', body=(1.5,))"),
+    (auth.SignedMessage, (b"usage", (2, 4), (b"\x01", b"\x02")),
+     "SignedMessage(payload=b'usage', signers=(2, 4), tags=(b'\\x01', b'\\x02'))"),
+]
+
+
+class TestFrozenMessages:
+    """Message and SignedMessage write their fields without object.__setattr__
+    and keep every frozen-dataclass behaviour."""
+
+    @pytest.mark.parametrize("cls, args, text", _MESSAGES, ids=["Message", "SignedMessage"])
+    def test_dataclass_behaviour(self, cls, args, text):
+        msg = cls(*args)
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert cls(**dict(zip(names, args))) == msg
+        assert hash(cls(*args)) == hash(msg) and cls(*args) is not msg
+        assert repr(msg) == text
+        assert [getattr(msg, name) for name in names] == list(args)
+        other = dataclasses.replace(msg, **{names[0]: args[0] * 2})
+        assert other != msg and getattr(other, names[0]) == args[0] * 2
+        assert getattr(other, names[1]) == args[1]
+        size = msg.raw_size() if cls is Message else msg.encoded_size()
+        restored = pickle.loads(pickle.dumps(msg))
+        assert restored == msg and hash(restored) == hash(msg)
+        assert (restored.raw_size() if cls is Message else restored.encoded_size()) == size
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(msg, names[0], args[0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(msg, names[2])
+        assert msg == cls(*args)
+
+    def test_replaced_message_is_sized_afresh(self):
+        msg = Message(1, netsim.KIND_VAL, (7,))
+        assert msg.raw_size() == len(msg.canonical_bytes())
+        longer = dataclasses.replace(msg, body=(7000,))
+        assert longer.raw_size() == len(longer.canonical_bytes()) == msg.raw_size() + 3
 
 
 class _Float(float):

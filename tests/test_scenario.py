@@ -116,12 +116,13 @@ class TestParsing:
             parse_scenario(cfg)
 
     def test_operator_count_is_bounded(self):
-        # runs grow faster than N^2: see model.MAX_OPERATORS
+        # exact runs grow as N^3 (fault-free relays): see model.MAX_OPERATORS
         cfg = base_config()
         cfg["network"]["operators"] = MAX_OPERATORS
-        assert parse_scenario(cfg).network.n_operators == 100
+        assert parse_scenario(cfg).network.n_operators == MAX_OPERATORS
         cfg["network"]["operators"] = MAX_OPERATORS + 1
-        with pytest.raises(ConfigError, match="n_operators=101 is more than 100"):
+        with pytest.raises(ConfigError, match="n_operators=%d is more than %d"
+                           % (MAX_OPERATORS + 1, MAX_OPERATORS)):
             parse_scenario(cfg)
 
     def test_int_promotes_to_float(self):
