@@ -6,6 +6,10 @@ Unforgeability is by convention: adversary code may only produce tags through
 the registry for operators it controls. None of this is real cryptography and
 no key ever leaves the process.
 
+The module keeps no state beyond keys. verify_signed returns the bytes a
+verified chain's last tag covers, and a relay passes them to extend_signed,
+so what a check learned lives with the caller that asked for it.
+
 Canonical payload encoding (frozen): a payload is built from fields joined by
 "|". ints are decimal ASCII, floats are repr() (round-trips exactly), strings
 are ASCII without "|", bytes are lowercase hex, and a nested object is its
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 Field = Union[int, float, str, bytes]
 
@@ -91,16 +95,14 @@ class KeyRegistry:
     """Holds every operator's signing key; shared by all simulated parties.
 
     A key is derived the first time its operator signs or verifies, so
-    building a registry over range(1, n + 1) costs the same for any n.
+    building a registry over range(1, n + 1) costs the same for any n. The
+    registry holds its master seed, its members and their keys, nothing else.
     """
 
     def __init__(self, operator_ids: Sequence[int], master_seed: int):
         self.master_seed = master_seed
         self._members = operator_ids if isinstance(operator_ids, range) else frozenset(operator_ids)
         self._keys: Dict[int, bytes] = {}
-        # (payload, signers[:k], tags[:k]) of every chain prefix that verified ->
-        # encode(payload, *signers[:k]), the bytes its last tag covers
-        self._verified_prefixes: Dict[tuple, bytes] = {}
 
     def _derive_key(self, operator: int) -> bytes:
         if operator not in self._members:
@@ -169,51 +171,43 @@ def make_signed(registry: KeyRegistry, signer: int, payload: bytes) -> SignedMes
     return signed
 
 
-def extend_signed(registry: KeyRegistry, msg: SignedMessage, signer: int) -> SignedMessage:
+def extend_signed(registry: KeyRegistry, msg: SignedMessage, signer: int,
+                  chain: Optional[bytes]) -> SignedMessage:
     """msg with signer's tag appended, keeping its encoded size: msg's plus the
-    new fields'. The tag's payload grows from the one msg's last tag covers
-    when this registry verified msg, and is encoded whole otherwise."""
+    new fields'. chain is what verify_signed(registry, msg) returned, the bytes
+    msg's last tag covers; the new tag covers them plus "|signer", so only a
+    verified chain is extended and it is never encoded again."""
+    if chain is None:
+        raise ValueError("only a verified chain can be extended")
     if signer in msg.signers:
         raise ValueError("operator %d already signed this message" % signer)
-    payload, signers = msg.payload, msg.signers
     signer_bytes = _field_bytes(signer)
-    known = registry._verified_prefixes.get((payload, signers, msg.tags))
-    chain = (known + b"|" + signer_bytes if known is not None
-             else encode(payload, *signers, signer))
-    tag = registry.sign(signer, chain)
-    signed = SignedMessage(payload, signers + (signer,), msg.tags + (tag,))
+    tag = registry.sign(signer, chain + b"|" + signer_bytes)
+    signed = SignedMessage(msg.payload, msg.signers + (signer,), msg.tags + (tag,))
     # the two new fields and their "|"s: the signer as encoded, the tag hexed
     signed.__dict__["_size"] = msg.encoded_size() + len(signer_bytes) + 2 * len(tag) + 2
     return signed
 
 
-def verify_signed(registry: KeyRegistry, msg: SignedMessage) -> bool:
+def verify_signed(registry: KeyRegistry, msg: SignedMessage) -> Optional[bytes]:
     """Check a full signer chain: non-empty, distinct signers, all tags valid.
 
-    Only the tags after the longest prefix this registry has already verified
-    are checked. A cached prefix matches on its payload, signers and every one
-    of its tags, so an altered tag never hits the cache and is checked anew.
+    Returns encode(payload, *signers), the bytes the last tag covers, when
+    every tag verifies, else None. Each tag's bytes grow by "|signer" from the
+    ones before it, built from the message's fields; nothing a message object
+    carries is trusted as signed bytes.
     """
-    signers, tags, payload = msg.signers, msg.tags, msg.payload
+    signers, tags = msg.signers, msg.tags
     if not signers or len(signers) != len(tags):
-        return False
+        return None
     if len(set(signers)) != len(signers):
-        return False
-    verified = registry._verified_prefixes
-    # each tag's payload grows by one signer from the one before it, starting
-    # from what the longest cached prefix's last tag covers
-    for cached in range(len(signers), 0, -1):
-        chain = verified.get((payload, signers[:cached], tags[:cached]))
-        if chain is not None:
-            break
-    else:
-        cached, chain = 0, _field_bytes(payload)
-    for k in range(cached, len(signers)):
-        chain += b"|" + _field_bytes(signers[k])
-        if not registry.verify(signers[k], chain, tags[k]):
-            return False
-        verified[(payload, signers[:k + 1], tags[:k + 1])] = chain
-    return True
+        return None
+    chain = _field_bytes(msg.payload)
+    for signer, tag in zip(signers, tags):
+        chain += b"|" + _field_bytes(signer)
+        if not registry.verify(signer, chain, tag):
+            return None
+    return chain
 
 
 @dataclass(frozen=True)

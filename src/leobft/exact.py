@@ -14,10 +14,12 @@ Strong, SIAM J. Comput. 1983): two already make the slot the placeholder in
 every honest view, so a third is dropped unverified, and a liar that signs N
 distinct values costs each honest operator at most two relays of it.
 
-The operators of one instance share one netsim.RoundMemo, in which each
-relay object's receiver-independent checks and its auth.verify_signed
-verdict are kept for the round, so each relay is verified once however many
-operators receive it. A verdict holds for the registry that gave it, so the
+The operators of one instance share one netsim.RoundMemo. Its round table
+keeps each relay object's receiver-independent checks and the chain bytes
+auth.verify_signed returned for it (None if it failed), so each relay is
+verified once however many operators receive it, and each relay of it is
+signed from those bytes; its lasting table keeps each payload's parse for
+the instance. Verified bytes hold for the registry that gave them, so the
 operators sharing a memo must share one registry too, as run_exact builds
 them.
 """
@@ -33,6 +35,7 @@ from .approx import averaging_function
 from .model import NetworkParams
 
 CONFLICT = None  # placeholder for equivocated or silent broadcast slots
+_UNASKED = object()  # a memo entry whose chain auth.verify_signed has not checked yet
 
 
 def median(values: Sequence[float]) -> float:
@@ -72,19 +75,17 @@ def aggregate_view(view: Dict[int, Optional[float]], f: int,
 class ExactOperator:
     """One operator's broadcasts, relays and view.
 
-    Operators built with one netsim.RoundMemo and one payload table
-    (run_exact gives every operator of an instance the same two, and the
-    same registry) check and verify each relay object once per round and
-    parse each payload once per instance; without them, each operator does
-    its own.
+    Operators built with one netsim.RoundMemo (run_exact gives every
+    operator of an instance the same one, and the same registry) check and
+    verify each relay object once per round and parse each payload once per
+    instance; without one, each operator does its own.
     """
 
     HALT_KINDS: frozenset = frozenset()
 
     def __init__(self, operator_id: int, params: NetworkParams,
                  registry: auth.KeyRegistry, initial_value: float, instance: str,
-                 memo: Optional[netsim.RoundMemo] = None,
-                 parsed: Optional[Dict[bytes, Optional[Tuple[int, float]]]] = None):
+                 memo: Optional[netsim.RoundMemo] = None):
         self.operator_id = operator_id
         self.params = params
         self.registry = registry
@@ -100,7 +101,7 @@ class ExactOperator:
         self.accepted_chain_lengths: List[Tuple[int, int]] = []
         self._memo = netsim.RoundMemo() if memo is None else memo
         # payload -> _parse_payload(payload); relays repeat a few payloads
-        self._parsed = {} if parsed is None else parsed
+        self._parsed: Dict[bytes, Optional[Tuple[int, float]]] = self._memo.lasting
 
     def _payload(self, origin: int, value: float) -> bytes:
         return auth.encode("usage", self.instance, origin, float(value))
@@ -163,13 +164,13 @@ class ExactOperator:
         f = self.params.max_faulty
         me = self.operator_id
         recorded = self.recorded
-        # id(msg) -> [msg, _relay(msg, k), verify_signed verdict or None if not yet asked]
+        # id(msg) -> [msg, _relay(msg, k), verify_signed's chain bytes or None, or _UNASKED]
         checked = self._memo.of_round(round_no)
         for msgs in inbox.values():
             for msg in msgs:
                 held = checked.get(id(msg))
                 if held is None:
-                    held = checked[id(msg)] = [msg, self._relay(msg, k), None]
+                    held = checked[id(msg)] = [msg, self._relay(msg, k), _UNASKED]
                 relay = held[1]
                 if relay is None:
                     continue
@@ -179,15 +180,15 @@ class ExactOperator:
                 # so check it first: two values already make the slot CONFLICT
                 if value in known or len(known) >= 2:
                     continue
-                verdict = held[2]
-                if verdict is None:
-                    verdict = held[2] = auth.verify_signed(self.registry, signed)
-                if not verdict:
+                chain = held[2]
+                if chain is _UNASKED:
+                    chain = held[2] = auth.verify_signed(self.registry, signed)
+                if chain is None:
                     continue
                 known.add(value)
                 self.accepted_chain_lengths.append((k, len(signed.signers)))
                 if k <= f and me not in signed.signers:
-                    self._relay_queue.append(auth.extend_signed(self.registry, signed, me))
+                    self._relay_queue.append(auth.extend_signed(self.registry, signed, me, chain))
         if k == f + 1:
             self.view = {
                 op: (next(iter(vals)) if len(vals) == 1 else CONFLICT)
@@ -221,10 +222,10 @@ def run_exact(params: NetworkParams, initial_values: Dict[int, float], *,
               record_transcript: bool = False) -> ExactResult:
     """Run the N parallel broadcasts until the honest operators halt at round f+1."""
     registry = registry or auth.KeyRegistry(sorted(initial_values), auth.derive_seed(seed, "keys"))
-    memo, parsed = netsim.RoundMemo(), {}
+    memo = netsim.RoundMemo()
     bus = netsim.run_instance(
         initial_values,
-        lambda op, value: ExactOperator(op, params, registry, value, instance, memo, parsed),
+        lambda op, value: ExactOperator(op, params, registry, value, instance, memo),
         params.n_operators, adversary,
         max_rounds=params.max_faulty + 1, seed=seed,
         frame_bytes=frame_bytes, record_transcript=record_transcript)

@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os  # noqa: F401  kept as geo.os: callers pin the CPUs usable_cpus sees through it
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 

@@ -349,12 +349,14 @@ class RoundMemo:
     table id(obj) -> entry of that round, an entry being a sequence whose
     first item is obj, then what was derived from it. Entries hold their
     object, so its id() cannot be reused while they are kept, and are dropped
-    when the round changes.
+    when the round changes. lasting is a second table, kept for the memo's
+    whole life and keyed as its user chooses, for what holds in every round.
     """
 
     def __init__(self) -> None:
         self._round: Optional[int] = None
         self._held: Dict[int, tuple] = {}
+        self.lasting: Dict = {}
 
     def of_round(self, round_no: int) -> Dict[int, tuple]:
         if round_no != self._round:

@@ -9,7 +9,7 @@ exercised over the operators' responses.
 
 The events are independent, so they run in contiguous spans, one per usable
 CPU: this process runs the first span and persistent forked helpers run the
-others (`cores.run_spans`); the records merge in event order, so every
+others (`cores.run_spans`); the outcomes merge in event order, so every
 artifact is the same on any CPU count. A helper is a snapshot of the process
 at its first use: a test that monkeypatches leobft and needs every event to
 see the patch must pin one CPU (patch `os.sched_getaffinity`).
@@ -34,11 +34,15 @@ class PropertyViolation(AssertionError):
 
 @dataclass
 class EventOutcome:
+    """What one event's agreement left, as plain values a helper can send back."""
+
     index: int
     event: EventConfig
     initials: Dict[int, float]
     outputs: Dict[int, float]
     rounds: int
+    traffic: Dict[int, Tuple[int, int, int]]  # op -> originated, delivered, received
+    transcript: Optional[List[Tuple[int, int, int, str, int]]]
 
 
 @dataclass
@@ -132,25 +136,15 @@ _PROFILES = {
 }
 
 
-class _EventRecord(NamedTuple):
-    """What one event's agreement left, as plain values a helper can send back."""
-
-    initials: Dict[int, float]
-    outputs: Dict[int, float]
-    rounds: int
-    traffic: Dict[int, Tuple[int, int, int]]  # op -> originated, delivered, received
-    transcript: Optional[List[Tuple[int, int, int, str, int]]]
-
-
 def _profile(sc: Scenario) -> _Profile:
     return _PROFILES[sc.profile]
 
 
-def _run_events(sc: Scenario, indices: range) -> List[_EventRecord]:
+def _run_events(sc: Scenario, indices: range) -> List[EventOutcome]:
     """Observe, agree on and check each event in indices; one span of a run.
 
     Everything an event uses is derived from sc.seed and its index, so the
-    records are the same whichever process runs the span.
+    outcomes are the same whichever process runs the span.
     """
     params = sc.network
     ids = list(params.operator_ids())
@@ -158,7 +152,7 @@ def _run_events(sc: Scenario, indices: range) -> List[_EventRecord]:
     coin = auth.CommonCoin(auth.derive_seed(sc.seed, "coin"))
     honest = netsim.honest_ids(ids, sc.adversary)
     profile = _profile(sc)
-    records = []
+    outcomes = []
     for index in indices:
         initials = {
             op: profile.protocol_input(
@@ -176,9 +170,10 @@ def _run_events(sc: Scenario, indices: range) -> List[_EventRecord]:
         profile.check(initials, result, honest, params.zeta, instance)
         traffic = {op: (result.bus.originated[op], result.bus.delivered[op],
                         result.bus.received[op]) for op in ids}
-        records.append(_EventRecord({op: float(v) for op, v in initials.items()}, outputs,
-                                    result.rounds, traffic, result.bus.transcript))
-    return records
+        outcomes.append(EventOutcome(index, sc.events[index],
+                                     {op: float(v) for op, v in initials.items()}, outputs,
+                                     result.rounds, traffic, result.bus.transcript))
+    return outcomes
 
 
 def run_scenario(sc: Scenario) -> ScenarioResult:
@@ -191,18 +186,16 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     honest = netsim.honest_ids(ids, sc.adversary)
     mode = _profile(sc).mode
 
-    records = cores.run_spans(_run_events, sc, len(sc.events))
+    outcomes: List[EventOutcome] = cores.run_spans(_run_events, sc, len(sc.events))
     locals_by_op = {op: UsageTensor(sc.period, sc.dims) for op in ids}
-    outcomes: List[EventOutcome] = []
-    for index, (event, record) in enumerate(zip(sc.events, records)):
+    for outcome in outcomes:
+        event = outcome.event
         key = (event.region, event.subband, event.operator - 1)
         for op in ids:
-            locals_by_op[op].set(key, record.outputs[op])
-        outcomes.append(EventOutcome(index, event, record.initials, record.outputs,
-                                     record.rounds))
+            locals_by_op[op].set(key, outcome.outputs[op])
     bytes_by_op = {}
     for op in ids:
-        originated, delivered, received = (sum(r.traffic[op][k] for r in records)
+        originated, delivered, received = (sum(o.traffic[op][k] for o in outcomes)
                                            for k in range(3))
         # exchanged: the canonical bytes an operator put on the wire plus the
         # bytes it received; each originated message counts once regardless of
@@ -227,7 +220,7 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
         retrieved_exact=retrieved_exact,
         retrieved_approx=retrieved_approx,
         bytes_by_op=bytes_by_op,
-        transcript=records[0].transcript if records else None,
+        transcript=outcomes[0].transcript if outcomes else None,
     )
 
 

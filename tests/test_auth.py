@@ -156,6 +156,11 @@ class TestKeyRegistry:
             registry.sign(0, b"x")
 
 
+def _relay(registry, msg, signer):
+    """msg extended by signer as a relay extends it: from the bytes it verified."""
+    return auth.extend_signed(registry, msg, signer, auth.verify_signed(registry, msg))
+
+
 class TestSignerChains:
     def test_single_signer_verifies(self, registry):
         msg = auth.make_signed(registry, 2, b"value=9.0")
@@ -164,8 +169,8 @@ class TestSignerChains:
 
     def test_extension_appends_and_verifies(self, registry):
         msg = auth.make_signed(registry, 2, b"value=9.0")
-        msg = auth.extend_signed(registry, msg, 4)
-        msg = auth.extend_signed(registry, msg, 1)
+        msg = _relay(registry, msg, 4)
+        msg = _relay(registry, msg, 1)
         assert msg.signers == (2, 4, 1)
         assert len(msg.tags) == 3
         assert auth.verify_signed(registry, msg)
@@ -173,7 +178,21 @@ class TestSignerChains:
     def test_duplicate_signer_rejected(self, registry):
         msg = auth.make_signed(registry, 2, b"v")
         with pytest.raises(ValueError):
-            auth.extend_signed(registry, msg, 2)
+            _relay(registry, msg, 2)
+
+    def test_unverified_chain_not_extended(self, registry):
+        msg = auth.make_signed(registry, 2, b"v")
+        with pytest.raises(ValueError):
+            auth.extend_signed(registry, msg, 4, None)
+        forged = auth.SignedMessage(msg.payload, msg.signers, (bytes(auth.TAG_BYTES),))
+        with pytest.raises(ValueError):
+            _relay(registry, forged, 4)
+
+    def test_extension_tag_covers_the_whole_chain(self, registry):
+        msg = _relay(registry, auth.make_signed(registry, 2, b"value=9.0"), 4)
+        extended = auth.extend_signed(registry, msg, 1, auth.verify_signed(registry, msg))
+        assert extended.tags[-1] == registry.sign(1, auth.encode(msg.payload, 2, 4, 1))
+        assert extended.tags[:-1] == msg.tags
 
     def test_tampered_payload_fails(self, registry):
         msg = auth.make_signed(registry, 2, b"value=9.0")
@@ -181,12 +200,12 @@ class TestSignerChains:
         assert not auth.verify_signed(registry, bad)
 
     def test_dropped_signer_fails(self, registry):
-        msg = auth.extend_signed(registry, auth.make_signed(registry, 2, b"v"), 4)
+        msg = _relay(registry, auth.make_signed(registry, 2, b"v"), 4)
         bad = auth.SignedMessage(msg.payload, (4,), (msg.tags[1],))
         assert not auth.verify_signed(registry, bad)
 
     def test_reordered_signers_fail(self, registry):
-        msg = auth.extend_signed(registry, auth.make_signed(registry, 2, b"v"), 4)
+        msg = _relay(registry, auth.make_signed(registry, 2, b"v"), 4)
         bad = auth.SignedMessage(msg.payload, (4, 2), msg.tags)
         assert not auth.verify_signed(registry, bad)
 
@@ -201,7 +220,7 @@ class TestSignerChains:
         registry = auth.KeyRegistry(range(1, 5), 11)
         msg = auth.make_signed(registry, signers[0], b"p")
         for op in signers[1:]:
-            msg = auth.extend_signed(registry, msg, op)
+            msg = _relay(registry, msg, op)
         assert auth.verify_signed(registry, msg)
 
 
@@ -217,19 +236,16 @@ class TestChainEncoding:
         for signed in (msg, bare):
             assert signed.encoded_size() == len(signed.canonical_bytes())
         assert tags[-1] == registry.sign(signers[-1], auth.encode(payload, *signers))
+        # the bytes the last tag covers, grown one signer at a time
         fresh = auth.KeyRegistry(range(1, self.N + 1), registry.master_seed)
-        assert auth.verify_signed(fresh, bare)
-        # what each verified prefix's last tag covers, grown one signer at a time
-        for k in range(1, len(signers) + 1):
-            assert (fresh._verified_prefixes[(payload, signers[:k], tags[:k])]
-                    == auth.encode(payload, *signers[:k]))
+        assert auth.verify_signed(fresh, bare) == auth.encode(payload, *signers)
 
     def test_every_chain_length_up_to_n(self):
         registry = auth.KeyRegistry(range(1, self.N + 1), 5)
         msg = auth.make_signed(registry, 3, auth.encode("usage", "mv", 3, -0.0))
         self._check(registry, msg)
         for op in (7, 1, 10, 2, 9, 4, 8, 5, 6):
-            msg = auth.extend_signed(registry, msg, op)
+            msg = _relay(registry, msg, op)
             self._check(registry, msg)
         assert len(msg.signers) == self.N
 
@@ -240,14 +256,14 @@ class TestChainEncoding:
         registry = auth.KeyRegistry(range(1, self.N + 1), 6)
         msg = auth.make_signed(registry, signers[0], payload)
         for op in signers[1:]:
-            msg = auth.extend_signed(registry, msg, op)
+            msg = _relay(registry, msg, op)
         self._check(registry, msg)
 
 
 def _genuine_chain(registry, signers=(2, 4, 1, 3)):
     msg = auth.make_signed(registry, signers[0], b"usage|inst|2|5.0")
     for op in signers[1:]:
-        msg = auth.extend_signed(registry, msg, op)
+        msg = _relay(registry, msg, op)
     return msg
 
 
@@ -259,7 +275,7 @@ def _variant(msg, length, altered=None):
     return auth.SignedMessage(msg.payload, msg.signers[:length], tuple(tags))
 
 
-class TestVerifiedPrefixCache:
+class TestChainVerification:
     def test_altered_tag_rejected_after_genuine_chain_verified(self, registry):
         msg = _genuine_chain(registry)
         assert auth.verify_signed(registry, msg)
@@ -275,9 +291,8 @@ class TestVerifiedPrefixCache:
         assert auth.verify_signed(registry, msg)
         for bad in (auth.SignedMessage(b"other", msg.signers, msg.tags),
                     auth.SignedMessage(msg.payload, (2, 3), msg.tags)):
-            assert not auth.verify_signed(registry, bad)
-            assert (bad.payload, bad.signers, bad.tags) not in registry._verified_prefixes
-        extended = auth.extend_signed(registry, msg, 1)
+            assert auth.verify_signed(registry, bad) is None
+        extended = _relay(registry, msg, 1)
         assert extended.tags[-1] == registry.sign(1, auth.encode(msg.payload, 2, 4, 1))
 
     def test_cached_chain_rejected_under_another_master_seed(self, registry):
@@ -287,19 +302,19 @@ class TestVerifiedPrefixCache:
         for length in range(1, len(msg.signers) + 1):
             assert not auth.verify_signed(other, _variant(msg, length))
 
-    def test_only_tags_past_the_cached_prefix_are_checked(self, registry, monkeypatch):
+    def test_every_call_checks_every_tag_in_signer_order(self, registry, monkeypatch):
+        msg = _genuine_chain(registry, (2, 4, 1))
         checked = []
         verify = registry.verify
         monkeypatch.setattr(registry, "verify", lambda op, payload, tag: (
             checked.append(op) or verify(op, payload, tag)))
-        msg = _genuine_chain(registry, (2, 4, 1))
-        assert auth.verify_signed(registry, msg)
-        assert checked == [2, 4, 1]
-        checked.clear()
-        assert auth.verify_signed(registry, msg)
-        assert checked == []
-        assert auth.verify_signed(registry, auth.extend_signed(registry, msg, 3))
-        assert checked == [3]
+        for _ in range(2):
+            chain = auth.verify_signed(registry, msg)
+            assert chain is not None
+            assert checked == [2, 4, 1]
+            checked.clear()
+        assert auth.verify_signed(registry, auth.extend_signed(registry, msg, 3, chain))
+        assert checked == [2, 4, 1, 3]
 
     @given(st.lists(st.tuples(st.integers(1, 4), st.integers(-1, 3)), max_size=12))
     @settings(max_examples=100, deadline=None)

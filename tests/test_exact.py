@@ -278,17 +278,19 @@ class TestWorkCounts:
     def test_exact_run_verifies_and_encodes_each_thing_once(self, work_counts):
         """Pins the work of one N=10, f=3 run under a static equivocator.
 
-        Verifying before the duplicate check, re-checking cached chain
-        prefixes, re-sizing a message object or signing an equivocator's
-        lie once per recipient instead of once per value raises these
-        counts.
+        Each of the 19 auth.verify_signed calls checks every tag of its
+        chain, 25 tags in all, and each relay signs the chain bytes its
+        verification returned. Verifying before the duplicate check,
+        verifying a relay object once per receiver, re-sizing a message
+        object or signing an equivocator's lie once per recipient instead of
+        once per value raises these counts.
         """
         params = make_params(10, 3)
         values = {op: 1.0 + 0.001 * op for op in params.operator_ids()}
         adversary = AdversaryStrategy(netsim.EQUIVOCATE, frozenset({1, 2, 3}))
         result = exact.run_exact(params, values, adversary=adversary)
         assert sum(map(len, result.accepted_chain_lengths.values())) == 127
-        assert work_counts == {"verify": 19, "size": 97, "sign": 152}
+        assert work_counts == {"verify": 25, "size": 97, "sign": 158}
 
     def test_exact_run_verifies_each_relay_object_once(self, monkeypatch):
         """The same run asks auth.verify_signed once per relay object and
@@ -327,9 +329,9 @@ def _verified_chains(monkeypatch):
 
 
 def _sharing(ids, params, registry, instance="inst"):
-    """ExactOperators that share one relay memo and payload table, as in run_exact."""
-    memo, parsed = netsim.RoundMemo(), {}
-    return [exact.ExactOperator(op, params, registry, float(op), instance, memo, parsed)
+    """ExactOperators that share one relay memo, as in run_exact."""
+    memo = netsim.RoundMemo()
+    return [exact.ExactOperator(op, params, registry, float(op), instance, memo)
             for op in ids]
 
 
@@ -341,8 +343,9 @@ class TestRelayChecks:
         registry = auth.KeyRegistry([1, 2, 3, 4], 11)
         first, second, origin = _sharing((1, 3, 2), params, registry)
         own = origin.make_own_broadcast(5.0)  # one signature: a round-1 message
+        chain = auth.verify_signed(registry, own.body[0])
         relay = netsim.Message(1, netsim.KIND_BCAST, (auth.extend_signed(
-            registry, own.body[0], 1),))  # two signatures: a round-2 message
+            registry, own.body[0], 1, chain),))  # two signatures: a round-2 message
         first.deliver(0, {1: [relay], 2: [own]})
         assert first.accepted_chain_lengths == [(1, 1)]
         second.deliver(1, {1: [relay], 2: [own]})  # the same objects a round later
@@ -404,9 +407,9 @@ class TestTwoValueRule:
         relays = Counter()
         extend_signed = auth.extend_signed
 
-        def relayed(registry, signed, signer):
+        def relayed(registry, signed, signer, chain):
             relays[(signer, signed.signers[0])] += 1
-            return extend_signed(registry, signed, signer)
+            return extend_signed(registry, signed, signer, chain)
 
         monkeypatch.setattr(exact.ExactOperator, "make_own_broadcast", spied)
         monkeypatch.setattr(auth, "extend_signed", relayed)

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import os
 import threading
 import tracemalloc
 import warnings
@@ -855,7 +856,7 @@ class TestJoin:
 
 def usable_cpus(monkeypatch, count):
     """Make geo see `count` usable CPUs, whatever the host has."""
-    monkeypatch.setattr(geo.os, "sched_getaffinity", lambda pid: set(range(count)),
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
                         raising=False)
 
 

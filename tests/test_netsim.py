@@ -373,7 +373,7 @@ def signed_chains(draw, n=10):
     payload = auth.encode("usage", "mv", signers[0], draw(st.floats()))
     msg = auth.make_signed(registry, signers[0], payload)
     for op in signers[1:]:
-        msg = auth.extend_signed(registry, msg, op)
+        msg = auth.extend_signed(registry, msg, op, auth.verify_signed(registry, msg))
     return msg if draw(st.booleans()) else auth.SignedMessage(payload, msg.signers, msg.tags)
 
 
