@@ -12,6 +12,10 @@ honest spread shrinks by at least c = floor((N-1)/f) - 1 per round, so
 ceil(log_c(spread/zeta)) rounds bring it below zeta. Each operator computes
 its horizon from its own first-round spread, then announces its final value
 in a halt notice and goes quiet.
+
+An operator resends its last value message object while its value stays
+the same, sign included, so the bus sizes that message once. The operators
+of one instance derive each distinct first spread's horizon once.
 """
 
 from __future__ import annotations
@@ -111,7 +115,11 @@ class ApproxOperator:
 
     Operators built with one netsim.RoundMemo (run_approx gives every
     operator of an instance the same one) average once per shared inbox and
-    sticky state; without one, each operator computes its own.
+    sticky state, and derive a horizon once per distinct first spread; without
+    one, each operator computes its own. An operator keeps its last value
+    message and resends that object while v keeps its value and sign: 0.0 and
+    -0.0 are equal but encode to different lengths, and a NaN equals nothing,
+    so each gets a new message.
     """
 
     # A halted operator keeps repeating its halt notice while peers are still
@@ -133,6 +141,7 @@ class ApproxOperator:
         self._announce_halt = False
         # built on the first announcing round, when v stops changing
         self._halt_notice: Optional[netsim.Message] = None
+        self._value_msg: Optional[netsim.Message] = None  # the last value sent
         self._final_values: Dict[int, float] = {}  # sticky values of halted peers
         self._memo = netsim.RoundMemo() if memo is None else memo
         self.history = [self.v]  # v at the start and after each bus round
@@ -143,7 +152,12 @@ class ApproxOperator:
             if self._halt_notice is None:
                 self._halt_notice = netsim.Message(me, netsim.KIND_HALTED, (self.v,))
             return [(netsim.BROADCAST, self._halt_notice)]
-        return [(netsim.BROADCAST, netsim.Message(me, netsim.KIND_VAL, (self.v,)))]
+        v, msg = self.v, self._value_msg
+        # a new message unless v keeps its value and sign (a NaN never does)
+        if msg is None or msg.body[0] != v or (
+                v == 0.0 and math.copysign(1.0, v) != math.copysign(1.0, msg.body[0])):
+            msg = self._value_msg = netsim.Message(me, netsim.KIND_VAL, (v,))
+        return [(netsim.BROADCAST, msg)]
 
     def _peer_value(self, sender: int, msgs: Sequence[netsim.Message]) -> float:
         for msg in msgs:
@@ -197,15 +211,25 @@ class ApproxOperator:
             self.exchanges += 1
             if self.exchanges == 1:
                 self.first_spread = max(values) - min(values)
-                f = self.params.max_faulty
-                if f == 0:
-                    self.horizon = 1
-                else:
-                    c = shrink_factor(self.params.n_operators, f)
-                    self.horizon = max(1, round_count(self.first_spread, self.params.zeta, c))
+                self.horizon = self._horizon(self.first_spread)
             if self.exchanges >= self.horizon:
                 self._announce_halt = True
         self.history.append(self.v)
+
+    def _horizon(self, spread: float) -> int:
+        """max(1, round_count(spread, zeta, c)), or 1 with f == 0; kept in the
+        memo's lasting table, so operators that read one shared inbox, and
+        so share a first spread, derive it once."""
+        f = self.params.max_faulty
+        if f == 0:
+            return 1
+        horizons = self._memo.lasting
+        horizon = horizons.get(spread)
+        if horizon is None:
+            c = shrink_factor(self.params.n_operators, f)
+            # equal spreads give equal horizons, 0.0 and -0.0 included
+            horizon = horizons[spread] = max(1, round_count(spread, self.params.zeta, c))
+        return horizon
 
 
 def fault_free_messages(n: int, h: int) -> int:

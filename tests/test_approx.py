@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leobft import approx, netsim
@@ -56,6 +56,29 @@ class ReferenceApproxOperator(approx.ApproxOperator):
             return final[sender]
         vals = [m for m in msgs if m.kind == netsim.KIND_VAL]
         return float(vals[0].body[0]) if len(vals) == 1 else 0.0
+
+
+class RebuildingApproxOperator(approx.ApproxOperator):
+    """The always-rebuild oracle: a new value message object every round."""
+
+    def outgoing(self, round_no):
+        if self.halted or self._announce_halt:
+            return super().outgoing(round_no)
+        return [(netsim.BROADCAST, netsim.Message(self.operator_id, netsim.KIND_VAL, (self.v,)))]
+
+
+class RecordingApproxOperator(approx.ApproxOperator):
+    """Keeps the message object of each round's outgoing, [r] for round r."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.sent = []
+
+    def outgoing(self, round_no):
+        out = super().outgoing(round_no)
+        (_, msg), = out
+        self.sent.append(msg)
+        return out
 
 
 @pytest.fixture
@@ -386,8 +409,12 @@ class TestAdversaries:
         assert r1.values_by_round == r2.values_by_round
 
 
+_APPROX_LIES = (netsim.VALUE_LIAR, netsim.EQUIVOCATE, netsim.RANDOM_VALUES,
+                netsim.BOUNDARY_ATTACKER, netsim.CRASH)
+
+
 @st.composite
-def approx_runs(draw):
+def approx_runs(draw, behaviors=_APPROX_LIES):
     """(params, initial values, seed, adversary) over every approx-relevant lie."""
     f = draw(st.integers(0, 3))
     n = draw(st.integers(max(1, 3 * f + 1), 3 * f + 3))
@@ -401,8 +428,7 @@ def approx_runs(draw):
         if draw(st.booleans()):
             adv_params.update(fake_halt=True, value=draw(st.floats(-50.0, 50.0)))
         adversary = AdversaryStrategy(
-            draw(st.sampled_from([netsim.VALUE_LIAR, netsim.EQUIVOCATE, netsim.RANDOM_VALUES,
-                                  netsim.BOUNDARY_ATTACKER, netsim.CRASH])),
+            draw(st.sampled_from(behaviors)),
             frozenset(controlled), params=adv_params, rotate=draw(st.booleans()))
     return params, dict(zip(range(1, n + 1), values)), draw(st.integers(0, 2**16)), adversary
 
@@ -471,37 +497,159 @@ class TestAverageMemo:
         assert memo.of_round(1) == {}
 
 
+class TestValueMessageReuse:
+    @pytest.mark.parametrize("n, f, adversary", [
+        (4, 1, None),
+        (10, 3, AdversaryStrategy(netsim.VALUE_LIAR, frozenset({1, 2, 3}), rotate=True)),
+    ])
+    def test_unchanged_value_resends_one_object_until_halt(self, n, f, adversary):
+        # every operator reads one shared inbox, so all hold one average after
+        # the first exchange and keep it; a controlled operator's outgoing
+        # still runs, the bus replaces what it sends
+        params = make_params(n, f)
+        values = {op: float(op) for op in params.operator_ids()}
+        rounds = run_approx(params, values, adversary=adversary).rounds + 3  # 3 more halted
+        memo = netsim.RoundMemo()
+        bus = netsim.run_instance(
+            values, lambda op, value: RecordingApproxOperator(op, params, value, memo),
+            n, adversary, max_rounds=rounds, rounds=rounds)
+        for m in bus.participants.values():
+            h = m.horizon
+            sent, notices = m.sent[:h], m.sent[h:]
+            assert [msg.kind for msg in sent] == [netsim.KIND_VAL] * h
+            for r, msg in enumerate(sent):
+                assert repr(msg.body) == repr((m.history[r],))
+                if r:
+                    assert (msg is sent[r - 1]) == (repr(m.history[r]) == repr(
+                        m.history[r - 1]))
+            # from the first exchange on, one object until the halt
+            assert h > 2 and all(msg is sent[1] for msg in sent[1:])
+            assert sent[1] is not sent[0]
+            # the halt notice: one object, its own kind, resent every later round
+            assert len(notices) == 4
+            assert all(msg is notices[0] for msg in notices)
+            assert notices[0].kind == netsim.KIND_HALTED
+            assert repr(notices[0].body) == repr((m.output,))
+
+    def test_changed_value_or_sign_builds_a_new_message(self):
+        machine = approx.ApproxOperator(1, make_params(), 0.0)
+        nan = float("nan")
+        sequence = (0.0, 0.0, -0.0, -0.0, 0.0, 1.5, 1.5, nan, nan)
+        sent = []
+        for round_no, v in enumerate(sequence):
+            machine.v = v
+            (dest, msg), = machine.outgoing(round_no)
+            assert dest == netsim.BROADCAST and msg.kind == netsim.KIND_VAL
+            assert repr(msg.body) == repr((v,))
+            # sized as repr encodes it: -0.0 is one byte longer than 0.0
+            assert msg.raw_size() == len(msg.canonical_bytes()) == len(
+                "val|1|%r" % v)
+            sent.append(msg)
+        reused = [sent[r] is sent[r - 1] for r in range(1, len(sent))]
+        assert reused == [True, False, True, False, False, True, False, False]
+        assert sent[2].raw_size() == sent[0].raw_size() + 1
+
+    def test_halt_notice_follows_the_last_value_message(self):
+        machine = approx.ApproxOperator(1, make_params(), 5.0)
+        (_, value_msg), = machine.outgoing(0)
+        machine._announce_halt = True
+        (_, notice), = machine.outgoing(1)
+        assert notice is not value_msg
+        assert (notice.kind, notice.body) == (netsim.KIND_HALTED, (5.0,))
+        machine.deliver(1, {op: [] for op in range(1, 5)})
+        assert machine.halted
+        assert all(machine.outgoing(r)[0][1] is notice for r in (2, 3, 4))
+
+    @settings(max_examples=150, deadline=None)
+    @given(approx_runs(behaviors=netsim.BEHAVIORS),
+           st.one_of(st.none(), st.integers(1, 40)))
+    @example((make_params(4, 1), {1: -0.0, 2: -0.0, 3: 0.0, 4: 5.0}, 0, None), None)
+    def test_reuse_matches_always_rebuilding(self, run, frame_bytes):
+        params, values, seed, adversary = run
+        result = run_approx(params, values, seed=seed, adversary=adversary,
+                            frame_bytes=frame_bytes, record_transcript=True)
+        memo = netsim.RoundMemo()
+        oracle = netsim.run_instance(
+            values, lambda op, value: RebuildingApproxOperator(op, params, value, memo),
+            params.n_operators, adversary, max_rounds=10_000, seed=seed,
+            frame_bytes=frame_bytes, record_transcript=True)
+        machines = oracle.participants
+        assert result.rounds == oracle.round
+        # repr tells 0.0 from -0.0, which == does not
+        assert repr(result.outputs) == repr({op: m.output for op, m in machines.items()})
+        assert repr([m.history for m in result.bus.participants.values()]) == repr(
+            [m.history for m in machines.values()])
+        for counter in ("originated", "delivered", "received"):
+            assert getattr(result.bus, counter) == getattr(oracle, counter)
+        assert result.bus.transcript == oracle.transcript
+
+
 class TestWorkCounts:
     def test_rotating_liar_run_encodes_each_message_once(self, work_counts):
         """Pins the work of one N=10, f=3 run under a rotating value-liar.
 
-        Every round each of the 10 operators sends one message object: the
-        7 honest ones their value, the 3 controlled ones one lie shared by
-        all recipients. Building a lie per recipient gave 296 sizings.
+        The run has 7 exchange rounds and a halt round; round r is controlled
+        by operators r+1..r+3. Each round the 3 controlled operators send one
+        lie shared by all recipients: 3 * 8 = 24 sizings. Honest operators
+        send one value message object per value: every operator holds 1.85
+        from the first exchange to the end, so operators 4-10 send their
+        input in round 0 and then 1.85, and operators 1-3, controlled in
+        round 0, only 1.85: 7 * 2 + 3 = 17. The 7 operators honest in the
+        halt round each send one halt notice: 24 + 17 + 7 = 48. A new value
+        message every round gave 8 * 10 = 80, and a lie per recipient 296.
         """
         params = make_params(10, 3)
         values = {op: 1.0 + 0.1 * op for op in params.operator_ids()}
         adversary = AdversaryStrategy(netsim.VALUE_LIAR, frozenset({1, 2, 3}), rotate=True)
         result = run_approx(params, values, adversary=adversary)
         assert result.rounds == 8
-        assert work_counts == {"size": 8 * 10, "sign": 0, "verify": 0}
+        assert {v for row in result.values_by_round[1:] for v in row.values()} == {1.85}
+        assert work_counts == {"size": 3 * 8 + 7 * 2 + 3 + 7, "sign": 0, "verify": 0}
 
     def test_halt_notice_encoded_once_however_long_halted(self, work_counts):
         """Pins the work of a fault-free N=4, f=1 run.
 
-        Each operator sends a new value in each of its h exchange rounds and
-        then one halt notice object, built once and resent every later round.
+        Each operator sends its input in round 0, then the average 2.5 that
+        every operator holds from the first exchange on, as one message object
+        for the remaining h - 1 = 4 exchange rounds, then one halt notice
+        object, built once and resent every later round: 4 * 3 = 12 sizings
+        for any h. A new value message every round gave 4h + 4 = 24.
         """
         params = make_params()
         values = {op: float(op) for op in params.operator_ids()}
-        h = run_approx(params, values).rounds - 1
-        assert work_counts["size"] == 4 * h + 4
+        result = run_approx(params, values)
+        h = result.rounds - 1
+        assert h == 5
+        assert {v for row in result.values_by_round[1:] for v in row.values()} == {2.5}
+        assert work_counts["size"] == 4 * 3
         # the same run kept going for 5 more rounds: every operator stays halted
         bus = netsim.run_instance(
             values, lambda op, value: approx.ApproxOperator(op, params, value), 4, None,
             max_rounds=h + 6, rounds=h + 6)
         assert all(bus.participants[op].halted for op in values)
-        assert work_counts == {"size": 2 * (4 * h + 4), "sign": 0, "verify": 0}
+        assert work_counts == {"size": 2 * 4 * 3, "sign": 0, "verify": 0}
+
+    def test_horizon_derived_once_per_distinct_first_spread(self, monkeypatch):
+        """An equivocator splits the N=7, f=2 operators between two inboxes
+        in round 0, so they see two first spreads: round_count runs twice per
+        instance, where each operator deriving its own horizon ran it 7 times."""
+        spreads = []
+        original = approx.round_count
+
+        def counted(delta, zeta, c):
+            spreads.append(delta)
+            return original(delta, zeta, c)
+
+        monkeypatch.setattr(approx, "round_count", counted)
+        params = make_params(7, 2, zeta=0.01)
+        values = {op: 1.0 + 0.1 * op for op in params.operator_ids()}
+        adversary = AdversaryStrategy(netsim.EQUIVOCATE, frozenset({1, 2}))
+        for instance in (1, 2):  # a second instance derives its own
+            result = run_approx(params, values, seed=3, adversary=adversary)
+            distinct = set(result.first_spreads.values())
+            assert len(distinct) == 2
+            assert len(spreads) == 2 * instance
+            assert set(spreads[-2:]) == distinct
 
     def test_rotating_liar_run_averages_once_per_round(self, average_calls):
         """Every honest operator reads the same shared inbox in the same sticky
