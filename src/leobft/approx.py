@@ -1,17 +1,19 @@
 """Approximate agreement over real-valued measurements.
 
-Every round an operator broadcasts its value, collects one value per
-operator (its own included, 0.0 for silent peers, the recorded final value
-for halted ones) and replaces its value with
+Every round an operator broadcasts its value, reads one value per operator
+from that round's inbox alone (its own included: a sender's lone value or
+halt notice, else 0.0) and replaces its value with
 
     u_f(V) = mean( select_f( reduce_f(V) ) )
 
 where reduce_f drops the f smallest and f largest entries and select_f keeps
 the smallest remaining entry and every f-th one after it. With N >= 3f+1 the
 honest spread shrinks by at least c = floor((N-1)/f) - 1 per round, so
-ceil(log_c(spread/zeta)) rounds bring it below zeta. Each operator computes
-its horizon from its own first-round spread, then announces its final value
-in a halt notice and goes quiet.
+ceil(log_c(spread/zeta)) rounds bring it below zeta, against an adversary
+that may pick a different set of at most f liars every round: no value
+outlives its round. Each operator computes its horizon from its own
+first-round spread, then repeats its final value in a halt notice every
+round.
 
 An operator resends its last value message object while its value stays
 the same, sign included, so the bus sizes that message once. The operators
@@ -28,6 +30,10 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import netsim
 from .model import NetworkParams
+
+
+# the kinds that carry a sender's value for the round they are read in
+_VALUE_KINDS = (netsim.KIND_VAL, netsim.KIND_HALTED)
 
 
 def reduce_extremes(values: Sequence[float], f: int) -> List[float]:
@@ -114,18 +120,17 @@ class ApproxOperator:
     """One operator's approximate-agreement state machine.
 
     Operators built with one netsim.RoundMemo (run_approx gives every
-    operator of an instance the same one) average once per shared inbox and
-    sticky state, and derive a horizon once per distinct first spread; without
-    one, each operator computes its own. An operator keeps its last value
-    message and resends that object while v keeps its value and sign: 0.0 and
-    -0.0 are equal but encode to different lengths, and a NaN equals nothing,
-    so each gets a new message.
+    operator of an instance the same one) average once per shared inbox, and
+    derive a horizon once per distinct first spread; without one, each
+    operator computes its own. An operator keeps its last value message and
+    resends that object while v keeps its value and sign: 0.0 and -0.0 are
+    equal but encode to different lengths, and a NaN equals nothing, so each
+    gets a new message.
     """
 
     # A halted operator keeps repeating its halt notice while peers are still
-    # running: a per-round rotating adversary can swallow any single round's
-    # traffic, so a one-shot notice could be lost forever and peers would fall
-    # back to the default value instead of the sender's final one.
+    # running: peers read each sender from the current round only, so a
+    # one-shot notice would count for one round and the default value after.
     HALT_KINDS: frozenset = frozenset({netsim.KIND_HALTED})
 
     def __init__(self, operator_id: int, params: NetworkParams, initial_value: float,
@@ -142,7 +147,6 @@ class ApproxOperator:
         # built on the first announcing round, when v stops changing
         self._halt_notice: Optional[netsim.Message] = None
         self._value_msg: Optional[netsim.Message] = None  # the last value sent
-        self._final_values: Dict[int, float] = {}  # sticky values of halted peers
         self._memo = netsim.RoundMemo() if memo is None else memo
         self.history = [self.v]  # v at the start and after each bus round
 
@@ -159,47 +163,21 @@ class ApproxOperator:
             msg = self._value_msg = netsim.Message(me, netsim.KIND_VAL, (v,))
         return [(netsim.BROADCAST, msg)]
 
-    def _peer_value(self, sender: int, msgs: Sequence[netsim.Message]) -> float:
-        for msg in msgs:
-            if msg.kind == netsim.KIND_HALTED and sender not in self._final_values:
-                self._final_values[sender] = float(msg.body[0])
-        if sender in self._final_values:
-            return self._final_values[sender]
-        val_msgs = [m for m in msgs if m.kind == netsim.KIND_VAL]
-        if len(val_msgs) == 1:
-            return float(val_msgs[0].body[0])
-        return 0.0  # absent or duplicated sender, as in ledger.retrieve_approx
-
     def _average(self, round_no: int,
                  inbox: Mapping[int, Sequence[netsim.Message]]) -> Tuple[List[float], float]:
-        """(values, average) of this round, recording new sticky values; taken
-        from the memo when a peer already read this inbox in this state.
-
-        The memo keeps, per inbox object, one (sticky values before, value
-        list, average, sticky values after) entry for each sticky state read
-        from it. A private inbox is one receiver's own object, so it never hits.
-        """
+        """(values, average) of this round's inbox, taken from the memo when a
+        peer already read the same inbox object; a private inbox is one
+        receiver's own object, so it never hits."""
         held = self._memo.of_round(round_no)
-        if id(inbox) not in held:
-            held[id(inbox)] = (inbox, [])
-        entries = held[id(inbox)][1]
-        final = self._final_values
-        for before, values, average, after in entries:
-            # equal is enough: 0.0 and -0.0 give the same average and spread
-            if before == final:
-                if after is not before:
-                    self._final_values = dict(after)
-                return values, average
-        before, val = dict(final), netsim.KIND_VAL
-        # a lone value from a sender with no recorded final value is read inline
-        values = [float(msgs[0].body[0])
-                  if len(msgs) == 1 and msgs[0].kind == val and s not in final
-                  else self._peer_value(s, msgs)
-                  for s, msgs in inbox.items()]
-        average = averaging_function(values, self.params.max_faulty)
-        entries.append((before, values, average,
-                        before if len(final) == len(before) else dict(final)))
-        return values, average
+        entry = held.get(id(inbox))
+        if entry is None:
+            # a sender's lone value or halt notice, else 0.0, as in
+            # ledger.retrieve_approx for an absent or duplicated sender
+            values = [float(msgs[0].body[0]) if len(msgs) == 1 and msgs[0].kind in _VALUE_KINDS
+                      else 0.0 for msgs in inbox.values()]
+            entry = held[id(inbox)] = (
+                inbox, values, averaging_function(values, self.params.max_faulty))
+        return entry[1], entry[2]
 
     def deliver(self, round_no: int, inbox: Mapping[int, Sequence[netsim.Message]]) -> None:
         """Take one round's values; inbox (read-only) lists senders in id order."""

@@ -212,7 +212,7 @@ def verify_signed(registry: KeyRegistry, msg: SignedMessage) -> Optional[bytes]:
 
 @dataclass(frozen=True)
 class QuorumCertificate:
-    """Digest plus signed votes from at least 2f+1 distinct operators."""
+    """Digest plus signed votes from a quorum (model.quorum) of distinct operators."""
 
     digest: bytes
     votes: Tuple[Tuple[int, bytes], ...]  # (operator, tag) sorted by operator

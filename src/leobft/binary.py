@@ -1,18 +1,23 @@
 """Iterated binary Byzantine agreement with a common coin.
 
 Each iteration is three lockstep steps. In every step each operator
-broadcasts its current bit and tallies exactly N bits (its own included;
-absent or malformed senders count as 0):
+broadcasts its current bit and tallies exactly N bits, one per operator (its
+own included), from that round's inbox alone: a sender's lone bit, or the
+bit of its lone valid halt certificate; anything else counts as 0. With q
+the quorum of model.quorum:
 
-  step 1: >= 2f+1 zeros -> decide 0 and halt; >= 2f+1 ones -> adopt 1;
+  step 1: >= q zeros -> decide 0 and halt; >= q ones -> adopt 1;
           otherwise adopt 0.
-  step 2: >= 2f+1 ones  -> decide 1 and halt; >= 2f+1 zeros -> adopt 0;
+  step 2: >= q ones  -> decide 1 and halt; >= q zeros -> adopt 0;
           otherwise adopt 1.
-  step 3: >= 2f+1 zeros -> adopt 0; >= 2f+1 ones -> adopt 1; otherwise
+  step 3: >= q zeros -> adopt 0; >= q ones -> adopt 1; otherwise
           adopt the shared coin flip for this iteration, then start over.
 
-A halted operator keeps broadcasting a signed halt certificate carrying its
-decision, and peers tally the certified bit for it from then on.
+A halted operator broadcasts a signed halt certificate carrying its decision
+every round, so peers read its bit each round without keeping it. A
+certified 0 counts as 0, as anything else does, so only a certified 1 is
+verified, once per instance: the operators of one instance share one
+netsim.RoundMemo, whose lasting table keeps each certificate's verdict.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ class BinaryOperator:
     HALT_KINDS = frozenset({netsim.KIND_CERT})
 
     def __init__(self, operator_id: int, params: NetworkParams, initial_bit: int,
-                 instance: str, coin: auth.CommonCoin, registry: auth.KeyRegistry):
+                 instance: str, coin: auth.CommonCoin, registry: auth.KeyRegistry,
+                 memo: Optional[netsim.RoundMemo] = None):
         if type(initial_bit) is not int or initial_bit not in (0, 1):
             raise ValueError("initial bit must be 0 or 1")
         self.operator_id = operator_id
@@ -45,8 +51,8 @@ class BinaryOperator:
         self.halted = False
         self.halt_clause: Optional[str] = None
         self.halt_iteration: Optional[int] = None
-        # final certified bit per peer, sticky once a valid certificate is seen
-        self._peer_certs: Dict[int, int] = {}
+        # (sender, tag) -> whether sender's halt certificate of a 1 verifies
+        self._verdicts: Dict[tuple, bool] = {} if memo is None else memo.lasting
         # what this operator broadcasts: one message per bit, then from its
         # first halted round one certificate, each built (and signed) once
         self._bit_msgs = tuple(netsim.Message(operator_id, netsim.KIND_BIT, (bit,))
@@ -67,36 +73,30 @@ class BinaryOperator:
             return [(netsim.BROADCAST, self._halt_cert)]
         return [(netsim.BROADCAST, self._bit_msgs[self.b])]
 
-    def _tally_bit(self, sender: int, msgs: Sequence[netsim.Message]) -> int:
-        if sender in self._peer_certs:
-            return self._peer_certs[sender]
-        for msg in msgs:
-            if msg.kind != netsim.KIND_CERT or len(msg.body) != 2:
-                continue
-            bit, tag = msg.body
-            if bit in (0, 1) and isinstance(tag, bytes) and self.registry.verify(
-                sender, self._cert_payload(sender, bit), tag
-            ):
-                self._peer_certs[sender] = bit
-                return bit
-        bit_msgs = [m for m in msgs if m.kind == netsim.KIND_BIT]
-        if len(bit_msgs) == 1 and bit_msgs[0].body and bit_msgs[0].body[0] in (0, 1):
-            return bit_msgs[0].body[0]
-        return 0  # absent, duplicated or malformed senders default to 0
+    def _certifies_one(self, sender: int, body: tuple) -> bool:
+        """Whether body is sender's valid halt certificate of a 1."""
+        if len(body) != 2 or type(body[0]) is not int or body[0] != 1 or type(body[1]) is not bytes:
+            return False
+        key = (sender, body[1])
+        valid = self._verdicts.get(key)
+        if valid is None:
+            valid = self._verdicts[key] = self.registry.verify(
+                sender, self._cert_payload(sender, 1), body[1])
+        return valid
 
     def deliver(self, round_no: int, inbox: Mapping[int, Sequence[netsim.Message]]) -> None:
         """Tally one round's bits; inbox (read-only) lists senders in id order."""
         if self.halted:
             return
-        certs, bit_kind = self._peer_certs, netsim.KIND_BIT
+        bit_kind, cert_kind = netsim.KIND_BIT, netsim.KIND_CERT
         ones = 0
         for sender, msgs in inbox.items():
-            if len(msgs) == 1 and sender not in certs:
+            if len(msgs) == 1:
                 msg = msgs[0]
-                if msg.kind == bit_kind and msg.body:  # a lone bit is read inline
-                    ones += msg.body[0] == 1
-                    continue
-            ones += self._tally_bit(sender, msgs) == 1
+                if msg.kind == bit_kind:
+                    ones += bool(msg.body) and msg.body[0] == 1
+                elif msg.kind == cert_kind:
+                    ones += self._certifies_one(sender, msg.body)
         zeros = len(inbox) - ones
         quorum = self.params.quorum
 
@@ -167,9 +167,10 @@ def run_binary(params: NetworkParams, initial_bits: Dict[int, int], *,
     """
     registry = registry or auth.KeyRegistry(sorted(initial_bits), auth.derive_seed(seed, "keys"))
     coin = coin or auth.CommonCoin(auth.derive_seed(seed, "coin"))
+    memo = netsim.RoundMemo()
     bus = netsim.run_instance(
         initial_bits,
-        lambda op, bit: BinaryOperator(op, params, bit, instance, coin, registry),
+        lambda op, bit: BinaryOperator(op, params, bit, instance, coin, registry, memo),
         params.n_operators, adversary,
         max_rounds=3 * max_iterations if exact_rounds is None else exact_rounds,
         rounds=exact_rounds, seed=seed, frame_bytes=frame_bytes,

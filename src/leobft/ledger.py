@@ -2,13 +2,13 @@
 
 One block per period. A rotating proposer signs its local tensor; every
 operator answers with a signed approval or a signed rejection. A block
-commits on 2f+1 distinct approvals, and its digest chains over the previous
-digest, the canonical payload, the proposer and the vote set, so any flipped
-byte breaks verification from that block onward.
+commits on a quorum (model.quorum) of distinct approvals, and its digest
+chains over the previous digest, the canonical payload, the proposer and the
+vote set, so any flipped byte breaks verification from that block onward.
 
 Misbehaviour verdicts are only recorded with checkable evidence: either two
 conflicting signed proposals for the same slot, or a signed proposal plus
-2f+1 signed rejections of it.
+a quorum of signed rejections of it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import auth, netsim
 from .approx import averaging_function
-from .model import NetworkParams, UsageTensor, check_fault_bound, max_deviation
+from .model import NetworkParams, UsageTensor, check_fault_bound, max_deviation, quorum
 
 GENESIS_DIGEST = hashlib.sha256(b"usage-ledger-genesis").digest()
 
@@ -478,13 +478,12 @@ def audit_chain(data: bytes) -> AuditReport:
         return AuditReport(False, "malformed export: no final newline", [], n, f, master_seed)
 
     registry = auth.KeyRegistry(range(1, n + 1), master_seed)
-    quorum = 2 * f + 1
     blocks: List[Block] = []
     prev, last_period = GENESIS_DIGEST, -1
     for i, line in enumerate(lines[1:-1]):
         block = _parse_block(line)
         problem = ("malformed record" if block is None
-                   else check_block(registry, quorum, block, prev, last_period))
+                   else check_block(registry, quorum(n, f), block, prev, last_period))
         if problem is not None:
             return AuditReport(False, "block %d: %s" % (i, problem), blocks, n, f, master_seed)
         blocks.append(block)

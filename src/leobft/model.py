@@ -39,6 +39,12 @@ def check_fault_bound(n_operators: int, max_faulty: int) -> None:
         )
 
 
+def quorum(n_operators: int, max_faulty: int) -> int:
+    """floor((N + f) / 2) + 1: the smallest size at which any two quorums of
+    N operators share f + 1, so at least one honest; 2f + 1 at N = 3f + 1."""
+    return (n_operators + max_faulty) // 2 + 1
+
+
 @dataclass(frozen=True)
 class NetworkParams:
     """Shared configuration of one consensus network.
@@ -77,8 +83,8 @@ class NetworkParams:
 
     @property
     def quorum(self) -> int:
-        """Supermajority size 2f + 1."""
-        return 2 * self.max_faulty + 1
+        """Supermajority size of this network, model.quorum(N, f)."""
+        return quorum(self.n_operators, self.max_faulty)
 
     def operator_ids(self) -> range:
         return range(1, self.n_operators + 1)

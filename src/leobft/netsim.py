@@ -218,6 +218,83 @@ class AdversaryStrategy:
         answers = self._tensors(LEDGER_ROLES[self.behavior][2], local)
         return answers[0] if answers else None
 
+    def rng(self, seed: int, op: int, round_no: int) -> Optional[random.Random]:
+        """The random stream substitute draws from for op in round_no of a bus
+        seeded with seed; None for a behaviour that draws nothing."""
+        if self.behavior not in _DRAWING:
+            return None
+        return random.Random(auth.derive_seed(seed, "adv", op, round_no))
+
+    def substitute(self, op: int, round_no: int, intended: List[Outbound],
+                   all_ids: Tuple[int, ...], rng: Optional[random.Random],
+                   participant) -> List[Outbound]:
+        """Replace operator op's honest outbox for round_no by this strategy;
+        rng is self.rng's stream for (op, round_no). A subclass may send
+        anything op may: messages from op, signed only with op's key.
+
+        Each lie is one message object sent to its recipient group as one tuple
+        destination, so the bus encodes and an exact operator signs it once.
+        Lies never use BROADCAST: they originate their size once per recipient.
+        """
+        behavior = self.behavior
+        params = self.params
+        if behavior == CRASH:
+            return []
+        if behavior == BAD_PROPOSER:
+            # corrupts ledger proposals, not protocol traffic
+            return intended
+
+        out: List[Outbound] = []
+        for dest, msg in intended:
+            recipients = _recipients(dest, all_ids)
+
+            if msg.kind in (KIND_BIT, KIND_CERT):
+                original = int(msg.body[0])
+                if behavior == EQUIVOCATE:
+                    lows, highs = _halves(recipients)
+                    b0, b1 = params.get("bits", (0, 1))
+                    out.append((lows, Message(op, KIND_BIT, (b0,))))
+                    out.append((highs, Message(op, KIND_BIT, (b1,))))
+                elif behavior == RANDOM_VALUES or behavior == BOUNDARY_ATTACKER:
+                    bits = (Message(op, KIND_BIT, (0,)), Message(op, KIND_BIT, (1,)))
+                    out.extend((r, bits[rng.randint(0, 1)]) for r in recipients)
+                elif behavior == VALUE_LIAR:
+                    lie = Message(op, KIND_BIT, (params.get("bit", 1 - original),))
+                    out.append((recipients, lie))
+
+            elif msg.kind in (KIND_VAL, KIND_HALTED):
+                original_value = float(msg.body[0])
+                if params.get("fake_halt"):
+                    if round_no == 0:
+                        notice = Message(op, KIND_HALTED,
+                                         (float(params.get("value", original_value)),))
+                        out.append((recipients, notice))
+                    continue
+                for value, group in _lie_values(self, original_value, recipients, rng):
+                    out.append((group, Message(op, KIND_VAL, (value,))))
+
+            elif msg.kind == KIND_BCAST:
+                signed: auth.SignedMessage = msg.body[0]
+                own_origin = signed.signers == (op,)
+                if own_origin and hasattr(participant, "make_own_broadcast"):
+                    base = float(participant.initial_value)
+                    for value, group in _lie_values(self, base, recipients, rng):
+                        out.append((group, participant.make_own_broadcast(value)))
+                else:
+                    # relayed chains cannot be forged, only withheld, destination
+                    # by destination: an equivocator keeps the lower half of a
+                    # broadcast, which for one listed peer is nobody, so it relays
+                    # nothing to a listed group; random-values drops each
+                    # recipient with probability 1/2, drawing in the listed order
+                    if behavior == EQUIVOCATE:
+                        recipients = _halves(recipients)[0] if dest == BROADCAST else ()
+                    elif behavior == RANDOM_VALUES:
+                        recipients = tuple(r for r in recipients if rng.random() < 0.5)
+                    out.append((recipients, msg))
+            else:
+                out.append((recipients, msg))
+        return out
+
 
 def honest_ids(operator_ids: Sequence[int],
                adversary: Optional[AdversaryStrategy]) -> List[int]:
@@ -269,75 +346,6 @@ def _recipients(dest, ids: Tuple[int, ...]) -> Tuple[int, ...]:
     if dest == BROADCAST:
         return ids
     return dest if isinstance(dest, tuple) else (dest,)
-
-
-def _substitute(strategy: AdversaryStrategy, op: int, round_no: int,
-                intended: List[Outbound], all_ids: Tuple[int, ...],
-                rng: Optional[random.Random], participant) -> List[Outbound]:
-    """Replace an operator's honest outbox according to the strategy.
-
-    Each lie is one message object sent to its recipient group as one tuple
-    destination, so the bus encodes and an exact operator signs it once.
-    Lies never use BROADCAST: they originate their size once per recipient.
-    """
-    behavior = strategy.behavior
-    params = strategy.params
-    if behavior == CRASH:
-        return []
-    if behavior == BAD_PROPOSER:
-        # corrupts ledger proposals, not protocol traffic
-        return intended
-
-    out: List[Outbound] = []
-    for dest, msg in intended:
-        recipients = _recipients(dest, all_ids)
-
-        if msg.kind in (KIND_BIT, KIND_CERT):
-            original = int(msg.body[0])
-            if behavior == EQUIVOCATE:
-                lows, highs = _halves(recipients)
-                b0, b1 = params.get("bits", (0, 1))
-                out.append((lows, Message(op, KIND_BIT, (b0,))))
-                out.append((highs, Message(op, KIND_BIT, (b1,))))
-            elif behavior == RANDOM_VALUES or behavior == BOUNDARY_ATTACKER:
-                bits = (Message(op, KIND_BIT, (0,)), Message(op, KIND_BIT, (1,)))
-                out.extend((r, bits[rng.randint(0, 1)]) for r in recipients)
-            elif behavior == VALUE_LIAR:
-                lie = Message(op, KIND_BIT, (params.get("bit", 1 - original),))
-                out.append((recipients, lie))
-
-        elif msg.kind in (KIND_VAL, KIND_HALTED):
-            original_value = float(msg.body[0])
-            if params.get("fake_halt"):
-                if round_no == 0:
-                    notice = Message(op, KIND_HALTED,
-                                     (float(params.get("value", original_value)),))
-                    out.append((recipients, notice))
-                continue
-            for value, group in _lie_values(strategy, original_value, recipients, rng):
-                out.append((group, Message(op, KIND_VAL, (value,))))
-
-        elif msg.kind == KIND_BCAST:
-            signed: auth.SignedMessage = msg.body[0]
-            own_origin = signed.signers == (op,)
-            if own_origin and hasattr(participant, "make_own_broadcast"):
-                base = float(participant.initial_value)
-                for value, group in _lie_values(strategy, base, recipients, rng):
-                    out.append((group, participant.make_own_broadcast(value)))
-            else:
-                # relayed chains cannot be forged, only withheld, destination
-                # by destination: an equivocator keeps the lower half of a
-                # broadcast, which for one listed peer is nobody, so it relays
-                # nothing to a listed group; random-values drops each
-                # recipient with probability 1/2, drawing in the listed order
-                if behavior == EQUIVOCATE:
-                    recipients = _halves(recipients)[0] if dest == BROADCAST else ()
-                elif behavior == RANDOM_VALUES:
-                    recipients = tuple(r for r in recipients if rng.random() < 0.5)
-                out.append((recipients, msg))
-        else:
-            out.append((recipients, msg))
-    return out
 
 
 class RoundMemo:
@@ -417,10 +425,10 @@ class RoundBus:
             participant = self.participants[op]
             intended = participant.outgoing(round_no)
             if op in controlled:
-                rng = (random.Random(auth.derive_seed(self.seed, "adv", op, round_no))
-                       if self.adversary.behavior in _DRAWING else None)
-                outbound = _substitute(self.adversary, op, round_no, intended,
-                                       ids, rng, participant)
+                adversary = self.adversary
+                outbound = adversary.substitute(op, round_no, intended, ids,
+                                                adversary.rng(self.seed, op, round_no),
+                                                participant)
             else:
                 outbound = intended
                 if getattr(participant, "halted", False):

@@ -20,6 +20,9 @@ from leobft.model import NetworkParams, UsageTensor
 from leobft.scenario import parse_scenario
 
 GRID = [(4, 1), (7, 2), (10, 3)]
+# N > 3f + 1, where the quorum is above 2f + 1: two sets of 2f + 1 would share
+# fewer than f + 1 operators
+QUORUM_CELLS = [(5, 1), (9, 2)]
 BEHAVIORS = list(netsim.BEHAVIORS)
 SEEDS_PER_CELL = 500
 
@@ -43,7 +46,7 @@ def test_criterion_1_binary_agreement_grid(report):
     t0 = time.perf_counter()
     runs = 0
     unanimous_checked = 0
-    for n, f in GRID:
+    for n, f in GRID + QUORUM_CELLS:
         params = _params(n, f)
         ids = list(range(1, n + 1))
         registry = auth.KeyRegistry(ids, auth.derive_seed(1001, "keys", n))
@@ -79,7 +82,7 @@ def test_criterion_1_binary_agreement_grid(report):
                 runs += 1
     elapsed = time.perf_counter() - t0
     report(1, elapsed < 60.0,
-           "binary agreement+validity in %d/%d runs (grid N=4,7,10 x 6 "
+           "binary agreement+validity in %d/%d runs (grid N=4,7,10 and 5,9 x 6 "
            "strategies x %d seeds); %d honest-unanimous runs all halted in "
            "iteration 1 via clause 1.1/2.1; runtime %.1fs < 60s"
            % (runs, runs, SEEDS_PER_CELL, unanimous_checked, elapsed))
@@ -277,10 +280,30 @@ def test_criterion_4_averaging_oracle_equivalence(report):
 
 
 def test_criterion_5_ledger_safety_exhaustive(report):
-    params = _params(4, 1)
-    ids = [1, 2, 3, 4]
+    combos = verdicts_verified = 0
+    for n, f in [(4, 1)] + QUORUM_CELLS:
+        ids = list(range(1, n + 1))
+        # f consecutive operators from each position, wrapping past N
+        for controlled in (frozenset(ids[(start + i) % n] for i in range(f))
+                           for start in range(n)):
+            combos_here, verified_here = _ledger_safety_cell(n, f, controlled)
+            combos += combos_here
+            verdicts_verified += verified_here
+    report(5, True,
+           "ledger safety: single commit with no conflicting certificates, "
+           "evidence-backed verdicts (%d verified), committed values within "
+           "alpha of >= f+1 honest locals, across %d adversary combinations "
+           "(6 behaviors x N positions x 3 vote policies x 2 modes, "
+           "N,f = 4,1 5,1 9,2)" % (verdicts_verified, combos))
+
+
+def _ledger_safety_cell(n, f, controlled):
+    """(combinations, verdicts verified) of criterion 5 with one controlled set."""
+    params = _params(n, f)
+    ids = list(range(1, n + 1))
     registry = auth.KeyRegistry(ids, auth.derive_seed(1005, "keys"))
     quorum = params.quorum
+    honest = [op for op in ids if op not in controlled]
     combos = verdicts_verified = 0
 
     def make_locals(mode):
@@ -298,46 +321,44 @@ def test_criterion_5_ledger_safety_exhaustive(report):
         outcome = ledger.commit_period(baseline, 0, make_locals(mode), mode)
         assert outcome.block is not None and outcome.block.attempt == 0
 
-        for behavior, faulty, vote_policy in itertools.product(
-                BEHAVIORS, ids, ("derived", "approve-all", "reject-all")):
+        for behavior, vote_policy in itertools.product(
+                BEHAVIORS, ("derived", "approve-all", "reject-all")):
             locals_by_op = make_locals(mode)
             adversary = netsim.AdversaryStrategy(
                 behavior=behavior,
-                controlled=frozenset({faulty}),
+                controlled=controlled,
                 params={"offset": 10.0},
                 vote_policy=None if vote_policy == "derived" else vote_policy,
             )
             chain = ledger.TensorLedger(params, registry)
             outcome = ledger.commit_period(chain, 0, locals_by_op, mode, adversary)
             combos += 1
+            where = "n=%d %s faulty=%s votes=%s" % (
+                n, behavior, sorted(controlled), adversary.vote_policy)
 
-            # liveness within f+1 attempts despite one faulty operator
-            assert outcome.block is not None, \
-                "no commit: %s faulty=%d votes=%s" % (behavior, faulty, adversary.vote_policy)
+            # liveness within f+1 attempts despite f faulty operators
+            assert outcome.block is not None, "no commit: " + where
 
             # safety: per attempt, honest operators vote once and at most one
             # digest can gather a quorum of distinct signers
             for attempt in {v[0] for v in outcome.votes_emitted}:
                 votes = [v for v in outcome.votes_emitted if v[0] == attempt]
-                for op in ids:
-                    if op != faulty:
-                        assert len([v for v in votes if v[2] == op]) <= 1
+                for op in honest:
+                    assert len([v for v in votes if v[2] == op]) <= 1
                 support = {}
                 for _, digest, op, _tag in votes:
                     support.setdefault(digest, set()).add(op)
                 at_quorum = [d for d, ops in support.items() if len(ops) >= quorum]
-                assert len(at_quorum) <= 1, \
-                    "conflicting certificates: %s faulty=%d" % (behavior, faulty)
+                assert len(at_quorum) <= 1, "conflicting certificates: " + where
 
             # accountability: every verdict must carry verifiable evidence
             for verdict in chain.verdicts:
                 assert ledger.verify_verdict(registry, verdict, quorum), \
-                    "unverifiable verdict: %s faulty=%d" % (behavior, faulty)
-                assert verdict.proposer == faulty
+                    "unverifiable verdict: " + where
+                assert verdict.proposer in controlled
                 verdicts_verified += 1
 
             committed = UsageTensor.from_canonical(outcome.block.payload)
-            honest = [op for op in ids if op != faulty]
             if mode == "exact":
                 reference = locals_by_op[honest[0]].canonical_bytes()
                 assert outcome.block.payload == reference
@@ -348,12 +369,7 @@ def test_criterion_5_ledger_safety_exhaustive(report):
                              <= params.alpha]
                     assert len(close) >= params.max_faulty + 1, \
                         "committed element outside alpha band of f+1 honest locals"
-    report(5, True,
-           "ledger safety: single commit with no conflicting certificates, "
-           "evidence-backed verdicts (%d verified), committed values within "
-           "alpha of >= f+1 honest locals, across %d adversary combinations "
-           "(6 behaviors x 4 positions x 3 vote policies x 2 modes)"
-           % (verdicts_verified, combos))
+    return combos, verdicts_verified
 
 
 def test_criterion_6_message_accounting_budget(report):

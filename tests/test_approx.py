@@ -26,8 +26,9 @@ def make_params(n=4, f=1, zeta=0.1):
 
 
 class ReferenceApproxOperator(approx.ApproxOperator):
-    """The per-operator reference: every deliver reads its own values from its
-    inbox and averages them, with no memo shared between operators."""
+    """The per-operator reference: every deliver reads its own values from this
+    round's inbox alone and averages them, with no memo shared between
+    operators and nothing kept from earlier rounds."""
 
     def deliver(self, round_no, inbox):
         if self._announce_halt and not self.halted:
@@ -48,14 +49,10 @@ class ReferenceApproxOperator(approx.ApproxOperator):
         self.history.append(self.v)
 
     def _reference_value(self, sender, msgs):
-        final = self._final_values
-        for msg in msgs:
-            if msg.kind == netsim.KIND_HALTED and sender not in final:
-                final[sender] = float(msg.body[0])
-        if sender in final:
-            return final[sender]
-        vals = [m for m in msgs if m.kind == netsim.KIND_VAL]
-        return float(vals[0].body[0]) if len(vals) == 1 else 0.0
+        # a lone value or halt notice gives the sender's value, anything else 0.0
+        if len(msgs) == 1 and msgs[0].kind in (netsim.KIND_VAL, netsim.KIND_HALTED):
+            return float(msgs[0].body[0])
+        return 0.0
 
 
 class RebuildingApproxOperator(approx.ApproxOperator):
@@ -79,6 +76,10 @@ class RecordingApproxOperator(approx.ApproxOperator):
         (_, msg), = out
         self.sent.append(msg)
         return out
+
+
+def val(op, value):
+    return netsim.Message(op, netsim.KIND_VAL, (value,))
 
 
 @pytest.fixture
@@ -300,39 +301,40 @@ class TestHaltProtocol:
             machine.deliver(later_round, {op: [] for op in range(1, 5)})
             assert machine.output == 5.0  # state frozen
 
-    def test_halted_peer_value_is_sticky(self):
-        params = make_params()
-        machine = approx.ApproxOperator(1, params, 5.0)
-        notice = netsim.Message(2, netsim.KIND_HALTED, (9.0,))
-        assert machine._peer_value(2, [notice]) == 9.0
-        # later traffic from that peer no longer changes the tallied value
-        assert machine._peer_value(2, [netsim.Message(2, netsim.KIND_VAL, (0.0,))]) == 9.0
+    @staticmethod
+    def _read(machine, round_no, msgs):
+        """The value machine reads for peer 2 from msgs in round_no."""
+        inbox = {1: [val(1, 5.0)], 2: msgs, 3: [val(3, 1.0)], 4: [val(4, 2.0)]}
+        return machine._average(round_no, inbox)[0][1]
 
-    def test_first_halt_notice_wins(self):
-        params = make_params()
-        machine = approx.ApproxOperator(1, params, 5.0)
+    def test_halt_notice_counts_for_its_round_only(self):
+        # a notice gives its sender's value in the round it arrives; the next
+        # round reads that sender's lone value again
+        machine = approx.ApproxOperator(1, make_params(), 5.0)
+        assert self._read(machine, 0, [netsim.Message(2, netsim.KIND_HALTED, (9.0,))]) == 9.0
+        assert self._read(machine, 1, [val(2, 0.5)]) == 0.5
+
+    def test_two_halt_notices_count_as_default(self):
+        machine = approx.ApproxOperator(1, make_params(), 5.0)
         first = netsim.Message(2, netsim.KIND_HALTED, (9.0,))
         second = netsim.Message(2, netsim.KIND_HALTED, (1.0,))
-        assert machine._peer_value(2, [first, second]) == 9.0
+        assert self._read(machine, 0, [first, second]) == 0.0
+        assert self._read(machine, 1, [first, val(2, 1.0)]) == 0.0
 
-    def test_deliver_prefers_sticky_value_to_a_lone_val(self):
-        # a lone value is read inline only from a peer without a final value
+    def test_deliver_reads_each_sender_from_this_round(self):
+        # a halted peer's notice counts in its round; a later lie from that
+        # peer counts in its own round, in place of the notice
         machine = approx.ApproxOperator(1, make_params(), 5.0)
-
-        def val(op, value):
-            return netsim.Message(op, netsim.KIND_VAL, (value,))
-
         machine.deliver(0, {1: [val(1, 5.0)], 2: [netsim.Message(2, netsim.KIND_HALTED, (9.0,))],
                             3: (), 4: [val(4, 1.0), val(4, 2.0)]})
         assert machine.v == averaging_function([5.0, 9.0, 0.0, 0.0], 1) == 2.5
         machine.deliver(1, {1: [val(1, 2.5)], 2: [val(2, -100.0)], 3: [val(3, 3.0)],
                             4: [val(4, 4.0)]})
-        assert machine.v == averaging_function([2.5, 9.0, 3.0, 4.0], 1) == 3.5
+        assert machine.v == averaging_function([2.5, -100.0, 3.0, 4.0], 1) == 2.75
 
     def test_absent_peer_counts_default(self):
-        params = make_params()
-        machine = approx.ApproxOperator(1, params, 5.0)
-        assert machine._peer_value(3, []) == 0.0
+        machine = approx.ApproxOperator(1, make_params(), 5.0)
+        assert self._read(machine, 0, []) == 0.0
 
 
 class TestAdversaries:
@@ -457,21 +459,22 @@ class TestAverageMemo:
         for counter in ("originated", "delivered", "received"):
             assert getattr(result.bus, counter) == getattr(reference, counter)
 
-    def test_shared_inbox_read_per_sticky_state(self):
-        # operator 1 records peer 4's final value from a private inbox, the
-        # others do not; all then read one shared inbox through one memo
+    def test_shared_inbox_averaged_once(self, average_calls):
+        # operator 1 reads peer 4's halt notice from a private inbox, the
+        # others read one shared inbox through one memo; in the next rounds
+        # every operator reads only that round's inbox
         params = make_params(zeta=1e-6)
         memo = netsim.RoundMemo()
         ids = (1, 2, 3, 4)
         machines = [approx.ApproxOperator(op, params, 0.0, memo) for op in ids]
         references = [ReferenceApproxOperator(op, params, 0.0) for op in ids]
 
-        def val(op, value):
-            return (netsim.Message(op, netsim.KIND_VAL, (value,)),)
+        def vals(*values):
+            return {op: (val(op, v),) for op, v in zip(ids, values)}
 
-        base = {1: val(1, 0.0), 2: val(2, 1.0), 3: val(3, 2.0), 4: val(4, 3.0)}
+        base = vals(0.0, 1.0, 2.0, 3.0)
         halted = {**base, 4: (netsim.Message(4, netsim.KIND_HALTED, (-9.0,)),)}
-        later = {1: val(1, 5.0), 2: val(2, 6.0), 3: val(3, 7.0), 4: val(4, 5.5)}
+        later = vals(5.0, 6.0, 7.0, 5.5)
         rounds = [{1: halted, 2: base, 3: base, 4: base}, dict.fromkeys(ids, later),
                   dict.fromkeys(ids, halted)]
         seen = []
@@ -480,13 +483,13 @@ class TestAverageMemo:
                 machine.deliver(round_no, inboxes[machine.operator_id])
                 ref.deliver(round_no, inboxes[ref.operator_id])
                 assert machine.v == ref.v
-                assert machine._final_values == ref._final_values
             seen.append([m.v for m in machines])
-        # in round 1 operator 1 still reads -9.0 for peer 4, the others 5.5
-        assert seen[1] == [5.5, 5.75, 5.75, 5.75]
-        # one dict each, though operators 3 and 4 took theirs from the memo
-        assert all(m._final_values == {4: -9.0} for m in machines)
-        assert len({id(m._final_values) for m in machines}) == 4
+        # in round 1 every operator reads 5.5 for peer 4, whatever it read before
+        assert seen[1] == [5.75] * 4
+        # two inboxes in round 0, one in each later round, each averaged once
+        # by the memo's users; the references average per operator
+        assert average_calls == {"average": 2 + 1 + 1 + 3 * 4}
+        assert len(memo.of_round(2)) == 1
 
     def test_memo_keeps_one_round(self):
         memo = netsim.RoundMemo()
@@ -652,9 +655,9 @@ class TestWorkCounts:
             assert set(spreads[-2:]) == distinct
 
     def test_rotating_liar_run_averages_once_per_round(self, average_calls):
-        """Every honest operator reads the same shared inbox in the same sticky
-        state each round, so a round averages once. The N=10, f=3 run below
-        exchanges in 10 of its 11 rounds; averaging per operator made 100 calls.
+        """Every honest operator reads the same shared inbox each round, so a
+        round averages once. The N=10, f=3 run below exchanges in 10 of its
+        11 rounds; averaging per operator made 100 calls.
         """
         params = make_params(10, 3, zeta=0.01)
         values = {op: 1.0 + 0.1 * op for op in params.operator_ids()}

@@ -29,6 +29,27 @@ def assert_agreement_and_validity(params, bits, result, adversary=None):
     return decided
 
 
+def operators(*ids, memo=None):
+    """N=4 BinaryOperators of one instance, one registry and one coin, all holding 1."""
+    params = make_params()
+    registry = auth.KeyRegistry(params.operator_ids(), 9)
+    coin = auth.CommonCoin(1)
+    return [binary.BinaryOperator(op, params, 1, "inst", coin, registry, memo) for op in ids]
+
+
+def bit(op, *body):
+    return netsim.Message(op, netsim.KIND_BIT, body)
+
+
+def read_bit(msgs):
+    """The bit a fresh N=4 operator reads for peer 2 from msgs: beside two ones
+    and a zero, peer 2's 1 makes the quorum of ones that step 1 adopts."""
+    me, = operators(1)
+    me.deliver(0, {1: [bit(1, 1)], 2: msgs, 3: [bit(3, 1)], 4: [bit(4, 0)]})
+    assert not me.halted
+    return me.b
+
+
 class TestFaultFree:
     def test_unanimous_one_halts_first_iteration_clause_21(self):
         params = make_params()
@@ -87,53 +108,39 @@ class TestHaltMechanics:
         outgoing = machine.outgoing(6)
         assert all(msg.kind == netsim.KIND_CERT for _, msg in outgoing)
 
-    def test_certified_bit_is_sticky(self):
-        params = make_params()
-        coin = auth.CommonCoin(1)
-        registry = auth.KeyRegistry([1, 2, 3, 4], 9)
-        me = binary.BinaryOperator(1, params, 0, "inst", coin, registry)
-        peer = binary.BinaryOperator(2, params, 1, "inst", coin, registry)
-        peer.out = 1
-        cert = peer.make_halt_cert()
-        assert me._tally_bit(2, [cert]) == 1
-        # later contradictory plain bits are ignored
-        assert me._tally_bit(2, [netsim.Message(2, netsim.KIND_BIT, (0,))]) == 1
-
-    def test_forged_certificate_is_ignored(self):
-        params = make_params()
-        coin = auth.CommonCoin(1)
-        registry = auth.KeyRegistry([1, 2, 3, 4], 9)
-        me = binary.BinaryOperator(1, params, 0, "inst", coin, registry)
-        bad = netsim.Message(2, netsim.KIND_CERT, (1, b"\x00" * auth.TAG_BYTES))
-        assert me._tally_bit(2, [bad]) == 0
-        assert 2 not in me._peer_certs
-
-    def test_duplicate_plain_bits_default_to_zero(self):
-        params = make_params()
-        coin = auth.CommonCoin(1)
-        registry = auth.KeyRegistry([1, 2, 3, 4], 9)
-        me = binary.BinaryOperator(1, params, 0, "inst", coin, registry)
-        msgs = [netsim.Message(2, netsim.KIND_BIT, (1,)),
-                netsim.Message(2, netsim.KIND_BIT, (1,))]
-        assert me._tally_bit(2, msgs) == 0
-
-    def test_deliver_counts_lone_bits_as_tally_bit_does(self):
-        # lone bits are counted inline, but a certified peer keeps its bit
-        # and a bit message without a body counts as 0
-        params = make_params()
-        coin = auth.CommonCoin(1)
-        registry = auth.KeyRegistry([1, 2, 3, 4], 9)
-        me = binary.BinaryOperator(1, params, 1, "inst", coin, registry)
-        peer = binary.BinaryOperator(2, params, 1, "inst", coin, registry)
-        peer.out = 1
-
-        def bit(op, *body):
-            return netsim.Message(op, netsim.KIND_BIT, body)
-
+    def test_certified_bit_counts_for_its_round_only(self):
+        # a certificate gives its sender's bit in the round it arrives; the
+        # next round reads that sender's plain bit again
+        me, peer = operators(1, 2)
+        peer._halt(1, "2.1")
         me.deliver(0, {1: [bit(1, 1)], 2: [peer.make_halt_cert()], 3: [bit(3, 1)], 4: ()})
         assert (me.step, me.b, me.halted) == (2, 1, False)  # three ones adopt 1
         me.deliver(1, {1: [bit(1, 1)], 2: [bit(2, 0)], 3: [bit(3, 1)], 4: [bit(4)]})
-        assert me.halted and me.out == 1  # peer 2's certified 1 completes the quorum
+        # two ones and a 0 from peer 2: no quorum either way, adopt 1
+        assert (me.step, me.b, me.halted) == (3, 1, False)
+
+    def test_forged_certificate_is_ignored(self):
+        bad = netsim.Message(2, netsim.KIND_CERT, (1, b"\x00" * auth.TAG_BYTES))
+        assert read_bit([bad]) == 0
+
+    @pytest.mark.parametrize("body", [(1,), (1, "tag"), (1, b"t", 0)])
+    def test_malformed_certificate_counts_zero(self, body):
+        assert read_bit([netsim.Message(2, netsim.KIND_CERT, body)]) == 0
+
+    def test_valid_certificate_read_only_when_lone(self):
+        _, peer = operators(1, 2)
+        peer._halt(1, "2.1")
+        cert = peer.make_halt_cert()
+        assert read_bit([cert]) == 1
+        # a bool is not a bit, even with the tag of a certified 1
+        assert read_bit([netsim.Message(2, netsim.KIND_CERT, (True, cert.body[1]))]) == 0
+        assert read_bit([cert, cert]) == 0
+        assert read_bit([cert, bit(2, 1)]) == 0
+        assert read_bit([bit(2, 1)]) == 1
+
+    def test_duplicate_plain_bits_default_to_zero(self):
+        assert read_bit([bit(2, 1), bit(2, 1)]) == 0
+        assert read_bit([bit(2)]) == 0  # a bit message without a body
 
     def test_exact_rounds_overrides_halting(self):
         params = make_params()
@@ -211,6 +218,50 @@ class TestAdversaries:
             assert len(outs) == 1 and None not in outs
 
 
+class CertificateLiar(AdversaryStrategy):
+    """A rotating adversary that may send halt certificates. In each round it
+    controls an operator, it sends every recipient one of: bit 0, bit 1, a
+    halt certificate of 0 or of 1 signed with that operator's own key, or
+    nothing. It counts the certificates it sends."""
+
+    def __init__(self, f):
+        super().__init__(netsim.RANDOM_VALUES, frozenset(range(1, f + 1)), rotate=True)
+        self.certificates_sent = 0
+
+    def substitute(self, op, round_no, intended, all_ids, rng, participant):
+        def cert(b):
+            payload = auth.encode("cert", participant.instance, op, b)
+            return netsim.Message(op, netsim.KIND_CERT, (b, participant.registry.sign(op, payload)))
+
+        choices = (bit(op, 0), bit(op, 1), cert(0), cert(1), None)
+        out = []
+        for rcv in all_ids:
+            msg = choices[rng.randrange(len(choices))]
+            if msg is not None:
+                out.append((rcv, msg))
+                self.certificates_sent += msg.kind == netsim.KIND_CERT
+        return out
+
+
+class TestRotatingCertificates:
+    @pytest.mark.parametrize("n", [4, 7, 10])
+    def test_agreement_and_halting_under_signed_certificate_lies(self, n):
+        # every operator counts: a rotating adversary leaves each state
+        # machine honest. Keeping a peer's first valid certificate let a
+        # lie from one round outlive it, broke agreement or hit the round
+        # cap in about a third of these runs
+        params = make_params(n, (n - 1) // 3)
+        certificates = 0
+        for seed in range(40):
+            adversary = CertificateLiar(params.max_faulty)
+            bits = {op: (7 * op + seed) % 3 % 2 for op in params.operator_ids()}
+            result = binary.run_binary(params, bits, seed=seed, adversary=adversary)
+            outs = set(result.outputs.values())
+            assert len(outs) == 1 and None not in outs, (n, seed, outs)
+            certificates += adversary.certificates_sent
+        assert certificates >= 40
+
+
 class TestDeterminism:
     def test_same_seed_same_run(self):
         params = make_params(7, 2)
@@ -249,30 +300,44 @@ class TestWorkCounts:
         certificate once; a controlled operator draws each recipient's bit
         from one pair of messages. Building a message per recipient and
         re-signing the certificate every round gave 148 sizings and 16
-        signs (10 of them the verifies' own); halted operators that still
-        checked their peers' certificates gave 12 signs and 10 verifies.
+        signs (10 of them the verifies' own). The run decides 0, and a
+        certified 0 counts as 0 unverified: 2 signs, where verifying each
+        certificate gave 10 signs and 8 verifies.
         """
         params = make_params(10, 3)
         bits = {op: op % 2 for op in params.operator_ids()}
         adversary = AdversaryStrategy(netsim.RANDOM_VALUES, frozenset({1, 2, 3}), rotate=True)
         result = binary.run_binary(params, bits, seed=1, adversary=adversary)
         assert result.rounds == 4
-        assert work_counts == {"size": 38, "sign": 10, "verify": 8}
+        assert set(result.outputs.values()) == {0}
+        assert work_counts == {"size": 38, "sign": 2, "verify": 0}
 
-    def test_halted_operator_skips_tally_and_certificate_checks(self, work_counts):
-        """Once halted, an operator verifies no peer certificate and records none."""
-        params = make_params()
-        registry = auth.KeyRegistry(params.operator_ids(), 5)
-        coin = auth.CommonCoin(6)
-        peer, halted, running = (binary.BinaryOperator(op, params, 1, "bin", coin, registry)
-                                 for op in (2, 1, 3))
+    def test_each_certificate_of_a_one_verified_once(self, work_counts):
+        """Pins the verifies of an N=10, f=3 run that decides 1 under rotating
+        random bits. Three operators halt before the others and send their
+        certificates to running peers for several rounds: each distinct
+        certificate is verified once per instance, 3 signs and 3 verifies
+        (6 signs counted). Keeping each peer's first valid certificate, with
+        no shared verdicts, gave 24 signs and 21 verifies."""
+        params = make_params(10, 3)
+        bits = {op: int(op > 5) for op in params.operator_ids()}
+        adversary = AdversaryStrategy(netsim.RANDOM_VALUES, frozenset({1, 2, 3}), rotate=True)
+        result = binary.run_binary(params, bits, seed=0, adversary=adversary)
+        assert set(result.outputs.values()) == {1}
+        assert result.rounds == 5
+        assert (work_counts["sign"], work_counts["verify"]) == (6, 3)
+
+    def test_halted_operator_checks_no_certificate(self, work_counts):
+        """Once halted, an operator verifies no peer certificate; a running
+        peer with the same memo verifies it once, however often it reads it."""
+        memo = netsim.RoundMemo()
+        peer, halted, running = operators(2, 1, 3, memo=memo)
         peer._halt(1, "2.1")
         halted._halt(1, "2.1")
         inbox = {2: [peer.make_halt_cert()]}
         work_counts.update(size=0, sign=0, verify=0)
         halted.deliver(6, inbox)
         assert work_counts["verify"] == 0
-        assert halted._peer_certs == {}
         running.deliver(6, inbox)  # the same certificate is valid to a running peer
+        running.deliver(7, inbox)
         assert work_counts["verify"] == 1
-        assert running._peer_certs == {2: 1}

@@ -228,6 +228,38 @@ class TestConsensusCommand:
         assert err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("seed", [1, 2, 9])
+    def test_binary_quorum_above_3f_plus_1_agrees(self, tmp_path, capsys, seed):
+        # at N = 5, f = 1 two sets of 2f+1 share only one operator, the
+        # equivocator, and honest operators decided 0 and 1 under it
+        cfg = {"profile": "binary", "seed": seed,
+               "network": {"operators": 5, "max_faulty": 1, "epsilon": 0.5,
+                           "zeta": 0.1, "alpha": 0.5, "rssi_threshold": 0.5},
+               "tensor": {"regions": 1, "subbands": 1, "period": 0},
+               "events": [{"region": 0, "subband": 0, "operator": 1, "truth": 0.5}],
+               "adversary": {"behavior": "equivocate", "operators": [4]}}
+        path = tmp_path / "n5.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["consensus", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rotating_fake_halt_stays_in_honest_range(self, tmp_path, capsys, seed):
+        # a halt notice planted in round 0 counts in round 0 only: kept for
+        # the whole instance, it joined each later round's liar and pulled
+        # the honest values out of their initial range
+        cfg = {"profile": "approx", "seed": seed,
+               "network": {"operators": 4, "max_faulty": 1, "epsilon": 0.5,
+                           "zeta": 0.01, "alpha": 0.5, "rssi_threshold": 0.5},
+               "tensor": {"regions": 1, "subbands": 1, "period": 0},
+               "events": [{"region": 0, "subband": 0, "operator": 1, "truth": 3.0}],
+               "adversary": {"behavior": "value-liar", "operators": [1], "rotate": True,
+                             "params": {"fake_halt": True, "value": -100.0}}}
+        path = tmp_path / "fake-halt.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["consensus", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_too_many_network_operators_is_exit_1(self, config_file, tmp_path, capsys):
         cfg = json.loads(config_file.read_text())
         cfg["network"]["operators"] = 100000

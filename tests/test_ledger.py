@@ -532,11 +532,15 @@ class TestExportAudit:
         assert report.ok and report.n_operators == 10**12
 
     def test_huge_header_n_still_checks_every_block(self, registry):
+        # the quorum grows with n: the 4 votes of each block make one at
+        # n = 6, f = 1 (quorum 4), not at n = 7 (quorum 5) or n = 10**12
         data = export_chain(self._chain(registry))
-        data = data.replace(b"n=4 ", b"n=%d " % 10**12, 1)
-        report = audit_chain(data)
+        report = audit_chain(data.replace(b"n=4 ", b"n=6 ", 1))
         assert report.ok and len(report.blocks) == 3
-        assert not audit_chain(data.replace(b"f=1 ", b"f=2 ", 1)).ok  # quorum 5 > 4 voters
+        for n in (7, 10**12):
+            report = audit_chain(data.replace(b"n=4 ", b"n=%d " % n, 1))
+            assert (report.ok, report.error, report.n_operators) == (
+                False, "block 0: certificate fails verification", n)
 
 
 def _valid_export():

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from leobft.model import (
     MAX_MAGNITUDE,
+    MAX_OPERATORS,
     NetworkParams,
     UsageTensor,
     binarize,
     max_deviation,
     observe,
+    quorum,
     tensor_diff,
 )
 
@@ -26,6 +28,20 @@ class TestNetworkParams:
         assert make_params(4, 1).quorum == 3
         assert make_params(7, 2).quorum == 5
         assert make_params(10, 3).quorum == 7
+        assert make_params(5, 1).quorum == 4
+        assert make_params(9, 2).quorum == 6
+
+    def test_any_two_quorums_share_f_plus_one(self):
+        # two sets of q among N operators share at least 2q - N of them
+        for n in range(1, MAX_OPERATORS + 1):
+            for f in range((n - 1) // 3 + 1):
+                q = quorum(n, f)
+                assert make_params(n, f).quorum == q
+                assert 2 * q - n >= f + 1, (n, f)
+                assert 2 * (q - 1) - n <= f, (n, f)  # the smallest such size
+                assert q <= n - f, (n, f)  # the honest operators alone reach it
+                if n == 3 * f + 1:
+                    assert q == 2 * f + 1
 
     def test_rejects_too_many_faults(self):
         with pytest.raises(ValueError):

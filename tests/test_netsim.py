@@ -634,8 +634,10 @@ class TestAdversarySubstitution:
         # an exact operator signs it once; a build inside a comprehension or
         # generator makes one per recipient
         tree = ast.parse(pathlib.Path(netsim.__file__).read_text())
-        func = next(node for node in ast.walk(tree)
-                    if isinstance(node, ast.FunctionDef) and node.name == "_substitute")
+        strategy = next(node for node in ast.walk(tree)
+                        if isinstance(node, ast.ClassDef) and node.name == "AdversaryStrategy")
+        func = next(node for node in strategy.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "substitute")
         builds = []
         for node in ast.walk(func):
             if not isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
