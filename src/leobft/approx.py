@@ -32,6 +32,8 @@ from . import netsim
 from .model import NetworkParams
 
 
+MAX_ROUNDS = 10_000  # the round cap of one instance
+
 # the kinds that carry a sender's value for the round they are read in
 _VALUE_KINDS = (netsim.KIND_VAL, netsim.KIND_HALTED)
 
@@ -242,13 +244,13 @@ def run_approx(params: NetworkParams, initial_values: Dict[int, float], *,
                seed: int = 0,
                adversary: Optional[netsim.AdversaryStrategy] = None,
                frame_bytes: Optional[int] = None,
-               record_transcript: bool = False,
-               max_rounds: int = 10_000) -> ApproxResult:
-    """Run one approximate agreement instance until all honest operators halt."""
+               record_transcript: bool = False) -> ApproxResult:
+    """Run one approximate agreement instance until every honest operator
+    halts; a run past MAX_ROUNDS rounds raises netsim.HarnessError."""
     memo = netsim.RoundMemo()
     bus = netsim.run_instance(
         initial_values, lambda op, value: ApproxOperator(op, params, value, memo),
-        params.n_operators, adversary, max_rounds=max_rounds, seed=seed,
+        params.n_operators, adversary, max_rounds=MAX_ROUNDS, seed=seed,
         frame_bytes=frame_bytes, record_transcript=record_transcript)
     machines = bus.participants
     return ApproxResult(

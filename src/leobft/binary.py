@@ -154,16 +154,12 @@ def run_binary(params: NetworkParams, initial_bits: Dict[int, int], *,
                adversary: Optional[netsim.AdversaryStrategy] = None,
                coin: Optional[auth.CommonCoin] = None,
                registry: Optional[auth.KeyRegistry] = None,
-               max_iterations: int = MAX_ITERATIONS,
                frame_bytes: Optional[int] = None,
-               record_transcript: bool = False,
-               exact_rounds: Optional[int] = None) -> BinaryResult:
-    """Run one binary agreement instance to completion.
+               record_transcript: bool = False) -> BinaryResult:
+    """Run one binary agreement instance until every honest operator halts.
 
-    initial_bits maps every operator id to its input. Honest completion means
-    every uncontrolled operator has halted. exact_rounds overrides the stop
-    rule and runs precisely that many rounds (halted operators keep
-    broadcasting certificates), which is what byte-accounting scenarios use.
+    initial_bits maps every operator id to its input. A run that needs more
+    than MAX_ITERATIONS iterations (3 rounds each) raises netsim.HarnessError.
     """
     registry = registry or auth.KeyRegistry(sorted(initial_bits), auth.derive_seed(seed, "keys"))
     coin = coin or auth.CommonCoin(auth.derive_seed(seed, "coin"))
@@ -172,8 +168,7 @@ def run_binary(params: NetworkParams, initial_bits: Dict[int, int], *,
         initial_bits,
         lambda op, bit: BinaryOperator(op, params, bit, instance, coin, registry, memo),
         params.n_operators, adversary,
-        max_rounds=3 * max_iterations if exact_rounds is None else exact_rounds,
-        rounds=exact_rounds, seed=seed, frame_bytes=frame_bytes,
+        max_rounds=3 * MAX_ITERATIONS, seed=seed, frame_bytes=frame_bytes,
         record_transcript=record_transcript)
 
     machines = bus.participants

@@ -542,8 +542,7 @@ class _CellIndex(NamedTuple):
 
 def _index_cells(incidents: np.ndarray, edge: float) -> _CellIndex:
     """The _CellIndex of one batch of incidents on the grid of cell edge `edge`."""
-    home = np.floor(incidents / edge).astype(np.int64)
-    keys = _cell_keys(home, np.empty(len(home), np.int64), np.empty(len(home), np.int64))
+    keys = _CellBuffers().keys(incidents, edge, "incident", np.empty(len(incidents), np.int64))
     cells = keys[:, None] + _NEIGHBOUR_KEYS  # row i: the 27 cells around incident i
     slots = _slots(cells.reshape(-1))  # a view of cells
     marked = np.zeros(1 << _CELL_SLOTS_LOG2, dtype=bool)

@@ -232,9 +232,11 @@ class AdversaryStrategy:
         rng is self.rng's stream for (op, round_no). A subclass may send
         anything op may: messages from op, signed only with op's key.
 
-        Each lie is one message object sent to its recipient group as one tuple
-        destination, so the bus encodes and an exact operator signs it once.
-        Lies never use BROADCAST: they originate their size once per recipient.
+        Every lie comes from _lies. A lie to a group is one message object
+        sent as one tuple destination, so the bus encodes and an exact
+        operator signs it once; a per-recipient lie goes to the single id,
+        and bit lies share one message per distinct bit. Lies never use
+        BROADCAST: they originate their size once per recipient.
         """
         behavior = self.behavior
         params = self.params
@@ -245,22 +247,16 @@ class AdversaryStrategy:
             return intended
 
         out: List[Outbound] = []
+        bits: Dict[int, Message] = {}  # bit -> the one message that lies it
         for dest, msg in intended:
             recipients = _recipients(dest, all_ids)
 
             if msg.kind in (KIND_BIT, KIND_CERT):
-                original = int(msg.body[0])
-                if behavior == EQUIVOCATE:
-                    lows, highs = _halves(recipients)
-                    b0, b1 = params.get("bits", (0, 1))
-                    out.append((lows, Message(op, KIND_BIT, (b0,))))
-                    out.append((highs, Message(op, KIND_BIT, (b1,))))
-                elif behavior == RANDOM_VALUES or behavior == BOUNDARY_ATTACKER:
-                    bits = (Message(op, KIND_BIT, (0,)), Message(op, KIND_BIT, (1,)))
-                    out.extend((r, bits[rng.randint(0, 1)]) for r in recipients)
-                elif behavior == VALUE_LIAR:
-                    lie = Message(op, KIND_BIT, (params.get("bit", 1 - original),))
-                    out.append((recipients, lie))
+                for bit, to in _lies(self, int(msg.body[0]), recipients, rng, bits=True):
+                    lie = bits.get(bit)
+                    if lie is None:
+                        lie = bits[bit] = Message(op, KIND_BIT, (bit,))
+                    out.append((to, lie))
 
             elif msg.kind in (KIND_VAL, KIND_HALTED):
                 original_value = float(msg.body[0])
@@ -270,16 +266,16 @@ class AdversaryStrategy:
                                          (float(params.get("value", original_value)),))
                         out.append((recipients, notice))
                     continue
-                for value, group in _lie_values(self, original_value, recipients, rng):
-                    out.append((group, Message(op, KIND_VAL, (value,))))
+                for value, to in _lies(self, original_value, recipients, rng):
+                    out.append((to, Message(op, KIND_VAL, (value,))))
 
             elif msg.kind == KIND_BCAST:
                 signed: auth.SignedMessage = msg.body[0]
                 own_origin = signed.signers == (op,)
                 if own_origin and hasattr(participant, "make_own_broadcast"):
                     base = float(participant.initial_value)
-                    for value, group in _lie_values(self, base, recipients, rng):
-                        out.append((group, participant.make_own_broadcast(value)))
+                    for value, to in _lies(self, base, recipients, rng):
+                        out.append((to, participant.make_own_broadcast(value)))
                 else:
                     # relayed chains cannot be forged, only withheld, destination
                     # by destination: an equivocator keeps the lower half of a
@@ -314,31 +310,36 @@ def _halves(recipients: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]
     return ordered[:half], ordered[half:]
 
 
-def _lie_values(strategy: AdversaryStrategy, base: float, recipients: Tuple[int, ...],
-                rng: Optional[random.Random]) -> List[Tuple[float, Tuple[int, ...]]]:
-    """(value, recipients) groups sent instead of base by one of the four value lies.
-
-    Groups are non-empty and follow the recipients' order, so a caller that
-    builds one message per group sends the same values to the same peers as
-    one built per recipient. Shared by approximate-agreement values and
-    own-origin broadcasts; crash and bad-proposer never reach it.
+def _lies(strategy: AdversaryStrategy, base, recipients: Tuple[int, ...],
+          rng: Optional[random.Random], bits: bool = False) -> List[tuple]:
+    """(lie, destination) pairs sent instead of base by one of the four lies,
+    bits if bits is set, else float values, in the recipients' order: an
+    equivocator tells each non-empty half of the recipients one lie,
+    random-values and boundary-attacker draw one per recipient, sent to its
+    single id, and a value liar tells all of them one. Crash and
+    bad-proposer never reach it.
     """
     behavior, params = strategy.behavior, strategy.params
     if behavior == EQUIVOCATE:
-        delta = float(params.get("delta", 1.0))
-        lo, hi = params.get("values", (base - delta, base + delta))
-        lows, highs = _halves(recipients)
-        return [(float(v), group) for v, group in ((lo, lows), (hi, highs)) if group]
+        if bits:
+            pair = params.get("bits", (0, 1))
+        else:
+            delta = float(params.get("delta", 1.0))
+            pair = [float(v) for v in params.get("values", (base - delta, base + delta))]
+        return [(lie, half) for lie, half in zip(pair, _halves(recipients)) if half]
+    if behavior == VALUE_LIAR:
+        lie = (params.get("bit", 1 - base) if bits
+               else float(params.get("value", base + params.get("offset", DEFAULT_OFFSET))))
+        return [(lie, recipients)]
+    if bits:  # random-values and boundary-attacker draw a fair bit
+        return [(rng.randint(0, 1), r) for r in recipients]
     if behavior == RANDOM_VALUES:
         lo, hi = params.get("range", (-100.0, 100.0))
-        return [(rng.uniform(lo, hi), (r,)) for r in recipients]
-    if behavior == BOUNDARY_ATTACKER:
-        mid = float(params.get("threshold", 0.0))
-        eps = float(params.get("epsilon", 1.0))
-        return [(mid + eps * (2 * rng.random() - 1), (r,)) for r in recipients]
-    # VALUE_LIAR
-    value = float(params.get("value", base + params.get("offset", DEFAULT_OFFSET)))
-    return [(value, recipients)]
+        return [(rng.uniform(lo, hi), r) for r in recipients]
+    # BOUNDARY_ATTACKER
+    mid = float(params.get("threshold", 0.0))
+    eps = float(params.get("epsilon", 1.0))
+    return [(mid + eps * (2 * rng.random() - 1), r) for r in recipients]
 
 
 def _recipients(dest, ids: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -516,14 +517,13 @@ class RoundBus:
 
 def run_instance(inputs: Mapping[int, object], make_operator: Callable[[int, object], object],
                  n_operators: int, adversary: Optional[AdversaryStrategy], *,
-                 max_rounds: int, rounds: Optional[int] = None, seed: int = 0,
-                 frame_bytes: Optional[int] = None,
+                 max_rounds: int, seed: int = 0, frame_bytes: Optional[int] = None,
                  record_transcript: bool = False) -> RoundBus:
     """Run one protocol instance with one make_operator(op, inputs[op]) per operator.
 
-    Rounds run until every operator in honest_ids has halted, or exactly
-    `rounds` rounds when that is given; a run that would pass max_rounds
-    raises HarnessError instead.
+    Rounds run until every operator in honest_ids has halted; a run that
+    would pass max_rounds, the protocol's cap, raises HarnessError instead.
+    For a fixed number of rounds, build a RoundBus and call run_round.
     """
     ids = sorted(inputs)
     if len(ids) != n_operators:
@@ -531,8 +531,7 @@ def run_instance(inputs: Mapping[int, object], make_operator: Callable[[int, obj
     bus = RoundBus([make_operator(op, inputs[op]) for op in ids], adversary, seed=seed,
                    frame_bytes=frame_bytes, record_transcript=record_transcript)
     honest = honest_ids(ids, adversary)
-    while (bus.round < rounds if rounds is not None
-           else not all(bus.participants[op].halted for op in honest)):
+    while not all(bus.participants[op].halted for op in honest):
         if bus.round >= max_rounds:
             raise HarnessError("round cap %d exceeded" % max_rounds)
         bus.run_round()

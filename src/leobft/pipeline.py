@@ -88,8 +88,7 @@ def _check_approx(initials: Dict[int, float], result: approx.ApproxResult,
                                 % (max(outs) - min(outs), instance))
     lo = min(initials[op] for op in honest)
     hi = max(initials[op] for op in honest)
-    slack = 1e-9 * max(1.0, abs(lo), abs(hi))  # allow for rounding in the mean
-    if any(not (lo - slack <= v <= hi + slack) for v in outs):
+    if any(not (lo <= v <= hi) for v in outs):
         raise PropertyViolation("output outside honest initial range in %s" % instance)
 
 
@@ -246,7 +245,7 @@ def _check_retrieval(mode: str, honest: List[int],
     for key in keys:
         values = [locals_by_op[op].get(key) for op in honest]
         v = retrieved_approx.get(key)
-        if not (min(values) - 1e-9 <= v <= max(values) + 1e-9):
+        if not (min(values) <= v <= max(values)):
             raise PropertyViolation(
                 "approx retrieval element %r outside honest range" % (key,))
 

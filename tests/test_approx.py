@@ -272,12 +272,14 @@ class TestFaultFree:
         final = result.values_by_round[-1]
         assert final == result.outputs
 
-    def test_round_cap_raises(self):
+    def test_round_cap_raises(self, monkeypatch):
         # the spread of 8 needs 7 exchanges and a halt round
         initials = {1: 0.0, 2: 4.0, 3: 8.0, 4: 2.0}
+        monkeypatch.setattr(approx, "MAX_ROUNDS", 1)
         with pytest.raises(netsim.HarnessError, match="round cap 1 exceeded"):
-            run_approx(make_params(), initials, seed=5, max_rounds=1)
-        assert run_approx(make_params(), initials, seed=5, max_rounds=8).rounds == 8
+            run_approx(make_params(), initials, seed=5)
+        monkeypatch.setattr(approx, "MAX_ROUNDS", 8)
+        assert run_approx(make_params(), initials, seed=5).rounds == 8
 
 
 class TestHaltProtocol:
@@ -513,9 +515,10 @@ class TestValueMessageReuse:
         values = {op: float(op) for op in params.operator_ids()}
         rounds = run_approx(params, values, adversary=adversary).rounds + 3  # 3 more halted
         memo = netsim.RoundMemo()
-        bus = netsim.run_instance(
-            values, lambda op, value: RecordingApproxOperator(op, params, value, memo),
-            n, adversary, max_rounds=rounds, rounds=rounds)
+        bus = netsim.RoundBus([RecordingApproxOperator(op, params, value, memo)
+                               for op, value in values.items()], adversary)
+        for _ in range(rounds):
+            bus.run_round()
         for m in bus.participants.values():
             h = m.horizon
             sent, notices = m.sent[:h], m.sent[h:]
@@ -626,9 +629,10 @@ class TestWorkCounts:
         assert {v for row in result.values_by_round[1:] for v in row.values()} == {2.5}
         assert work_counts["size"] == 4 * 3
         # the same run kept going for 5 more rounds: every operator stays halted
-        bus = netsim.run_instance(
-            values, lambda op, value: approx.ApproxOperator(op, params, value), 4, None,
-            max_rounds=h + 6, rounds=h + 6)
+        bus = netsim.RoundBus([approx.ApproxOperator(op, params, value)
+                               for op, value in values.items()])
+        for _ in range(h + 6):
+            bus.run_round()
         assert all(bus.participants[op].halted for op in values)
         assert work_counts == {"size": 2 * 4 * 3, "sign": 0, "verify": 0}
 

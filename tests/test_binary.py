@@ -101,12 +101,15 @@ class TestHaltMechanics:
     def test_halted_operator_broadcasts_certificates(self):
         params = make_params()
         bits = {op: 1 for op in params.operator_ids()}
-        result = binary.run_binary(params, bits, seed=1, exact_rounds=6)
-        # after halting (round 2), all further traffic is certificates
+        result = binary.run_binary(params, bits, seed=1)
+        # the run stops once everyone halts (round 2); from then on every
+        # round's traffic is a certificate
+        assert result.rounds == 2
         machine = result.bus.participants[1]
         assert machine.halted
-        outgoing = machine.outgoing(6)
-        assert all(msg.kind == netsim.KIND_CERT for _, msg in outgoing)
+        for round_no in range(2, 7):
+            outgoing = machine.outgoing(round_no)
+            assert outgoing and all(msg.kind == netsim.KIND_CERT for _, msg in outgoing)
 
     def test_certified_bit_counts_for_its_round_only(self):
         # a certificate gives its sender's bit in the round it arrives; the
@@ -142,15 +145,6 @@ class TestHaltMechanics:
         assert read_bit([bit(2, 1), bit(2, 1)]) == 0
         assert read_bit([bit(2)]) == 0  # a bit message without a body
 
-    def test_exact_rounds_overrides_halting(self):
-        params = make_params()
-        bits = {op: 1 for op in params.operator_ids()}
-        result = binary.run_binary(params, bits, seed=1, exact_rounds=10,
-                                   frame_bytes=200)
-        assert result.rounds == 10
-        for op in params.operator_ids():
-            assert result.bus.originated[op] + result.bus.received[op] == 10 * 200 * 4
-
     def test_split_inputs_converge_without_the_coin(self):
         # a fault-free 2-2 split resolves through the step-1 else branch
         # (everyone adopts 0), so even a broken coin cannot stall it
@@ -164,11 +158,12 @@ class TestHaltMechanics:
         result = binary.run_binary(params, bits, seed=1, coin=BrokenCoin(1))
         assert set(result.outputs.values()) == {0}
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
         params = make_params()
         bits = {1: 0, 2: 1, 3: 0, 4: 1}
+        monkeypatch.setattr(binary, "MAX_ITERATIONS", 0)
         with pytest.raises(netsim.HarnessError, match="round cap 0 exceeded"):
-            binary.run_binary(params, bits, seed=1, max_iterations=0)
+            binary.run_binary(params, bits, seed=1)
 
 
 class TestAdversaries:

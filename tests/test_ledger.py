@@ -256,6 +256,22 @@ class TestCommitFlow:
         assert outcome.attempts_used <= params.max_faulty + 1
         assert outcome.block is None
 
+    @pytest.mark.parametrize("period", range(5))
+    def test_commit_quorum_above_3f_plus_1(self, period):
+        # N=5, f=1: the quorum is floor((5+1)/2)+1 = 4, so the 3 = 2f+1
+        # operators that share a tensor can neither commit it nor, with 1
+        # rejection, convict a proposer; the crashed operator 5 never votes
+        params = make_params(5, 1)
+        chain = TensorLedger(params, auth.KeyRegistry(range(1, 6), master_seed=31))
+        adversary = AdversaryStrategy("crash", frozenset({5}))
+        locals_by_op = {op: make_tensor(period, 0.7) for op in (1, 2, 3)}
+        locals_by_op.update({4: make_tensor(period, 0.9), 5: make_tensor(period, 0.7)})
+        outcome = commit_period(chain, period, locals_by_op, "exact", adversary)
+        assert params.quorum == 4
+        assert outcome.block is None
+        assert outcome.attempts_used == params.max_faulty + 1
+        assert outcome.verdicts == [] and chain.verdicts == []
+
     def test_votes_bind_period_and_attempt(self, registry):
         params = make_params()
         chain = TensorLedger(params, registry)

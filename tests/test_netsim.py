@@ -546,6 +546,136 @@ class TestByteAccounting:
         assert all(row[0] == 0 for row in rows)
 
 
+def _reference_lie_values(strategy, base, recipients, rng):
+    """The value lies as a per-kind substitute wrote them: each per-recipient
+    lie goes to a one-id tuple."""
+    behavior, params = strategy.behavior, strategy.params
+    if behavior == netsim.EQUIVOCATE:
+        delta = float(params.get("delta", 1.0))
+        lo, hi = params.get("values", (base - delta, base + delta))
+        lows, highs = netsim._halves(recipients)
+        return [(float(v), group) for v, group in ((lo, lows), (hi, highs)) if group]
+    if behavior == netsim.RANDOM_VALUES:
+        lo, hi = params.get("range", (-100.0, 100.0))
+        return [(rng.uniform(lo, hi), (r,)) for r in recipients]
+    if behavior == netsim.BOUNDARY_ATTACKER:
+        mid = float(params.get("threshold", 0.0))
+        eps = float(params.get("epsilon", 1.0))
+        return [(mid + eps * (2 * rng.random() - 1), (r,)) for r in recipients]
+    value = float(params.get("value", base + params.get("offset", netsim.DEFAULT_OFFSET)))
+    return [(value, recipients)]
+
+
+def reference_substitute(strategy, op, round_no, intended, all_ids, rng, participant):
+    """AdversaryStrategy.substitute with a branch of its own per behaviour for
+    bits: the rule the single lie table must reproduce, recipient by
+    recipient."""
+    behavior, params = strategy.behavior, strategy.params
+    if behavior == netsim.CRASH:
+        return []
+    if behavior == netsim.BAD_PROPOSER:
+        return intended
+    out = []
+    for dest, msg in intended:
+        recipients = netsim._recipients(dest, all_ids)
+        if msg.kind in (netsim.KIND_BIT, netsim.KIND_CERT):
+            original = int(msg.body[0])
+            if behavior == netsim.EQUIVOCATE:
+                lows, highs = netsim._halves(recipients)
+                b0, b1 = params.get("bits", (0, 1))
+                out.append((lows, Message(op, netsim.KIND_BIT, (b0,))))
+                out.append((highs, Message(op, netsim.KIND_BIT, (b1,))))
+            elif behavior in (netsim.RANDOM_VALUES, netsim.BOUNDARY_ATTACKER):
+                bits = (Message(op, netsim.KIND_BIT, (0,)), Message(op, netsim.KIND_BIT, (1,)))
+                out.extend((r, bits[rng.randint(0, 1)]) for r in recipients)
+            else:
+                lie = Message(op, netsim.KIND_BIT, (params.get("bit", 1 - original),))
+                out.append((recipients, lie))
+        elif msg.kind in (netsim.KIND_VAL, netsim.KIND_HALTED):
+            original_value = float(msg.body[0])
+            if params.get("fake_halt"):
+                if round_no == 0:
+                    notice = Message(op, netsim.KIND_HALTED,
+                                     (float(params.get("value", original_value)),))
+                    out.append((recipients, notice))
+                continue
+            for value, group in _reference_lie_values(strategy, original_value, recipients, rng):
+                out.append((group, Message(op, netsim.KIND_VAL, (value,))))
+        elif msg.kind == netsim.KIND_BCAST:
+            signed = msg.body[0]
+            if signed.signers == (op,) and hasattr(participant, "make_own_broadcast"):
+                base = float(participant.initial_value)
+                for value, group in _reference_lie_values(strategy, base, recipients, rng):
+                    out.append((group, participant.make_own_broadcast(value)))
+            else:
+                if behavior == netsim.EQUIVOCATE:
+                    recipients = netsim._halves(recipients)[0] if dest == BROADCAST else ()
+                elif behavior == netsim.RANDOM_VALUES:
+                    recipients = tuple(r for r in recipients if rng.random() < 0.5)
+                out.append((recipients, msg))
+        else:
+            out.append((recipients, msg))
+    return out
+
+
+class Broadcaster:
+    """An exact operator's part in substitute: its input and its own broadcasts."""
+
+    def __init__(self, operator_id, initial_value):
+        self.operator_id = operator_id
+        self.initial_value = initial_value
+
+    def make_own_broadcast(self, value):
+        return Message(self.operator_id, netsim.KIND_BCAST, ("own", value))
+
+
+def _param_values(key):
+    number = st.one_of(st.floats(-1e100, 1e100), st.integers(-10**6, 10**6))
+    return {
+        "values": st.tuples(number, number), "range": st.tuples(number, number),
+        "bits": st.tuples(st.sampled_from([0, 1]), st.sampled_from([0, 1])),
+        "bit": st.sampled_from([0, 1]), "fake_halt": st.booleans(),
+    }.get(key, number)
+
+
+@st.composite
+def substitutions(draw):
+    """(strategy, op, round_no, intended, ids, seed, participant) for one
+    controlled sender: 1 to 3 messages of any kind, each to BROADCAST, a
+    tuple of ids (possibly empty, out of order or repeating) or one id."""
+    ids = tuple(range(1, draw(st.integers(1, 13)) + 1))
+    op = draw(st.sampled_from(ids))
+    keys = draw(st.lists(st.sampled_from(sorted(netsim.PARAM_TYPES)), unique=True))
+    params = {key: draw(_param_values(key)) for key in keys}
+    strategy = AdversaryStrategy(draw(st.sampled_from(netsim.BEHAVIORS)), frozenset({op}),
+                                 params=params)
+    dests = st.one_of(st.just(BROADCAST), st.sampled_from(ids),
+                      st.lists(st.sampled_from(ids), max_size=2 * len(ids)).map(tuple))
+    bodies = {
+        netsim.KIND_BIT: st.tuples(st.sampled_from([0, 1])),
+        netsim.KIND_CERT: st.tuples(st.sampled_from([0, 1]), st.just(b"t" * auth.TAG_BYTES)),
+        netsim.KIND_VAL: st.tuples(st.floats(-1e6, 1e6)),
+        netsim.KIND_HALTED: st.tuples(st.floats(-1e6, 1e6)),
+        netsim.KIND_BCAST: st.sampled_from([(op,), (op % len(ids) + 1, op)]).map(
+            lambda signers: (auth.SignedMessage(b"payload", signers, ()),)),
+        "blob": st.tuples(st.integers()),
+    }
+    intended = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(sorted(bodies)))
+        intended.append((draw(dests), Message(op, kind, draw(bodies[kind]))))
+    participant = (Broadcaster(op, draw(st.floats(-1e6, 1e6))) if draw(st.booleans())
+                   else Echo(op))
+    return (strategy, op, draw(st.integers(0, 3)), intended, ids,
+            draw(st.integers(0, 2**63)), participant)
+
+
+def _expand(outbound, ids):
+    """(recipient, sender, kind, repr of body) per delivered copy, in sending order."""
+    return [(rcv, msg.sender, msg.kind, repr(msg.body))
+            for dest, msg in outbound for rcv in netsim._recipients(dest, ids)]
+
+
 class TestAdversarySubstitution:
     def test_crash_sends_nothing(self):
         bus = make_bus(4, adversary=AdversaryStrategy(netsim.CRASH, frozenset({2})))
@@ -649,6 +779,33 @@ class TestAdversarySubstitution:
                 if name in ("Message", "make_own_broadcast"):
                     builds.append((name, call.lineno))
         assert builds == []
+
+    @settings(max_examples=400, deadline=None)
+    @given(substitutions())
+    @example((AdversaryStrategy(netsim.EQUIVOCATE, frozenset({1}), params={"bits": (1, 1)}),
+              1, 0, [(BROADCAST, Message(1, netsim.KIND_BIT, (0,)))], (1, 2, 3, 4), 0,
+              Echo(1)))
+    def test_substitute_matches_per_kind_reference(self, case):
+        # one lie table for every kind sends what a branch per behaviour for
+        # bits sent, recipient by recipient, drawing in the same order
+        strategy, op, round_no, intended, ids, seed, participant = case
+        got = strategy.substitute(op, round_no, intended, ids,
+                                  strategy.rng(seed, op, round_no), participant)
+        want = reference_substitute(strategy, op, round_no, intended, ids,
+                                    strategy.rng(seed, op, round_no), participant)
+        assert _expand(got, ids) == _expand(want, ids)
+        # a bad proposer passes its honest traffic through: nothing it sends is a lie
+        lies = [(dest, msg) for dest, msg in got
+                if msg.kind in (netsim.KIND_BIT, netsim.KIND_VAL)
+                and strategy.behavior != netsim.BAD_PROPOSER]
+        # an empty half never reaches the bus, and a per-recipient lie names one id
+        if strategy.behavior == netsim.EQUIVOCATE:
+            assert all(dest != () for dest, _ in lies)
+        if strategy.behavior in (netsim.RANDOM_VALUES, netsim.BOUNDARY_ATTACKER):
+            assert all(type(dest) is int for dest, _ in lies)
+        # bit lies: at most one object per distinct bit
+        bits = [msg for _, msg in lies if msg.kind == netsim.KIND_BIT]
+        assert len({id(msg) for msg in bits}) == len({msg.body for msg in bits})
 
 
 class TestLedgerRoles:

@@ -3,6 +3,7 @@
 import ast
 import csv
 import io
+import math
 import pathlib
 from types import SimpleNamespace
 
@@ -186,6 +187,30 @@ class TestPropertyChecks:
         fake = SimpleNamespace(outputs={1: 0.95, 2: 0.96})
         with pytest.raises(PropertyViolation, match="range"):
             pipeline._check_approx({1: 0.4, 2: 0.5}, fake, [1, 2], 0.1, "t")
+
+    @pytest.mark.parametrize("lo, hi", [(0.4, 0.5), (-2.5, -1.5), (1e99, 1e100),
+                                        (-5e-324, 5e-324)])
+    def test_honest_range_checks_are_exact(self, lo, hi):
+        # trimming drops every value outside the honest range and the mean is
+        # clamped to the kept range, so one ulp outside is already a violation
+        key = (0, 0, 0)
+
+        def tensor(value):
+            t = UsageTensor(0, (2, 2, 4))
+            t.set(key, value)
+            return t
+
+        locals_by_op = {1: tensor(lo), 2: tensor(hi)}
+        for v in (lo, hi):
+            pipeline._check_approx({1: lo, 2: hi}, SimpleNamespace(outputs={1: v, 2: v}),
+                                   [1, 2], 0.1, "t")
+            pipeline._check_retrieval("approx", [1, 2], locals_by_op, None, tensor(v))
+        for v in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)):
+            with pytest.raises(PropertyViolation, match="range"):
+                pipeline._check_approx({1: lo, 2: hi}, SimpleNamespace(outputs={1: v, 2: v}),
+                                       [1, 2], 0.1, "t")
+            with pytest.raises(PropertyViolation, match="range"):
+                pipeline._check_retrieval("approx", [1, 2], locals_by_op, None, tensor(v))
 
     def test_retrieval_mismatch_detected(self):
         good = UsageTensor(0, (2, 2, 4))
