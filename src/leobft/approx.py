@@ -121,10 +121,9 @@ def _covers(delta: float, zeta: float, power: int) -> bool:
 class ApproxOperator:
     """One operator's approximate-agreement state machine.
 
-    Operators built with one netsim.RoundMemo (run_approx gives every
-    operator of an instance the same one) average once per shared inbox, and
-    derive a horizon once per distinct first spread; without one, each
-    operator computes its own. An operator keeps its last value message and
+    The operators of one instance share memo, which netsim.run_instance
+    builds: they average once per shared inbox, and derive a horizon once
+    per distinct first spread. An operator keeps its last value message and
     resends that object while v keeps its value and sign: 0.0 and -0.0 are
     equal but encode to different lengths, and a NaN equals nothing, so each
     gets a new message.
@@ -136,7 +135,7 @@ class ApproxOperator:
     HALT_KINDS: frozenset = frozenset({netsim.KIND_HALTED})
 
     def __init__(self, operator_id: int, params: NetworkParams, initial_value: float,
-                 memo: Optional[netsim.RoundMemo] = None):
+                 memo: netsim.RoundMemo):
         self.operator_id = operator_id
         self.params = params
         self.v = float(initial_value)
@@ -149,7 +148,7 @@ class ApproxOperator:
         # built on the first announcing round, when v stops changing
         self._halt_notice: Optional[netsim.Message] = None
         self._value_msg: Optional[netsim.Message] = None  # the last value sent
-        self._memo = netsim.RoundMemo() if memo is None else memo
+        self._memo = memo
         self.history = [self.v]  # v at the start and after each bus round
 
     def outgoing(self, round_no: int) -> List[netsim.Outbound]:
@@ -247,9 +246,8 @@ def run_approx(params: NetworkParams, initial_values: Dict[int, float], *,
                record_transcript: bool = False) -> ApproxResult:
     """Run one approximate agreement instance until every honest operator
     halts; a run past MAX_ROUNDS rounds raises netsim.HarnessError."""
-    memo = netsim.RoundMemo()
     bus = netsim.run_instance(
-        initial_values, lambda op, value: ApproxOperator(op, params, value, memo),
+        initial_values, lambda op, value, memo: ApproxOperator(op, params, value, memo),
         params.n_operators, adversary, max_rounds=MAX_ROUNDS, seed=seed,
         frame_bytes=frame_bytes, record_transcript=record_transcript)
     machines = bus.participants

@@ -163,12 +163,9 @@ class SignedMessage:
 
 
 def make_signed(registry: KeyRegistry, signer: int, payload: bytes) -> SignedMessage:
-    """payload signed by signer, keeping its encoded size."""
+    """payload signed by signer; encoded_size sums its size when first asked."""
     tag = registry.sign(signer, encode(payload, signer))
-    signed = SignedMessage(payload, (signer,), (tag,))
-    signed.__dict__["_size"] = (
-        _field_size(payload) + _field_size(signer) + _field_size(tag) + 2)
-    return signed
+    return SignedMessage(payload, (signer,), (tag,))
 
 
 def extend_signed(registry: KeyRegistry, msg: SignedMessage, signer: int,

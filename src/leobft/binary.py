@@ -16,8 +16,9 @@ the quorum of model.quorum:
 A halted operator broadcasts a signed halt certificate carrying its decision
 every round, so peers read its bit each round without keeping it. A
 certified 0 counts as 0, as anything else does, so only a certified 1 is
-verified, once per instance: the operators of one instance share one
-netsim.RoundMemo, whose lasting table keeps each certificate's verdict.
+verified, once per instance: the operators of one instance share the
+netsim.RoundMemo that run_instance builds, whose lasting table keeps each
+certificate's verdict.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class BinaryOperator:
 
     def __init__(self, operator_id: int, params: NetworkParams, initial_bit: int,
                  instance: str, coin: auth.CommonCoin, registry: auth.KeyRegistry,
-                 memo: Optional[netsim.RoundMemo] = None):
+                 memo: netsim.RoundMemo):
         if type(initial_bit) is not int or initial_bit not in (0, 1):
             raise ValueError("initial bit must be 0 or 1")
         self.operator_id = operator_id
@@ -52,7 +53,7 @@ class BinaryOperator:
         self.halt_clause: Optional[str] = None
         self.halt_iteration: Optional[int] = None
         # (sender, tag) -> whether sender's halt certificate of a 1 verifies
-        self._verdicts: Dict[tuple, bool] = {} if memo is None else memo.lasting
+        self._verdicts: Dict[tuple, bool] = memo.lasting
         # what this operator broadcasts: one message per bit, then from its
         # first halted round one certificate, each built (and signed) once
         self._bit_msgs = tuple(netsim.Message(operator_id, netsim.KIND_BIT, (bit,))
@@ -163,10 +164,9 @@ def run_binary(params: NetworkParams, initial_bits: Dict[int, int], *,
     """
     registry = registry or auth.KeyRegistry(sorted(initial_bits), auth.derive_seed(seed, "keys"))
     coin = coin or auth.CommonCoin(auth.derive_seed(seed, "coin"))
-    memo = netsim.RoundMemo()
     bus = netsim.run_instance(
         initial_bits,
-        lambda op, bit: BinaryOperator(op, params, bit, instance, coin, registry, memo),
+        lambda op, bit, memo: BinaryOperator(op, params, bit, instance, coin, registry, memo),
         params.n_operators, adversary,
         max_rounds=3 * MAX_ITERATIONS, seed=seed, frame_bytes=frame_bytes,
         record_transcript=record_transcript)

@@ -14,14 +14,14 @@ Strong, SIAM J. Comput. 1983): two already make the slot the placeholder in
 every honest view, so a third is dropped unverified, and a liar that signs N
 distinct values costs each honest operator at most two relays of it.
 
-The operators of one instance share one netsim.RoundMemo. Its round table
-keeps each relay object's receiver-independent checks and the chain bytes
-auth.verify_signed returned for it (None if it failed), so each relay is
-verified once however many operators receive it, and each relay of it is
-signed from those bytes; its lasting table keeps each payload's parse for
-the instance. Verified bytes hold for the registry that gave them, so the
-operators sharing a memo must share one registry too, as run_exact builds
-them.
+The operators of one instance share the netsim.RoundMemo that
+netsim.run_instance builds. Its round table keeps each relay object's
+receiver-independent checks and the chain bytes auth.verify_signed returned
+for it (None if it failed), so each relay is verified once however many
+operators receive it, and each relay of it is signed from those bytes; its
+lasting table keeps each payload's parse for the instance. Verified bytes
+hold for the registry that gave them, so the operators sharing a memo must
+share one registry too, as run_exact builds them.
 """
 
 from __future__ import annotations
@@ -75,17 +75,16 @@ def aggregate_view(view: Dict[int, Optional[float]], f: int,
 class ExactOperator:
     """One operator's broadcasts, relays and view.
 
-    Operators built with one netsim.RoundMemo (run_exact gives every
-    operator of an instance the same one, and the same registry) check and
-    verify each relay object once per round and parse each payload once per
-    instance; without one, each operator does its own.
+    The operators of one instance share memo, which netsim.run_instance
+    builds, and one registry, as run_exact gives them: they check and verify
+    each relay object once per round and parse each payload once per instance.
     """
 
     HALT_KINDS: frozenset = frozenset()
 
     def __init__(self, operator_id: int, params: NetworkParams,
                  registry: auth.KeyRegistry, initial_value: float, instance: str,
-                 memo: Optional[netsim.RoundMemo] = None):
+                 memo: netsim.RoundMemo):
         self.operator_id = operator_id
         self.params = params
         self.registry = registry
@@ -99,7 +98,7 @@ class ExactOperator:
         self._relay_queue: List[auth.SignedMessage] = []
         # (protocol_round, n_signatures) for every accepted message
         self.accepted_chain_lengths: List[Tuple[int, int]] = []
-        self._memo = netsim.RoundMemo() if memo is None else memo
+        self._memo = memo
         # payload -> _parse_payload(payload); relays repeat a few payloads
         self._parsed: Dict[bytes, Optional[Tuple[int, float]]] = self._memo.lasting
 
@@ -222,10 +221,9 @@ def run_exact(params: NetworkParams, initial_values: Dict[int, float], *,
               record_transcript: bool = False) -> ExactResult:
     """Run the N parallel broadcasts until the honest operators halt at round f+1."""
     registry = registry or auth.KeyRegistry(sorted(initial_values), auth.derive_seed(seed, "keys"))
-    memo = netsim.RoundMemo()
     bus = netsim.run_instance(
         initial_values,
-        lambda op, value: ExactOperator(op, params, registry, value, instance, memo),
+        lambda op, value, memo: ExactOperator(op, params, registry, value, instance, memo),
         params.n_operators, adversary,
         max_rounds=params.max_faulty + 1, seed=seed,
         frame_bytes=frame_bytes, record_transcript=record_transcript)

@@ -456,14 +456,11 @@ def simulate_detection(sensor_fields: Dict[int, np.ndarray], incidents: np.ndarr
     edge = _cell_edge(incidents, chord * _WIDEN)
     fields = list(sensor_fields.values())
     detected = np.ones(len(incidents), dtype=bool)
-    if not all(len(field) for field in fields):  # a field without sensors detects nothing
-        detected[:] = False
-    else:
-        for lo in range(0, len(incidents), _INCIDENT_BATCH):
-            batch = incidents[lo:lo + _INCIDENT_BATCH]
-            index = _index_cells(batch, edge)
-            for field in fields:
-                detected[lo:lo + len(batch)] &= _near_incidents(field, batch, index, edge, chord)
+    for lo in range(0, len(incidents), _INCIDENT_BATCH):
+        batch = incidents[lo:lo + _INCIDENT_BATCH]
+        index = _index_cells(batch, edge)
+        for field in fields:
+            detected[lo:lo + len(batch)] &= _near_incidents(field, batch, index, edge, chord)
     rate = float(np.count_nonzero(detected)) / len(incidents) if len(incidents) else 0.0
     return DetectionSample(detected, rate)
 

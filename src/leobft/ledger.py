@@ -44,12 +44,7 @@ def proposal_payload(period: int, attempt: int, payload: bytes) -> bytes:
 
 
 def make_proposal(registry: auth.KeyRegistry, proposer: int, period: int,
-                  attempt: int, tensor: UsageTensor) -> Proposal:
-    return _signed_proposal(registry, proposer, period, attempt, tensor.canonical_bytes())
-
-
-def _signed_proposal(registry: auth.KeyRegistry, proposer: int, period: int,
-                     attempt: int, payload: bytes) -> Proposal:
+                  attempt: int, payload: bytes) -> Proposal:
     tag = registry.sign(proposer, proposal_payload(period, attempt, payload))
     return Proposal(period, attempt, proposer, payload, tag)
 
@@ -197,7 +192,8 @@ def check_block(registry: auth.KeyRegistry, quorum: int, block: Block,
     The one block rule shared by the ledger, its self-check and the auditor:
     the period increases, the block links to and hashes over prev, its
     certificate covers the payload under its (period, attempt) with a quorum
-    of valid signers, and the payload is a tensor in canonical form.
+    of valid signers, and the payload is a tensor of the block's period in
+    canonical form.
     """
     if block.period <= last_period:
         return "period %d out of order" % block.period
@@ -211,10 +207,13 @@ def check_block(registry: auth.KeyRegistry, quorum: int, block: Block,
                                    vote_context(block.period, block.attempt), quorum):
         return "certificate fails verification"
     try:
-        canonical = UsageTensor.from_canonical(block.payload).canonical_bytes() == block.payload
+        tensor = UsageTensor.from_canonical(block.payload)
+        canonical = tensor.canonical_bytes() == block.payload
     except ValueError:
         canonical = False
-    return None if canonical else "payload is not a canonical tensor"
+    if not canonical:
+        return "payload is not a canonical tensor"
+    return None if tensor.period == block.period else "payload is for period %d" % tensor.period
 
 
 class TensorLedger:
@@ -328,8 +327,8 @@ def commit_period(ledger: TensorLedger, period: int,
 
         local = locals_by_op[proposer]
         tensors = adversary.proposal_tensors(local) if proposer in controlled else [local]
-        proposals = [_signed_proposal(registry, proposer, period, attempt,
-                                      form(proposer) if t is local else t.canonical_bytes())
+        proposals = [make_proposal(registry, proposer, period, attempt,
+                                   form(proposer) if t is local else t.canonical_bytes())
                      for t in tensors]
 
         if len({p.payload for p in proposals}) > 1:
@@ -388,7 +387,7 @@ def _header_line(n_operators: int, max_faulty: int, master_seed: int) -> str:
 
 
 def _block_line(block: Block) -> str:
-    votes = ",".join("%d:%s" % (op, tag.hex()) for op, tag in block.certificate.votes)
+    votes = ",".join("%d:%s" % (op, tag.hex()) for op, tag in sorted(block.certificate.votes))
     return "|".join([
         str(block.period),
         str(block.attempt),
@@ -450,8 +449,9 @@ def audit_chain(data: bytes) -> AuditReport:
     simulation state), so signatures and certificates are re-checked too.
     Only bytes export_chain could have written pass: each line must equal
     the export's rendering of the values parsed from it, so a number written
-    "+10", " 10" or "1_0", upper-case hex, or a repeated, unknown or moved
-    header key is malformed, as is a blank line or a missing final newline.
+    "+10", " 10" or "1_0", upper-case hex, votes out of operator order, or a
+    repeated, unknown or moved header key is malformed, as is a blank line
+    or a missing final newline.
     """
     try:
         text = data.decode("ascii")

@@ -405,7 +405,8 @@ class RoundBus:
         entry of a shared base inbox; a receiver of any other message gets a
         copy of the base with its own entries. A BROADCAST originates its
         size once, any other destination once per listed id. Each
-        participant's outgoing(round_no) is a sequence of Outbound pairs.
+        participant's outgoing(round_no) is a sequence of Outbound pairs;
+        once its halted is set, an honest one sends only its HALT_KINDS.
         """
         round_no = self.round
         frame = self.frame_bytes
@@ -432,10 +433,9 @@ class RoundBus:
                                                 participant)
             else:
                 outbound = intended
-                if getattr(participant, "halted", False):
-                    allowed = getattr(participant, "HALT_KINDS", frozenset())
+                if participant.halted:
                     for _, msg in outbound:
-                        if msg.kind not in allowed:
+                        if msg.kind not in participant.HALT_KINDS:
                             raise HarnessError(
                                 "operator %d sent %r after halting" % (op, msg.kind)
                             )
@@ -515,11 +515,13 @@ class RoundBus:
         return inboxes
 
 
-def run_instance(inputs: Mapping[int, object], make_operator: Callable[[int, object], object],
+def run_instance(inputs: Mapping[int, object],
+                 make_operator: Callable[[int, object, RoundMemo], object],
                  n_operators: int, adversary: Optional[AdversaryStrategy], *,
                  max_rounds: int, seed: int = 0, frame_bytes: Optional[int] = None,
                  record_transcript: bool = False) -> RoundBus:
-    """Run one protocol instance with one make_operator(op, inputs[op]) per operator.
+    """Run one protocol instance with one make_operator(op, inputs[op], memo)
+    per operator, memo being the instance's one RoundMemo.
 
     Rounds run until every operator in honest_ids has halted; a run that
     would pass max_rounds, the protocol's cap, raises HarnessError instead.
@@ -528,7 +530,8 @@ def run_instance(inputs: Mapping[int, object], make_operator: Callable[[int, obj
     ids = sorted(inputs)
     if len(ids) != n_operators:
         raise ValueError("expected %d inputs, got %d" % (n_operators, len(ids)))
-    bus = RoundBus([make_operator(op, inputs[op]) for op in ids], adversary, seed=seed,
+    memo = RoundMemo()
+    bus = RoundBus([make_operator(op, inputs[op], memo) for op in ids], adversary, seed=seed,
                    frame_bytes=frame_bytes, record_transcript=record_transcript)
     honest = honest_ids(ids, adversary)
     while not all(bus.participants[op].halted for op in honest):

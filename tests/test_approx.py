@@ -27,8 +27,8 @@ def make_params(n=4, f=1, zeta=0.1):
 
 class ReferenceApproxOperator(approx.ApproxOperator):
     """The per-operator reference: every deliver reads its own values from this
-    round's inbox alone and averages them, with no memo shared between
-    operators and nothing kept from earlier rounds."""
+    round's inbox alone and averages them, reading no memo and keeping
+    nothing from earlier rounds."""
 
     def deliver(self, round_no, inbox):
         if self._announce_halt and not self.halted:
@@ -287,7 +287,7 @@ class TestHaltProtocol:
         # a one-shot notice could be swallowed by a rotating adversary, so the
         # halted operator keeps repeating it; the bus whitelists that kind
         params = make_params()
-        machine = approx.ApproxOperator(1, params, 5.0)
+        machine = approx.ApproxOperator(1, params, 5.0, netsim.RoundMemo())
         machine._announce_halt = True
         out = machine.outgoing(3)
         assert len(out) == 1 and out[0][1].kind == netsim.KIND_HALTED
@@ -312,12 +312,12 @@ class TestHaltProtocol:
     def test_halt_notice_counts_for_its_round_only(self):
         # a notice gives its sender's value in the round it arrives; the next
         # round reads that sender's lone value again
-        machine = approx.ApproxOperator(1, make_params(), 5.0)
+        machine = approx.ApproxOperator(1, make_params(), 5.0, netsim.RoundMemo())
         assert self._read(machine, 0, [netsim.Message(2, netsim.KIND_HALTED, (9.0,))]) == 9.0
         assert self._read(machine, 1, [val(2, 0.5)]) == 0.5
 
     def test_two_halt_notices_count_as_default(self):
-        machine = approx.ApproxOperator(1, make_params(), 5.0)
+        machine = approx.ApproxOperator(1, make_params(), 5.0, netsim.RoundMemo())
         first = netsim.Message(2, netsim.KIND_HALTED, (9.0,))
         second = netsim.Message(2, netsim.KIND_HALTED, (1.0,))
         assert self._read(machine, 0, [first, second]) == 0.0
@@ -326,7 +326,7 @@ class TestHaltProtocol:
     def test_deliver_reads_each_sender_from_this_round(self):
         # a halted peer's notice counts in its round; a later lie from that
         # peer counts in its own round, in place of the notice
-        machine = approx.ApproxOperator(1, make_params(), 5.0)
+        machine = approx.ApproxOperator(1, make_params(), 5.0, netsim.RoundMemo())
         machine.deliver(0, {1: [val(1, 5.0)], 2: [netsim.Message(2, netsim.KIND_HALTED, (9.0,))],
                             3: (), 4: [val(4, 1.0), val(4, 2.0)]})
         assert machine.v == averaging_function([5.0, 9.0, 0.0, 0.0], 1) == 2.5
@@ -335,7 +335,7 @@ class TestHaltProtocol:
         assert machine.v == averaging_function([2.5, -100.0, 3.0, 4.0], 1) == 2.75
 
     def test_absent_peer_counts_default(self):
-        machine = approx.ApproxOperator(1, make_params(), 5.0)
+        machine = approx.ApproxOperator(1, make_params(), 5.0, netsim.RoundMemo())
         assert self._read(machine, 0, []) == 0.0
 
 
@@ -445,7 +445,7 @@ class TestAverageMemo:
         result = run_approx(params, values, seed=seed, adversary=adversary,
                             record_transcript=True)
         reference = netsim.run_instance(
-            values, lambda op, value: ReferenceApproxOperator(op, params, value),
+            values, lambda op, value, memo: ReferenceApproxOperator(op, params, value, memo),
             params.n_operators, adversary, max_rounds=10_000, seed=seed,
             record_transcript=True)
         machines = reference.participants
@@ -469,7 +469,7 @@ class TestAverageMemo:
         memo = netsim.RoundMemo()
         ids = (1, 2, 3, 4)
         machines = [approx.ApproxOperator(op, params, 0.0, memo) for op in ids]
-        references = [ReferenceApproxOperator(op, params, 0.0) for op in ids]
+        references = [ReferenceApproxOperator(op, params, 0.0, netsim.RoundMemo()) for op in ids]
 
         def vals(*values):
             return {op: (val(op, v),) for op, v in zip(ids, values)}
@@ -538,7 +538,7 @@ class TestValueMessageReuse:
             assert repr(notices[0].body) == repr((m.output,))
 
     def test_changed_value_or_sign_builds_a_new_message(self):
-        machine = approx.ApproxOperator(1, make_params(), 0.0)
+        machine = approx.ApproxOperator(1, make_params(), 0.0, netsim.RoundMemo())
         nan = float("nan")
         sequence = (0.0, 0.0, -0.0, -0.0, 0.0, 1.5, 1.5, nan, nan)
         sent = []
@@ -556,7 +556,7 @@ class TestValueMessageReuse:
         assert sent[2].raw_size() == sent[0].raw_size() + 1
 
     def test_halt_notice_follows_the_last_value_message(self):
-        machine = approx.ApproxOperator(1, make_params(), 5.0)
+        machine = approx.ApproxOperator(1, make_params(), 5.0, netsim.RoundMemo())
         (_, value_msg), = machine.outgoing(0)
         machine._announce_halt = True
         (_, notice), = machine.outgoing(1)
@@ -574,9 +574,8 @@ class TestValueMessageReuse:
         params, values, seed, adversary = run
         result = run_approx(params, values, seed=seed, adversary=adversary,
                             frame_bytes=frame_bytes, record_transcript=True)
-        memo = netsim.RoundMemo()
         oracle = netsim.run_instance(
-            values, lambda op, value: RebuildingApproxOperator(op, params, value, memo),
+            values, lambda op, value, memo: RebuildingApproxOperator(op, params, value, memo),
             params.n_operators, adversary, max_rounds=10_000, seed=seed,
             frame_bytes=frame_bytes, record_transcript=True)
         machines = oracle.participants
@@ -629,7 +628,7 @@ class TestWorkCounts:
         assert {v for row in result.values_by_round[1:] for v in row.values()} == {2.5}
         assert work_counts["size"] == 4 * 3
         # the same run kept going for 5 more rounds: every operator stays halted
-        bus = netsim.RoundBus([approx.ApproxOperator(op, params, value)
+        bus = netsim.RoundBus([approx.ApproxOperator(op, params, value, netsim.RoundMemo())
                                for op, value in values.items()])
         for _ in range(h + 6):
             bus.run_round()

@@ -30,11 +30,13 @@ def assert_agreement_and_validity(params, bits, result, adversary=None):
 
 
 def operators(*ids, memo=None):
-    """N=4 BinaryOperators of one instance, one registry and one coin, all holding 1."""
+    """N=4 BinaryOperators of one instance, one registry and one coin, all holding 1;
+    each has its own RoundMemo unless memo is given."""
     params = make_params()
     registry = auth.KeyRegistry(params.operator_ids(), 9)
     coin = auth.CommonCoin(1)
-    return [binary.BinaryOperator(op, params, 1, "inst", coin, registry, memo) for op in ids]
+    return [binary.BinaryOperator(op, params, 1, "inst", coin, registry,
+                                  netsim.RoundMemo() if memo is None else memo) for op in ids]
 
 
 def bit(op, *body):

@@ -11,7 +11,7 @@ from leobft import auth, geo, ledger
 from leobft.cli import (MAX_FIELD_POINTS, MAX_FIELDS, MAX_SWEEP_POINTS, _check_fields,
                         _field_densities, _parse_densities, main)
 from leobft.geo import EARTH_AREA_KM2
-from leobft.model import MAX_OPERATORS
+from leobft.model import MAX_OPERATORS, UsageTensor
 from leobft.scenario import ConfigError
 
 
@@ -467,6 +467,32 @@ class TestLedgerAuditCommand:
                         % (ledger.GENESIS_DIGEST.hex(), block.hex(), votes))
         assert main(["ledger-audit", str(path)]) == 3
         assert "payload is not a canonical tensor" in capsys.readouterr().out
+
+    def test_reordered_votes_is_exit_3(self, config_file, tmp_path, capsys):
+        # export writes the votes sorted; any other order is not its rendering
+        path = self._export(config_file, tmp_path)
+        header, line, _ = path.read_text().split("\n")
+        fields = line.split("|")
+        fields[6] = ",".join(reversed(fields[6].split(",")))
+        path.write_text("%s\n%s\n" % (header, "|".join(fields)))
+        capsys.readouterr()
+        assert main(["ledger-audit", str(path)]) == 3
+        assert capsys.readouterr().out == "audit failed: block 0: malformed record\n"
+
+    def test_payload_of_another_period_is_exit_3(self, tmp_path, capsys):
+        # a period-5 tensor certified as period 0 would be listed as period 0
+        registry = auth.KeyRegistry(range(1, 5), master_seed=0)
+        payload = UsageTensor(5, (1, 1, 4), {(0, 0, 0): 1.0}).canonical_bytes()
+        digest = hashlib.sha256(payload).digest()
+        context = ledger.vote_context(0, 0)
+        cert = auth.make_certificate(digest, {
+            op: registry.sign(op, auth.vote_payload(digest, context)) for op in (1, 2, 3)})
+        block = ledger.Block(0, 0, 1, payload, cert, ledger.GENESIS_DIGEST,
+                             ledger.block_digest(ledger.GENESIS_DIGEST, payload, 1, cert))
+        path = tmp_path / "moved.txt"
+        path.write_bytes(ledger._export_text(4, 1, 0, [block]))
+        assert main(["ledger-audit", str(path), "--period", "0"]) == 3
+        assert capsys.readouterr().out == "audit failed: block 0: payload is for period 5\n"
 
     def test_missing_file_is_exit_1(self, tmp_path, capsys):
         assert main(["ledger-audit", str(tmp_path / "gone.txt")]) == 1

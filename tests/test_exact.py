@@ -116,8 +116,8 @@ class TestAdversaries:
         # why f+1 rounds are needed rather than asserting a protocol bug
         params = make_params()
         registry = auth.KeyRegistry([1, 2, 3, 4], 11)
-        machine = exact.ExactOperator(1, params, registry, 1.0, "inst")
-        liar = exact.ExactOperator(2, params, registry, 0.0, "inst")
+        machine = exact.ExactOperator(1, params, registry, 1.0, "inst", netsim.RoundMemo())
+        liar = exact.ExactOperator(2, params, registry, 0.0, "inst", netsim.RoundMemo())
         inbox = {2: [liar.make_own_broadcast(3.0)]}
         machine.deliver(0, inbox)
         assert machine.recorded[2] == {3.0}
@@ -213,8 +213,8 @@ class TestSignatureDiscipline:
     def test_wrong_chain_length_rejected(self):
         params = make_params()
         registry = auth.KeyRegistry([1, 2, 3, 4], 11)
-        machine = exact.ExactOperator(1, params, registry, 1.0, "inst")
-        origin = exact.ExactOperator(2, params, registry, 5.0, "inst")
+        machine = exact.ExactOperator(1, params, registry, 1.0, "inst", netsim.RoundMemo())
+        origin = exact.ExactOperator(2, params, registry, 5.0, "inst", netsim.RoundMemo())
         msg = origin.make_own_broadcast(5.0)
         # one signature delivered in protocol round 2: must be dropped
         machine.deliver(1, {2: [msg]})
@@ -223,7 +223,7 @@ class TestSignatureDiscipline:
     def test_non_origin_first_signer_rejected(self):
         params = make_params()
         registry = auth.KeyRegistry([1, 2, 3, 4], 11)
-        machine = exact.ExactOperator(1, params, registry, 1.0, "inst")
+        machine = exact.ExactOperator(1, params, registry, 1.0, "inst", netsim.RoundMemo())
         # operator 3 signs a payload claiming origin 2
         payload = machine._payload(2, 5.0)
         forged = auth.make_signed(registry, 3, payload)
@@ -233,16 +233,16 @@ class TestSignatureDiscipline:
     def test_wrong_instance_rejected(self):
         params = make_params()
         registry = auth.KeyRegistry([1, 2, 3, 4], 11)
-        machine = exact.ExactOperator(1, params, registry, 1.0, "inst-a")
-        other = exact.ExactOperator(2, params, registry, 5.0, "inst-b")
+        machine = exact.ExactOperator(1, params, registry, 1.0, "inst-a", netsim.RoundMemo())
+        other = exact.ExactOperator(2, params, registry, 5.0, "inst-b", netsim.RoundMemo())
         machine.deliver(0, {2: [other.make_own_broadcast(5.0)]})
         assert machine.recorded[2] == set()
 
     def test_duplicate_value_recorded_once(self):
         params = make_params()
         registry = auth.KeyRegistry([1, 2, 3, 4], 11)
-        machine = exact.ExactOperator(1, params, registry, 1.0, "inst")
-        origin = exact.ExactOperator(2, params, registry, 5.0, "inst")
+        machine = exact.ExactOperator(1, params, registry, 1.0, "inst", netsim.RoundMemo())
+        origin = exact.ExactOperator(2, params, registry, 5.0, "inst", netsim.RoundMemo())
         msg = origin.make_own_broadcast(5.0)
         machine.deliver(0, {2: [msg, msg]})
         assert machine.recorded[2] == {5.0}
@@ -251,8 +251,8 @@ class TestSignatureDiscipline:
     def test_duplicate_and_forged_relays_in_one_inbox(self, monkeypatch):
         params = make_params()
         registry = auth.KeyRegistry([1, 2, 3, 4], 11)
-        machine = exact.ExactOperator(1, params, registry, 1.0, "inst")
-        origin = exact.ExactOperator(2, params, registry, 5.0, "inst")
+        machine = exact.ExactOperator(1, params, registry, 1.0, "inst", netsim.RoundMemo())
+        origin = exact.ExactOperator(2, params, registry, 5.0, "inst", netsim.RoundMemo())
 
         def forged(value):
             signed = origin.make_own_broadcast(value).body[0]
@@ -354,7 +354,7 @@ class TestRelayChecks:
 
     @staticmethod
     def _forged_and_genuine(params, registry):
-        origin = exact.ExactOperator(2, params, registry, 5.0, "inst")
+        origin = exact.ExactOperator(2, params, registry, 5.0, "inst", netsim.RoundMemo())
         signed = origin.make_own_broadcast(5.0).body[0]
         tag = bytes([signed.tags[0][0] ^ 1]) + signed.tags[0][1:]
         forged = netsim.Message(2, netsim.KIND_BCAST,
@@ -377,8 +377,8 @@ class TestRelayChecks:
     def test_operator_without_shared_memo_verifies_for_itself(self, monkeypatch):
         params = make_params()
         registry = auth.KeyRegistry([1, 2, 3, 4], 11)
-        receivers = [exact.ExactOperator(op, params, registry, float(op), "inst")
-                     for op in (1, 3, 4)]
+        receivers = [exact.ExactOperator(op, params, registry, float(op), "inst",
+                                         netsim.RoundMemo()) for op in (1, 3, 4)]
         forged, genuine = self._forged_and_genuine(params, registry)
         chains = _verified_chains(monkeypatch)
         for machine in receivers:
@@ -434,8 +434,8 @@ class TestTwoValueRule:
     def test_third_value_is_dropped_before_verifying(self, monkeypatch):
         params = make_params()
         registry = auth.KeyRegistry([1, 2, 3, 4], 11)
-        machine = exact.ExactOperator(1, params, registry, 1.0, "inst")
-        origin = exact.ExactOperator(2, params, registry, 5.0, "inst")
+        machine = exact.ExactOperator(1, params, registry, 1.0, "inst", netsim.RoundMemo())
+        origin = exact.ExactOperator(2, params, registry, 5.0, "inst", netsim.RoundMemo())
         chains = _verified_chains(monkeypatch)
         inbox = [origin.make_own_broadcast(v) for v in (5.0, 6.0, 7.0, 5.0)]
         machine.deliver(0, {2: inbox})

@@ -478,6 +478,14 @@ class TestDetection:
         sample = simulate_detection(fields, incidents)
         assert sample.rate == 0.0
 
+    def test_empty_field_does_not_skip_checking_the_others(self):
+        # a field is checked whichever other field is empty, before or after it
+        incidents = np.array([unit([1.0, 0.0, 0.0])])
+        empty, bad = np.empty((0, 3)), np.array([[np.nan, 0.0, 0.0]])
+        for fields in ({1: empty, 2: bad}, {1: bad, 2: empty}):
+            with pytest.raises(ValueError, match="^sensor coordinates must be finite$"):
+                simulate_detection(fields, incidents)
+
     def test_footprint_boundary_in_great_circle_metric(self):
         beam = BeamGeometry()
         incident = np.array([unit([1.0, 0.0, 0.0])])

@@ -53,24 +53,25 @@ def registry():
 
 class TestProposalsAndRejections:
     def test_proposal_roundtrip(self, registry):
-        prop = make_proposal(registry, 2, period=0, attempt=0, tensor=make_tensor())
+        prop = make_proposal(registry, 2, period=0, attempt=0,
+                             payload=make_tensor().canonical_bytes())
         assert verify_proposal(registry, prop)
 
     def test_tampered_proposal_fails(self, registry):
-        prop = make_proposal(registry, 2, 0, 0, make_tensor())
+        prop = make_proposal(registry, 2, 0, 0, make_tensor().canonical_bytes())
         bad = ledger.Proposal(prop.period, prop.attempt, prop.proposer,
                               prop.payload + b"x", prop.tag)
         assert not verify_proposal(registry, bad)
 
     def test_proposal_binds_period_and_attempt(self, registry):
-        prop = make_proposal(registry, 2, 0, 0, make_tensor())
+        prop = make_proposal(registry, 2, 0, 0, make_tensor().canonical_bytes())
         moved = ledger.Proposal(1, prop.attempt, prop.proposer, prop.payload, prop.tag)
         assert not verify_proposal(registry, moved)
         moved = ledger.Proposal(prop.period, 1, prop.proposer, prop.payload, prop.tag)
         assert not verify_proposal(registry, moved)
 
     def test_rejection_roundtrip(self, registry):
-        prop = make_proposal(registry, 2, 0, 0, make_tensor())
+        prop = make_proposal(registry, 2, 0, 0, make_tensor().canonical_bytes())
         rej = make_rejection(registry, 3, prop)
         assert verify_rejection(registry, rej)
         assert rej.digest == prop.digest()
@@ -80,16 +81,20 @@ class TestProposalsAndRejections:
 class TestVotePredicates:
     def test_exact_vote_is_byte_identity(self):
         local = make_tensor(value=0.7).canonical_bytes()
-        prop_same = make_proposal(auth.KeyRegistry([1], 1), 1, 0, 0, make_tensor(value=0.7))
-        prop_diff = make_proposal(auth.KeyRegistry([1], 1), 1, 0, 0, make_tensor(value=0.7000001))
+        prop_same = make_proposal(auth.KeyRegistry([1], 1), 1, 0, 0,
+                                  make_tensor(value=0.7).canonical_bytes())
+        prop_diff = make_proposal(auth.KeyRegistry([1], 1), 1, 0, 0,
+                                  make_tensor(value=0.7000001).canonical_bytes())
         assert exact_vote(local, prop_same)
         assert not exact_vote(local, prop_diff)
 
     def test_approx_vote_respects_alpha_band(self):
         reg = auth.KeyRegistry([1], 1)
         local = make_tensor(value=0.7)
-        inside = parse_proposal(make_proposal(reg, 1, 0, 0, make_tensor(value=1.1)))
-        outside = parse_proposal(make_proposal(reg, 1, 0, 0, make_tensor(value=1.3)))
+        inside = parse_proposal(
+            make_proposal(reg, 1, 0, 0, make_tensor(value=1.1).canonical_bytes()))
+        outside = parse_proposal(
+            make_proposal(reg, 1, 0, 0, make_tensor(value=1.3).canonical_bytes()))
         assert approx_vote(local, inside, alpha=0.5)
         assert not approx_vote(local, outside, alpha=0.5)
 
@@ -98,14 +103,15 @@ class TestVotePredicates:
         local = make_tensor(value=0.7)
         extra = make_tensor(value=0.7)
         extra.set((1, 1, 2), 0.6)  # a key the local tensor reads as 0.0
-        prop = parse_proposal(make_proposal(reg, 1, 0, 0, extra))
+        prop = parse_proposal(make_proposal(reg, 1, 0, 0, extra.canonical_bytes()))
         assert not approx_vote(local, prop, alpha=0.5)
         assert approx_vote(local, prop, alpha=0.6)
 
     def test_approx_vote_rejects_malformed_or_mismatched(self):
         reg = auth.KeyRegistry([1], 1)
         local = make_tensor(period=0)
-        wrong_period = parse_proposal(make_proposal(reg, 1, 0, 0, make_tensor(period=1)))
+        wrong_period = parse_proposal(
+            make_proposal(reg, 1, 0, 0, make_tensor(period=1).canonical_bytes()))
         assert not approx_vote(local, wrong_period, alpha=10.0)
         garbage = parse_proposal(ledger.Proposal(0, 0, 1, b"not a tensor", b""))
         assert garbage is None
@@ -435,6 +441,13 @@ class TestExportAudit:
         swapped = [lines[0], lines[2], lines[1], lines[3]]
         report = audit_chain(("\n".join(swapped) + "\n").encode())
         assert not report.ok
+
+    def test_payload_of_another_period_rejected(self, registry):
+        chain = TensorLedger(make_params(), registry)
+        payload = make_tensor(period=5).canonical_bytes()
+        with pytest.raises(ValueError, match="payload is for period 5"):
+            chain.append_block(0, 0, 1, payload, quorum_certificate(registry, payload))
+        assert chain.blocks == []
 
     def test_dropped_block_breaks_links(self, registry):
         data = export_chain(self._chain(registry))

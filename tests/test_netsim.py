@@ -196,8 +196,8 @@ class TestRoundBus:
     def test_one_inbox_shared_when_every_sender_broadcasts_one_message(self, adversary):
         # a value liar's lie goes to every operator, so it shares the inbox too
         params = NetworkParams(4, 1, 0.05, zeta=0.1, alpha=0.5, rssi_threshold=0.5)
-        bus = RoundBus([approx.ApproxOperator(op, params, float(op)) for op in (1, 2, 3, 4)],
-                       adversary)
+        bus = RoundBus([approx.ApproxOperator(op, params, float(op), netsim.RoundMemo())
+                        for op in (1, 2, 3, 4)], adversary)
         for _ in range(4):
             inboxes = bus.run_round()
             assert len({id(inbox) for inbox in inboxes.values()}) == 1
@@ -236,7 +236,7 @@ class TestRunInstance:
         # Echo never halts: exactly max_rounds rounds run, then the cap raises
         machines = []
 
-        def make(op, value):
+        def make(op, value, memo):
             machines.append(Echo(op, value=value))
             return machines[-1]
 
@@ -274,8 +274,10 @@ class TestRunInstance:
         assert [approx.fault_free_messages(n, h) for n, h in ((4, 1), (10, 6))] == [32, 700]
         assert [binary.fault_free_messages(n, bit) for n, bit in ((4, 0), (4, 1))] == [16, 32]
 
-    def test_round_bus_built_only_by_run_instance(self):
-        # one driver: a protocol that builds its own bus bypasses run_instance
+    @pytest.mark.parametrize("cls", ["RoundBus", "RoundMemo"])
+    def test_round_bus_built_only_by_run_instance(self, cls):
+        # one driver: a protocol that builds its own bus bypasses run_instance,
+        # and operators built with their own memo share none of its work
         builders = []
         for path in sorted(pathlib.Path(netsim.__file__).parent.glob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
@@ -283,7 +285,7 @@ class TestRunInstance:
                        for child in ast.iter_child_nodes(node)}
             for node in ast.walk(tree):
                 func = getattr(node, "func", None)
-                if getattr(func, "id", getattr(func, "attr", None)) != "RoundBus":
+                if getattr(func, "id", getattr(func, "attr", None)) != cls:
                     continue
                 while node in parents and not isinstance(node, ast.FunctionDef):
                     node = parents[node]
